@@ -12,14 +12,10 @@ root:
 2. **Candidate evaluation** — HotPotato's (assignment, tau) candidates
    one-at-a-time vs stacked through ``peak_batch`` (plus the memoized
    re-scan cost, the steady-state case of a settled scheduler).
-3. **Sweep wall time** — the fig4a driver at ``jobs=1`` vs
-   ``jobs="auto"`` (the vectorized fused batch) vs ``jobs=4`` (the
-   pool).  The artifact records the policy ``auto`` resolved to and the
-   batch counters; the CI gate holds ``auto`` to never-slower-than-serial
-   (it fuses in-process, so there is no overhead to amortize).  On
-   multi-core hosts jobs=4 shows the pool speedup; a 1-CPU container's
-   flat result reads as what it is via the recorded ``cpu_count``.
-   Results are asserted identical across all modes.
+3. **Sweep wall time** — the fig4a driver at ``jobs=1`` vs ``jobs=4``
+   (the pool).  On multi-core hosts jobs=4 shows the pool speedup; a
+   1-CPU container's flat result reads as what it is via the recorded
+   ``cpu_count``.  Results are asserted identical across both modes.
 4. **Batched stepping** — one :class:`BatchedSpectralState` stepping all
    four fig4 cells per fused update vs the per-cell dense
    ``ThermalDynamics.step`` reference, gated at **5x** (measured margin
@@ -159,56 +155,27 @@ SWEEP_REPEATS = 2
 
 @pytest.fixture(scope="module")
 def sweep():
-    """fig4a wall time: jobs=1 vs jobs="auto" vs jobs=4 (full sweeps).
-
-    Serial and auto run *interleaved*, best-of-``SWEEP_REPEATS`` each:
-    the two policies do identical work (profiled call counts differ by
-    ~0.1%), so the comparison is dominated by box noise and frequency
-    drift — interleaving cancels the drift, best-of cancels the noise.
-    jobs=4 is one shot (its gate has a 2x margin).
-    """
-    report = {}
-    serial_s = auto_s = None
-    serial = auto = None
-    for _ in range(SWEEP_REPEATS):
-        start = time.perf_counter()
-        serial = fig4a.run(
+    """fig4a wall time: jobs=1 (best-of-``SWEEP_REPEATS``) vs jobs=4
+    (one shot — its gate has a 2x margin), full sweeps."""
+    serial_s, serial = _best_of(
+        lambda: fig4a.run(
             benchmarks=SWEEP_BENCHMARKS, max_time_s=SWEEP_MAX_TIME_S
-        )
-        elapsed = time.perf_counter() - start
-        serial_s = elapsed if serial_s is None else min(serial_s, elapsed)
-        start = time.perf_counter()
-        auto = fig4a.run(
-            benchmarks=SWEEP_BENCHMARKS,
-            max_time_s=SWEEP_MAX_TIME_S,
-            jobs="auto",
-            report=report,
-        )
-        elapsed = time.perf_counter() - start
-        auto_s = elapsed if auto_s is None else min(auto_s, elapsed)
+        ),
+        repeats=SWEEP_REPEATS,
+    )
     start = time.perf_counter()
     parallel = fig4a.run(
         benchmarks=SWEEP_BENCHMARKS, max_time_s=SWEEP_MAX_TIME_S, jobs=4
     )
     parallel_s = time.perf_counter() - start
     for name in SWEEP_BENCHMARKS:
-        a, b, c = (
-            serial.comparisons[name],
-            parallel.comparisons[name],
-            auto.comparisons[name],
-        )
+        a, b = serial.comparisons[name], parallel.comparisons[name]
         assert a.hotpotato.metrics_snapshot == b.hotpotato.metrics_snapshot
-        assert a.hotpotato.metrics_snapshot == c.hotpotato.metrics_snapshot
         assert a.pcmig.makespan_s == b.pcmig.makespan_s
-        assert a.pcmig.makespan_s == c.pcmig.makespan_s
     return {
         "benchmarks": list(SWEEP_BENCHMARKS),
         "max_time_s": SWEEP_MAX_TIME_S,
         "jobs1_wall_s": serial_s,
-        "auto_wall_s": auto_s,
-        "auto_policy": report.get("policy"),
-        "auto_batch": report.get("batch"),
-        "auto_speedup": serial_s / auto_s,
         "jobs4_wall_s": parallel_s,
         "speedup": serial_s / parallel_s,
         "cpu_count": os.cpu_count(),
@@ -341,22 +308,6 @@ def test_parallel_sweep_no_pathological_overhead(sweep):
     on a single-CPU host (where no speedup is physically possible); on
     multi-core hosts the artifact records the actual speedup."""
     assert sweep["jobs4_wall_s"] < sweep["jobs1_wall_s"] * 2.0 + 2.0
-
-
-def test_auto_sweep_vectorizes_and_never_loses_to_serial(sweep):
-    """The ``jobs="auto"`` gate: with the fig4a batch builder available,
-    auto must resolve to the vectorized in-process policy and must not
-    be slower than the serial sweep — fusing the thermal hot loops has
-    no pool/pickle overhead to amortize, so "never slower" is the
-    contract, not a best case (the artifact records the actual speedup).
-    """
-    assert sweep["auto_policy"] == "vectorized"
-    assert sweep["auto_wall_s"] <= sweep["jobs1_wall_s"] * 1.05
-    batch = sweep["auto_batch"]
-    assert batch["width_initial"] == 2 * len(SWEEP_BENCHMARKS)
-    assert batch["fused_updates"] >= 1
-    # fusion did its job: far fewer fused updates than rows stepped
-    assert batch["rows_stepped"] > batch["fused_updates"]
 
 
 def test_batched_stepping_at_least_5x_dense(batched_sweep):

@@ -20,18 +20,6 @@ _EXPERIMENTS = (
 )
 
 
-def _jobs_arg(value: str):
-    """``--jobs`` accepts a worker count or the ``auto`` policy keyword."""
-    if value == "auto":
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -45,13 +33,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=int,
         default=1,
-        metavar="N|auto",
-        help="worker processes for the sweep experiments (fig4a/fig4b), "
-        "or 'auto' to pick an execution policy (normally the vectorized "
-        "in-process batch); results are identical to a serial run "
-        "(default: 1)",
+        metavar="N",
+        help="worker processes for the sweep experiments (fig4a/fig4b); "
+        "results are identical to a serial run (default: 1)",
     )
     parser.add_argument(
         "--checkpoint",
@@ -78,8 +64,8 @@ def main(argv=None) -> int:
         help="JSONL arrival trace replayed by --traffic trace",
     )
     args = parser.parse_args(argv)
-    if isinstance(args.jobs, int) and args.jobs < 1:
-        parser.error("--jobs must be >= 1 (or 'auto')")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint")
     if args.checkpoint and args.experiment not in ("fig4a", "fig4b"):

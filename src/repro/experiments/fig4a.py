@@ -10,19 +10,18 @@ smallest gain (0.73 %).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..config import SystemConfig, table1
 from ..io import result_from_dict, result_to_dict
-from ..parallel import BatchedSweepRunner, Cell, run_cells
+from ..parallel import Cell, run_cells
 from ..sched.hotpotato_runtime import HotPotatoScheduler
 from ..sched.pcmig import PCMigScheduler
 from ..sim.context import SimContext
 from ..sim.engine import IntervalSimulator
 from ..sim.metrics import SimulationResult
-from ..thermal.matex import ThermalDynamics
 from ..thermal.rc_model import RCThermalModel
 from ..workload.benchmarks import PARSEC
 from ..workload.generator import homogeneous_fill, materialize
@@ -129,47 +128,6 @@ def _simulate_cell(
     return sim.run(max_time_s=max_time_s)
 
 
-def _build_batched_sims(
-    cells: List[Cell],
-) -> Tuple[List[IntervalSimulator], float]:
-    """Builder for the ``jobs="auto"`` vectorized policy.
-
-    Constructs exactly the simulators :func:`_simulate_cell` would,
-    except their contexts share one :class:`ThermalDynamics` per thermal
-    model — the shared eigenbasis the fused batch steps in.  Sharing is
-    safe for byte-identity: the dynamics only memoizes pure functions of
-    the model, so a warm cache returns the same bytes a cold one computes.
-    """
-    dynamics_of: Dict[int, ThermalDynamics] = {}
-    sims: List[IntervalSimulator] = []
-    max_time_s = 0.0
-    for cell in cells:
-        kw = cell.kwargs
-        dynamics = dynamics_of.get(id(kw["model"]))
-        if dynamics is None:
-            dynamics = ThermalDynamics(kw["model"])
-            dynamics_of[id(kw["model"])] = dynamics
-        tasks = materialize(
-            homogeneous_fill(
-                kw["benchmark"],
-                kw["config"].n_cores,
-                seed=kw["seed"],
-                work_scale=kw["work_scale"],
-            )
-        )
-        sims.append(
-            IntervalSimulator(
-                kw["config"],
-                _SCHEDULERS[kw["scheduler"]](),
-                tasks,
-                ctx=SimContext(kw["config"], dynamics=dynamics),
-                record_trace=False,
-            )
-        )
-        max_time_s = kw["max_time_s"]
-    return sims, max_time_s
-
-
 def run(
     config: SystemConfig = None,
     model: Optional[RCThermalModel] = None,
@@ -177,26 +135,21 @@ def run(
     seed: int = 42,
     work_scale: float = 2.5,
     max_time_s: float = 5.0,
-    jobs: Union[int, str] = 1,
+    jobs: int = 1,
     checkpoint_path=None,
     resume: bool = False,
-    report: Optional[Dict] = None,
 ) -> Fig4aResult:
     """Regenerate Fig. 4(a).
 
     ``benchmarks`` restricts the sweep (useful for fast CI runs); the
     default runs all eight evaluated PARSEC benchmarks.  ``jobs > 1``
     fans the (benchmark, scheduler) cells out over worker processes;
-    ``jobs="auto"`` lets :func:`repro.parallel.run_cells` pick a policy —
-    normally the vectorized in-process engine that fuses every cell's
-    thermal stepping into one batch.  The results are identical to a
-    serial run under every policy.
+    the results are identical to a serial run.
 
     ``checkpoint_path`` persists each finished cell to a JSONL
     :class:`~repro.parallel.SweepCheckpoint`; with ``resume`` a killed
     sweep restarts only its incomplete cells and produces byte-identical
-    results (``docs/faults.md``).  ``report`` receives the executed
-    policy and batch counters (see :func:`repro.parallel.run_cells`).
+    results (``docs/faults.md``).
     """
     cfg = config if config is not None else table1()
     names = list(benchmarks) if benchmarks is not None else list(PARSEC)
@@ -226,8 +179,6 @@ def run(
         resume=resume,
         encode=result_to_dict,
         decode=result_from_dict,
-        batch_runner=BatchedSweepRunner(_build_batched_sims),
-        report=report,
     )
     comparisons = {
         name: BenchmarkComparison(

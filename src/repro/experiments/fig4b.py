@@ -11,20 +11,19 @@ under medium load.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import SystemConfig, table1
 from ..io import result_from_dict, result_to_dict
-from ..parallel import BatchedSweepRunner, Cell, run_cells
+from ..parallel import Cell, run_cells
 from ..sched.hotpotato_runtime import HotPotatoScheduler
 from ..sched.pcmig import PCMigScheduler
 from ..sched.qos_aware import QoSAwareScheduler
 from ..sim.context import SimContext
 from ..sim.engine import IntervalSimulator
 from ..sim.metrics import SimulationResult
-from ..thermal.matex import ThermalDynamics
 from ..thermal.rc_model import RCThermalModel
 from ..traffic import TRAFFIC_PATTERNS, assign_arrivals, build_process
 from ..traffic.trace import load_arrival_trace
@@ -225,48 +224,6 @@ def _simulate_cell(
     return sim.run(max_time_s=max_time_s)
 
 
-def _build_batched_sims(
-    cells: List[Cell],
-) -> Tuple[List[IntervalSimulator], float]:
-    """Builder for the ``jobs="auto"`` vectorized policy.
-
-    Mirrors :func:`repro.experiments.fig4a._build_batched_sims`: the
-    simulators are exactly :func:`_simulate_cell`'s, except their
-    contexts share one :class:`ThermalDynamics` per thermal model so the
-    fused batch can step every cell in the same eigenbasis.
-    """
-    dynamics_of: Dict[int, ThermalDynamics] = {}
-    sims: List[IntervalSimulator] = []
-    max_time_s = 0.0
-    for cell in cells:
-        kw = cell.kwargs
-        dynamics = dynamics_of.get(id(kw["model"]))
-        if dynamics is None:
-            dynamics = ThermalDynamics(kw["model"])
-            dynamics_of[id(kw["model"])] = dynamics
-        specs = _cell_specs(
-            kw["arrival_rate_per_s"],
-            kw["n_tasks"],
-            kw["seed"],
-            kw["work_scale"],
-            kw["max_time_s"],
-            kw.get("traffic", "poisson"),
-            kw.get("trace_path"),
-            kw.get("deadline_s"),
-        )
-        sims.append(
-            IntervalSimulator(
-                kw["config"],
-                _SCHEDULERS[kw["scheduler"]](),
-                materialize(specs),
-                ctx=SimContext(kw["config"], dynamics=dynamics),
-                record_trace=False,
-            )
-        )
-        max_time_s = kw["max_time_s"]
-    return sims, max_time_s
-
-
 def run(
     config: SystemConfig = None,
     model: Optional[RCThermalModel] = None,
@@ -275,10 +232,9 @@ def run(
     seed: int = 7,
     work_scale: float = 2.0,
     max_time_s: float = 60.0,
-    jobs: Union[int, str] = 1,
+    jobs: int = 1,
     checkpoint_path=None,
     resume: bool = False,
-    report: Optional[Dict] = None,
     traffic: str = "poisson",
     trace_path=None,
     deadline_s: Optional[float] = None,
@@ -286,13 +242,10 @@ def run(
     """Regenerate Fig. 4(b) over the given arrival-rate sweep.
 
     ``jobs > 1`` distributes the (rate, scheduler) cells over worker
-    processes; ``jobs="auto"`` picks a policy (normally the vectorized
-    in-process batch).  Results are identical to a serial run under
-    every policy.
+    processes; results are identical to a serial run.
 
     ``checkpoint_path``/``resume`` enable crash-tolerant sweeps exactly
-    as in :func:`repro.experiments.fig4a.run` (``docs/faults.md``);
-    ``report`` receives the executed policy and batch counters.
+    as in :func:`repro.experiments.fig4a.run` (``docs/faults.md``).
 
     ``traffic`` selects the arrival process (``docs/traffic.md``); the
     default reproduces the paper's Poisson schedule byte-for-byte.
@@ -330,8 +283,6 @@ def run(
         resume=resume,
         encode=result_to_dict,
         decode=result_from_dict,
-        batch_runner=BatchedSweepRunner(_build_batched_sims),
-        report=report,
     )
     points = tuple(
         LoadPoint(

@@ -42,9 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Subpackages of ``repro`` that must be bit-deterministic under a seed.
 #: The batched engine (``sim/batch.py``, ``thermal/batched_state.py``)
-#: is covered here: its whole contract is that a fused sweep is
-#: byte-identical to solo runs, which a clock or global-RNG read would
-#: silently break per-row.
+#: behind serve's fused ``/v1/simulate`` bursts is covered here: its
+#: whole contract is that a fused batch is byte-identical to solo runs,
+#: which a clock or global-RNG read would silently break per-row.
 DETERMINISTIC_SUBPACKAGES = ("sim", "sched", "thermal", "core")
 
 #: Top-level ``repro`` modules held to the same determinism rules; an

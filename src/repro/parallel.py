@@ -27,22 +27,6 @@ an independent simulation.  This module fans those cells out over a
 Cell functions must be module-level (picklable) callables; everything a
 cell needs travels through its ``kwargs`` (an :class:`RCThermalModel`
 pickles fine — each worker rebuilds the cheap eigendecomposition itself).
-
-``jobs="auto"`` picks the execution policy instead of a worker count
-(``docs/performance.md``):
-
-- **vectorized** — when the caller supplies a ``batch_runner`` (the
-  figure sweeps pass a :class:`BatchedSweepRunner`), the cells run
-  in-process with their thermal hot loops fused across the whole sweep
-  (:class:`~repro.sim.batch.BatchedSimulatorSet`) — no pickling, no
-  worker warm-up, byte-identical results;
-- **fork** — otherwise, when ``os.cpu_count()`` offers more than one
-  core, the classic process pool; large ndarray kwargs travel through
-  ``multiprocessing.shared_memory`` segments instead of pickle streams;
-- **serial** — the in-process fallback everywhere else.
-
-Passing a ``report`` dict records which policy actually ran (and the
-batch counters), so benchmarks can gate on the choice.
 """
 
 from __future__ import annotations
@@ -69,12 +53,7 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
-from .obs.profiling import PhaseProfiler
-
 __all__ = [
-    "BatchedSweepRunner",
     "Cell",
     "CellTimeoutError",
     "RetryPolicy",
@@ -85,10 +64,6 @@ __all__ = [
 
 #: How often a broken worker pool is rebuilt before degrading to serial.
 _MAX_POOL_RESTARTS = 3
-
-#: ndarray kwargs at least this large travel via shared memory when
-#: forking (smaller ones pickle faster than a segment round-trip).
-_SHM_MIN_BYTES = 1 << 20
 
 
 def derive_seed(base_seed: int, *parts: Any) -> int:
@@ -171,7 +146,8 @@ class SweepCheckpoint:
     One record per line: ``{"key": <canonical key>, "result": <encoded>}``.
     Records are appended (flushed and fsynced) as cells finish, so a
     SIGKILLed sweep loses at most the in-flight cells; a truncated final
-    line — the signature of a mid-write kill — is tolerated on load.
+    line — the signature of a mid-write kill — is tolerated on load, and
+    every other malformed line is an error (:meth:`load`).
     :meth:`finalize` atomically rewrites the file in submission order,
     making the completed checkpoint's bytes independent of completion
     order and of how many times the sweep was interrupted.
@@ -181,22 +157,42 @@ class SweepCheckpoint:
         self.path = Path(path)
 
     def load(self) -> Dict[str, Any]:
-        """Encoded results by canonical key (empty if no file yet)."""
+        """Encoded results by canonical key (empty if no file yet).
+
+        Only an undecodable *last* line is skipped: it is the torn tail a
+        kill mid-append leaves, and it is cut from the file so the next
+        append starts on a fresh line.  Any other bad line — undecodable,
+        not an object, or without a string ``"key"`` and a ``"result"`` —
+        raises ``ValueError("<path>:<line>: ...")``.
+        """
         if not self.path.exists():
             return {}
+        lines = self.path.read_bytes().splitlines(keepends=True)
         done: Dict[str, Any] = {}
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
+        offset = 0
+        for number, line in enumerate(lines, start=1):
+            if line.strip():
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError:
-                    # a kill mid-append leaves a torn last line; every
-                    # complete record before it is still good
-                    continue
+                except ValueError as exc:
+                    if number < len(lines):
+                        raise ValueError(
+                            f"{self.path}:{number}: undecodable record: {exc}"
+                        ) from None
+                    with self.path.open("r+b") as handle:
+                        handle.truncate(offset)
+                    break
+                if not (
+                    isinstance(record, dict)
+                    and isinstance(record.get("key"), str)
+                    and "result" in record
+                ):
+                    raise ValueError(
+                        f"{self.path}:{number}: expected an object with a "
+                        'string "key" and a "result"'
+                    )
                 done[record["key"]] = record["result"]
+            offset += len(line)
         return done
 
     def append(self, key: Hashable, encoded_result: Any) -> None:
@@ -235,106 +231,11 @@ def _identity(value: Any) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class _ShmRef:
-    """Pickle-light stand-in for an ndarray kwarg living in shared memory."""
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
-
-
-def _pack_shared_arrays(cells: List[Cell]) -> Tuple[List[Cell], List[Any]]:
-    """Move large ndarray kwargs into ``multiprocessing.shared_memory``.
-
-    Each distinct array (by identity) is copied into one segment no
-    matter how many cells reference it — a sweep sharing one thermal
-    model's matrices ships them to the pool once, as raw bytes, instead
-    of pickling a copy into every submitted task.  Returns the rewritten
-    cells plus the open segments; the caller owns their lifetime (they
-    must outlive every worker attempt, including pool restarts).
-    """
-    from multiprocessing import shared_memory
-
-    segments: List[Any] = []
-    by_id: Dict[int, _ShmRef] = {}
-    packed: List[Cell] = []
-    for cell in cells:
-        rewritten = None
-        for key, value in cell.kwargs.items():
-            if not (
-                isinstance(value, np.ndarray)
-                and value.nbytes >= _SHM_MIN_BYTES
-            ):
-                continue
-            ref = by_id.get(id(value))
-            if ref is None:
-                segment = shared_memory.SharedMemory(
-                    create=True, size=value.nbytes
-                )
-                np.ndarray(value.shape, value.dtype, buffer=segment.buf)[
-                    ...
-                ] = value
-                ref = _ShmRef(segment.name, value.shape, value.dtype.str)
-                segments.append(segment)
-                by_id[id(value)] = ref
-            if rewritten is None:
-                rewritten = dict(cell.kwargs)
-            rewritten[key] = ref
-        packed.append(
-            cell
-            if rewritten is None
-            else Cell(key=cell.key, fn=cell.fn, kwargs=rewritten)
-        )
-    return packed, segments
-
-
-def _release_segments(segments: List[Any]) -> None:
-    for segment in segments:
-        try:
-            segment.close()
-            segment.unlink()
-        except FileNotFoundError:  # already gone (interpreter teardown)
-            pass
-
-
-def _resolve_shm_ref(ref: _ShmRef) -> np.ndarray:
-    """Materialize a worker-private copy of a shared-memory array.
-
-    Copying (rather than viewing) keeps the array valid after the
-    segment closes and keeps workers byte-identical to pickled
-    transport — same values, same dtype, same layout.
-    """
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=ref.name)
-    try:
-        view = np.ndarray(
-            ref.shape, dtype=np.dtype(ref.dtype), buffer=segment.buf
-        )
-        return np.array(view)
-    finally:
-        segment.close()
-
-
-def _execute_cell(cell: Cell) -> Any:
-    # module-level trampoline so the pool pickles the Cell, not a closure
-    if any(isinstance(v, _ShmRef) for v in cell.kwargs.values()):
-        kwargs = {
-            key: _resolve_shm_ref(value) if isinstance(value, _ShmRef) else value
-            for key, value in cell.kwargs.items()
-        }
-        return cell.fn(**kwargs)
-    return cell.execute()
-
-
 def _run_serial_cell(cell: Cell, retry: RetryPolicy) -> Any:
     attempt = 0
     while True:
         try:
-            # via the trampoline: a packed cell (shared-memory kwargs)
-            # re-run in-process after a pool death still resolves
-            return _execute_cell(cell)
+            return cell.execute()
         except Exception:
             if attempt >= retry.retries:
                 raise
@@ -344,9 +245,8 @@ def _run_serial_cell(cell: Cell, retry: RetryPolicy) -> Any:
 
 def _run_serial(
     cells: List[Cell],
-    profiler: Optional[PhaseProfiler],
     retry: RetryPolicy,
-    on_done: Callable[[Cell, Any], Any] = lambda cell, result: result,
+    on_done: Callable[[Cell, Any], Any],
 ) -> List[Any]:
     """Run cells in-process; ``on_done`` fires as each cell finishes.
 
@@ -354,38 +254,11 @@ def _run_serial(
     a checkpointing callback makes every finished cell durable before the
     next one starts (a SIGKILL mid-sweep loses only the in-flight cell).
     """
-    results = []
-    for cell in cells:
-        if profiler is not None:
-            with profiler.time("parallel.cell"):
-                results.append(on_done(cell, _run_serial_cell(cell, retry)))
-        else:
-            results.append(on_done(cell, _run_serial_cell(cell, retry)))
-    return results
+    return [on_done(cell, _run_serial_cell(cell, retry)) for cell in cells]
 
 
-def _resolve_policy(
-    jobs: Union[int, str], n_pending: int, has_batch_runner: bool
-) -> Tuple[str, int]:
-    """Map the ``jobs`` argument to an execution policy and worker count.
-
-    ``"auto"`` prefers the vectorized in-process path whenever a batch
-    runner is available: it fuses the thermal hot loops with zero
-    pickling/fork overhead, so it is never slower than serial — whereas
-    a pool's worker warm-up can dominate short sweeps.  Forking is the
-    fallback for batch-less sweeps on multi-core hosts.
-    """
-    if isinstance(jobs, str):
-        if jobs != "auto":
-            raise ValueError(f"jobs must be an int or 'auto', got {jobs!r}")
-        if n_pending <= 1:
-            return "serial", 1
-        if has_batch_runner:
-            return "vectorized", 1
-        cores = os.cpu_count() or 1
-        if cores > 1:
-            return "fork", min(cores, n_pending)
-        return "serial", 1
+def _resolve_policy(jobs: int, n_pending: int) -> Tuple[str, int]:
+    """Map the ``jobs`` worker count to a policy and a pool size."""
     if jobs <= 1 or n_pending <= 1:
         return "serial", 1
     return "fork", jobs
@@ -393,28 +266,24 @@ def _resolve_policy(
 
 def run_cells(
     cells: Iterable[Cell],
-    jobs: Union[int, str] = 1,
-    profiler: Optional[PhaseProfiler] = None,
+    jobs: int = 1,
     retry: Optional[RetryPolicy] = None,
     timeout_s: Optional[float] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
     encode: Callable[[Any], Any] = _identity,
     decode: Callable[[Any], Any] = _identity,
-    batch_runner: Optional[
-        Callable[[List[Cell], Callable[[Cell, Any], Any]], List[Any]]
-    ] = None,
-    report: Optional[Dict[str, Any]] = None,
 ) -> Dict[Hashable, Any]:
     """Execute ``cells`` and collate ``{cell.key: result}`` in input order.
 
-    ``jobs <= 1`` (or a single cell) runs serially in-process.  With
-    ``jobs > 1`` the cells are dispatched to a ``ProcessPoolExecutor``;
-    if the pool cannot be created (no ``fork`` support, sandboxed
-    semaphores, unpicklable payload) — or breaks more than
-    ``_MAX_POOL_RESTARTS`` times — the sweep falls back to the serial
-    path; the results are identical either way, only the wall time
-    differs.
+    ``jobs`` is an ``int`` worker count (anything else raises
+    ``ValueError``).  ``jobs <= 1`` (or a single cell) runs serially
+    in-process.  With ``jobs > 1`` the cells are dispatched to a
+    ``ProcessPoolExecutor``; if the pool cannot be created (no ``fork``
+    support, sandboxed semaphores, unpicklable payload) — or breaks more
+    than ``_MAX_POOL_RESTARTS`` times — the sweep falls back to the
+    serial path; the results are identical either way, only the wall
+    time differs.
 
     ``retry`` re-runs failing cells per :class:`RetryPolicy` (both modes);
     after the allowed attempts the cell's exception propagates.
@@ -433,16 +302,9 @@ def run_cells(
     default to identity and must produce JSON-serializable payloads
     (simulation sweeps pass :func:`repro.io.result_to_dict` /
     :func:`repro.io.result_from_dict`).
-
-    ``jobs="auto"`` delegates the policy choice to
-    :func:`_resolve_policy`; the vectorized choice requires a
-    ``batch_runner`` — a callable (usually a :class:`BatchedSweepRunner`)
-    receiving the pending cells and a per-cell completion callback and
-    returning their results in input order.  If it raises, the sweep
-    falls back to serial (results are identical either way).  ``report``,
-    when given, receives the executed policy, worker count, host core
-    count and (vectorized only) the batch counters.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise ValueError(f"jobs must be an int worker count, got {jobs!r}")
     cells = list(cells)
     keys = [cell.key for cell in cells]
     if len(set(keys)) != len(keys):
@@ -476,55 +338,18 @@ def run_cells(
     # _record runs per cell *at completion time* (not after the sweep), so
     # every finished cell is durably checkpointed before the next result
     # lands — the crash-tolerance contract of docs/faults.md
-    policy, workers = _resolve_policy(
-        jobs, len(pending), batch_runner is not None
-    )
-    if report is not None:
-        report.update(
-            policy=policy,
-            jobs=workers,
-            cpu_count=os.cpu_count() or 1,
-            cells=len(pending),
-        )
-    if policy == "vectorized":
-        try:
-            if profiler is not None:
-                with profiler.time("parallel.batch"):
-                    computed = batch_runner(pending, _record)
-            else:
-                computed = batch_runner(pending, _record)
-            if report is not None and hasattr(batch_runner, "last_stats"):
-                report["batch"] = dict(batch_runner.last_stats)
-        except Exception:
-            # a sweep the runner cannot batch (mixed platforms, foreign
-            # cell functions) still completes — results are identical,
-            # only the fusion is lost
-            policy = "serial"
-            if report is not None:
-                report.update(policy="serial", fallback_from="vectorized")
-            computed = _run_serial(pending, profiler, retry, on_done=_record)
-    elif policy == "serial":
-        computed = _run_serial(pending, profiler, retry, on_done=_record)
+    policy, workers = _resolve_policy(jobs, len(pending))
+    if policy == "serial":
+        computed = _run_serial(pending, retry, on_done=_record)
     else:
-        packed, segments = _pack_shared_arrays(pending)
         try:
-            if profiler is not None:
-                with profiler.time("parallel.pool"):
-                    computed = _run_pool(
-                        packed, workers, retry, timeout_s, on_done=_record
-                    )
-            else:
-                computed = _run_pool(
-                    packed, workers, retry, timeout_s, on_done=_record
-                )
+            computed = _run_pool(
+                pending, workers, retry, timeout_s, on_done=_record
+            )
         except (OSError, NotImplementedError, pickle.PicklingError):
             # cells recorded before the pool died are re-run serially but
             # re-recorded idempotently (the checkpoint keeps the last write)
-            if report is not None:
-                report.update(policy="serial", fallback_from="fork")
-            computed = _run_serial(pending, profiler, retry, on_done=_record)
-        finally:
-            _release_segments(segments)
+            computed = _run_serial(pending, retry, on_done=_record)
 
     by_key: Dict[str, Any] = {}
     for cell, result in zip(pending, computed):
@@ -545,7 +370,7 @@ def _run_pool(
     jobs: int,
     retry: RetryPolicy,
     timeout_s: Optional[float],
-    on_done: Callable[[Cell, Any], Any] = lambda cell, result: result,
+    on_done: Callable[[Cell, Any], Any],
 ) -> List[Any]:
     """Pool execution with retries, timeouts and pool-restart recovery.
 
@@ -569,7 +394,7 @@ def _run_pool(
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(outstanding)))
         try:
             futures = {
-                i: pool.submit(_execute_cell, cells[i]) for i in outstanding
+                i: pool.submit(cells[i].execute) for i in outstanding
             }
             for i in outstanding:
                 while True:
@@ -600,7 +425,7 @@ def _run_pool(
                             pool.shutdown(wait=False, cancel_futures=True)
                             raise
                         _time.sleep(retry.delay_s(cells[i].key, attempts[i]))
-                        futures[i] = pool.submit(_execute_cell, cells[i])
+                        futures[i] = pool.submit(cells[i].execute)
         except _PoolAbandoned:
             continue
         except BrokenProcessPool:
@@ -620,78 +445,3 @@ def _run_pool(
 
 class _PoolAbandoned(Exception):
     """Internal: restart the pool without counting a broken-pool strike."""
-
-
-class BatchedSweepRunner:
-    """The vectorized execution policy for :func:`run_cells`.
-
-    Bridges a sweep's cells to a
-    :class:`~repro.sim.batch.BatchedSimulatorSet`: an experiment-supplied
-    *builder* turns the pending cells into simulators (sharing one
-    injected ``ThermalDynamics`` per platform) plus the sweep horizon;
-    the runner groups the simulators by dynamics identity — one fused
-    batch per eigenbasis — and lock-steps each group to completion.  Per
-    the :func:`run_cells` contract, the completion callback fires as each
-    cell finishes (checkpoint durability) and results return in input
-    order, byte-identical to a serial sweep.
-
-    ``last_stats`` holds the merged ``parallel.batch.*`` counters of the
-    most recent run (batch widths, fused-update/einsum count, detach
-    events); :func:`run_cells` copies them into its ``report``.
-    """
-
-    def __init__(
-        self,
-        build: Callable[[List[Cell]], Tuple[List[Any], float]],
-        detach_after: Optional[int] = None,
-        metrics=None,
-    ):
-        """``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
-        receives the ``parallel.batch.*`` gauges after each run."""
-        self.build = build
-        self.detach_after = detach_after
-        self.metrics = metrics
-        self.last_stats: Dict[str, int] = {}
-
-    def __call__(
-        self, cells: List[Cell], on_done: Callable[[Cell, Any], Any]
-    ) -> List[Any]:
-        # imported here: repro.parallel is a leaf utility module and must
-        # stay importable without dragging in the whole simulation stack
-        from .sim.batch import BatchedSimulatorSet
-
-        sims, max_time_s = self.build(cells)
-        if len(sims) != len(cells):
-            raise ValueError("builder must return one simulator per cell")
-        groups: Dict[int, List[int]] = {}
-        for index, sim in enumerate(sims):
-            groups.setdefault(id(sim.ctx.dynamics), []).append(index)
-        results: List[Any] = [None] * len(cells)
-        self.last_stats = {}
-        for members in groups.values():
-            kwargs = (
-                {} if self.detach_after is None
-                else {"detach_after": self.detach_after}
-            )
-            batch = BatchedSimulatorSet(
-                [sims[index] for index in members], **kwargs
-            )
-            outcomes = batch.run_all(
-                max_time_s,
-                on_finish=lambda local, result, members=members: on_done(
-                    cells[members[local]], result
-                ),
-            )
-            for local, index in enumerate(members):
-                results[index] = outcomes[local]
-            for key, value in batch.stats().items():
-                if key.startswith("width"):
-                    self.last_stats[key] = max(
-                        self.last_stats.get(key, 0), value
-                    )
-                else:
-                    self.last_stats[key] = self.last_stats.get(key, 0) + value
-        if self.metrics is not None:
-            for key, value in self.last_stats.items():
-                self.metrics.gauge(f"parallel.batch.{key}").set(value)
-        return results

@@ -1,10 +1,12 @@
 """Lock-step batched driver: many simulators, one fused thermal step.
 
-A sweep runs S independent :class:`~repro.sim.engine.IntervalSimulator`
-instances over the same floorplan.  Everything *decision-shaped* about
-those runs — scheduler logic, DTM, fault streams, migration accounting —
-is scalar control flow that must stay per-cell (the schedulers are
-stateful and their branches depend on their own cell's history).  The
+A burst of concurrent ``/v1/simulate`` requests
+(:class:`~repro.serve.SimulateBatcher`) runs S independent
+:class:`~repro.sim.engine.IntervalSimulator` instances over the same
+floorplan.  Everything *decision-shaped* about those runs — scheduler
+logic, DTM, fault streams, migration accounting — is scalar control flow
+that must stay per-cell (the schedulers are stateful and their branches
+depend on their own cell's history).  The
 *thermal* hot loop, however, is shape-polymorphic: the exact MatEx step
 is the same elementwise update for every cell, so S states stack into
 one :class:`~repro.thermal.batched_state.BatchedSpectralState` and step
@@ -26,8 +28,8 @@ Cells leave the batch two ways, both bit-exact:
 - **finish** — ``prepare_interval`` returns ``None``; the cell is
   finalized and its coefficient row dropped;
 - **divergence** — a cell whose interval length matched no other
-  attached cell for ``detach_after`` consecutive rounds is handed its
-  coefficients back as a scalar
+  attached cell for :data:`DEFAULT_DETACH_AFTER` consecutive rounds is
+  handed its coefficients back as a scalar
   :class:`~repro.thermal.spectral_state.SpectralThermalState` and runs
   to completion solo (:meth:`IntervalSimulator.drive_to_completion`) —
   lock-step with a diverged cell would otherwise serialize the batch on
@@ -42,7 +44,7 @@ is pure memoization of deterministic values.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -102,7 +104,6 @@ class BatchedSimulatorSet:
     def __init__(
         self,
         sims: Sequence[IntervalSimulator],
-        detach_after: int = DEFAULT_DETACH_AFTER,
         metrics=None,
     ):
         """``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
@@ -111,8 +112,6 @@ class BatchedSimulatorSet:
         own metrics snapshots must stay byte-identical to solo runs."""
         if not sims:
             raise ValueError("need at least one simulator to batch")
-        if detach_after < 1:
-            raise ValueError("detach_after must be at least 1")
         dynamics = sims[0].ctx.dynamics
         for sim in sims[1:]:
             if sim.ctx.dynamics is not dynamics:
@@ -121,7 +120,6 @@ class BatchedSimulatorSet:
                     "group cells by calibration fingerprint first"
                 )
         self.sims: List[IntervalSimulator] = list(sims)
-        self.detach_after = detach_after
         self._metrics = metrics
         self._batch: Optional[BatchedSpectralState] = None
         #: simulator index -> current row in the (compacting) batch
@@ -162,22 +160,12 @@ class BatchedSimulatorSet:
 
     # -- the lock-step loop ----------------------------------------------------
 
-    def run_all(
-        self,
-        max_time_s=10.0,
-        on_finish: Optional[Callable[[int, SimulationResult], Any]] = None,
-    ) -> List[SimulationResult]:
+    def run_all(self, max_time_s=10.0) -> List[SimulationResult]:
         """Run every simulator to completion; results in input order.
 
         ``max_time_s`` is a scalar horizon shared by every cell, or a
         per-simulator sequence (a serve burst may mix horizons; cells
         that hit their shorter horizon simply finish and detach early).
-
-        ``on_finish(index, result)`` fires as each cell finishes — in
-        completion order, not input order — so a checkpointing callback
-        makes every finished cell durable while the rest keep running
-        (the same contract as :func:`repro.parallel.run_cells`'s serial
-        path).  When it returns a value, that value replaces the result.
         """
         horizons = np.broadcast_to(
             np.asarray(max_time_s, dtype=float), (len(self.sims),)
@@ -193,13 +181,6 @@ class BatchedSimulatorSet:
 
         results: List[Optional[SimulationResult]] = [None] * len(self.sims)
 
-        def _finish(index: int, result: SimulationResult) -> None:
-            if on_finish is not None:
-                replaced = on_finish(index, result)
-                if replaced is not None:
-                    result = replaced
-            results[index] = result
-
         attached = list(range(len(self.sims)))
         while attached:
             self.rounds += 1
@@ -210,7 +191,7 @@ class BatchedSimulatorSet:
                     self._batch.detach(self._drop_cell(index))
                     attached.remove(index)
                     self.detached_finished += 1
-                    _finish(index, self.sims[index].finalize())
+                    results[index] = self.sims[index].finalize()
                 else:
                     plans.append((index, plan))
             if not plans:
@@ -226,7 +207,7 @@ class BatchedSimulatorSet:
                 self.sims[index].complete_interval(plan)
 
             # divergence detection: a cell alone in its dt-group for
-            # detach_after consecutive rounds leaves the batch
+            # DEFAULT_DETACH_AFTER consecutive rounds leaves the batch
             if len(plans) > 1:
                 counts: Dict[float, int] = {}
                 for _, plan in plans:
@@ -238,25 +219,30 @@ class BatchedSimulatorSet:
                         self._solo_streak[index] = 0
                 for index, _ in plans:
                     if (
-                        self._solo_streak[index] >= self.detach_after
+                        self._solo_streak[index] >= DEFAULT_DETACH_AFTER
                         and len(attached) > 1
                     ):
-                        self._detach_solo(index, attached, _finish)
+                        self._detach_solo(index, attached, results)
 
             # a lone survivor fuses nothing: hand it back to itself
             if len(attached) == 1:
-                self._detach_solo(attached[0], attached, _finish)
+                self._detach_solo(attached[0], attached, results)
 
         if self._metrics is not None:
             for key, value in self.stats().items():
                 self._metrics.gauge(f"parallel.batch.{key}").set(value)
         return results
 
-    def _detach_solo(self, index: int, attached: List[int], finish) -> None:
+    def _detach_solo(
+        self,
+        index: int,
+        attached: List[int],
+        results: List[Optional[SimulationResult]],
+    ) -> None:
         """Hand a cell its scalar state back and run it to completion."""
         state = self._batch.detach(self._drop_cell(index))
         attached.remove(index)
         self.detached_diverged += 1
         sim = self.sims[index]
         sim.adopt_thermal_state(state)
-        finish(index, sim.drive_to_completion())
+        results[index] = sim.drive_to_completion()

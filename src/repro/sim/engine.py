@@ -371,7 +371,7 @@ class IntervalSimulator:
     def drive_to_completion(self) -> SimulationResult:
         """Drive the phase loop until no intervals remain, then finalize.
 
-        Requires a prior :meth:`begin_run`.  The batched sweep driver
+        Requires a prior :meth:`begin_run`.  The batched driver
         calls this on a cell after detaching it from the batch — the
         re-adopted scalar state continues the run byte-identically.
         """
@@ -409,14 +409,6 @@ class IntervalSimulator:
         self._idle_power = self.ctx.power_model.idle_power_w()
         if self._run_trace is not None:
             self._run_trace.record(self._now, self._core_temps())
-
-    @property
-    def finished(self) -> bool:
-        """True once no interval remains (tasks done or horizon reached)."""
-        return not (
-            (self._pending or self._running)
-            and self._now < self._max_time_s - _TIME_EPS
-        )
 
     @property
     def thermal_state(self):

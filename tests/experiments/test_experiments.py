@@ -93,3 +93,12 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["nope"])
+
+    @pytest.mark.parametrize("value", ["auto", "2.5", "0"])
+    def test_jobs_takes_a_positive_int(self, capsys, value):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4a", "--quick", "--jobs", value])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

@@ -15,7 +15,8 @@ from repro.io import result_to_dict
 from repro.sched.fixed_rotation import FixedRotationScheduler
 from repro.sched.hotpotato_runtime import HotPotatoScheduler
 from repro.sched.pcmig import PCMigScheduler
-from repro.sim.batch import BatchedSimulatorSet
+from repro.sim import batch as batch_module
+from repro.sim.batch import BatchedSimulatorSet, _BatchCellView
 from repro.sim.context import SimContext
 from repro.sim.engine import IntervalSimulator
 from repro.thermal.matex import ThermalDynamics
@@ -117,9 +118,10 @@ class TestByteIdentity:
         assert stats["detached_finished"] + stats["detached_diverged"] == 4
         assert stats["rounds"] >= 1
 
-    def test_divergent_cell_detaches_and_matches(self, cfg, model):
+    def test_divergent_cell_detaches_and_matches(self, cfg, model, monkeypatch):
         """A cell whose rotation interval matches nobody leaves the batch
         mid-sweep via the divergence path — and still matches its solo run."""
+        monkeypatch.setattr(batch_module, "DEFAULT_DETACH_AFTER", 2)
 
         def sims(ctx_of):
             taus = (0.5e-3, 0.5e-3, 0.8e-3)  # the odd one diverges
@@ -136,7 +138,7 @@ class TestByteIdentity:
         solo = [s.run(max_time_s=MAX_TIME_S) for s in sims(lambda: SimContext(cfg, model))]
         dynamics = ThermalDynamics(model)
         batch = BatchedSimulatorSet(
-            sims(lambda: SimContext(cfg, dynamics=dynamics)), detach_after=2
+            sims(lambda: SimContext(cfg, dynamics=dynamics))
         )
         batched = batch.run_all(MAX_TIME_S)
         assert batch.stats()["detached_diverged"] >= 1
@@ -180,34 +182,23 @@ class TestDriverContract:
     def test_rejects_empty_and_bad_detach(self, cfg, model):
         with pytest.raises(ValueError, match="at least one"):
             BatchedSimulatorSet([])
-        sims = _batched_sims(cfg, model, HotPotatoScheduler, 1)
-        with pytest.raises(ValueError, match="detach_after"):
-            BatchedSimulatorSet(sims, detach_after=0)
 
     def test_cell_view_refuses_direct_stepping(self, cfg, model):
+        """While a cell is attached, its adopted state is the batch view
+        and stepping it directly must fail loudly."""
         sims = _batched_sims(cfg, model, HotPotatoScheduler, 2)
         batch = BatchedSimulatorSet(sims)
+        probed = []
+        complete = sims[0].complete_interval
 
-        seen = {}
+        def complete_and_probe(plan):
+            state = sims[0].thermal_state
+            if not probed and isinstance(state, _BatchCellView):
+                with pytest.raises(RuntimeError, match="fused batch"):
+                    state.step(np.zeros(cfg.n_cores), 1e-3)
+                probed.append(True)
+            return complete(plan)
 
-        def on_finish(index, result):
-            # while any cell is still attached, its adopted state is the
-            # batch view and direct stepping must fail loudly
-            for other, sim in enumerate(sims):
-                if other not in seen and other != index:
-                    state = sim.thermal_state
-                    if batch._cell_of[other] is not None:
-                        with pytest.raises(RuntimeError, match="fused batch"):
-                            state.step(np.zeros(cfg.n_cores), 1e-3)
-            seen[index] = result
-
-        batch.run_all(MAX_TIME_S, on_finish=on_finish)
-        assert set(seen) == {0, 1}
-
-    def test_on_finish_replacement(self, cfg, model):
-        sims = _batched_sims(cfg, model, HotPotatoScheduler, 2)
-        batch = BatchedSimulatorSet(sims)
-        results = batch.run_all(
-            MAX_TIME_S, on_finish=lambda index, result: ("wrapped", index)
-        )
-        assert results == [("wrapped", 0), ("wrapped", 1)]
+        sims[0].complete_interval = complete_and_probe
+        batch.run_all(MAX_TIME_S)
+        assert probed

@@ -37,6 +37,10 @@ def _boom():
     raise RuntimeError("cell exploded")
 
 
+def _sum_array(values, offset):
+    return float(np.sum(values)) + offset
+
+
 def _simulate(seed, config_obj, model, max_time_s):
     """Module-level simulation cell (process pools must pickle it)."""
     task = Task(0, PARSEC["blackscholes"], n_threads=2, seed=seed)
@@ -98,6 +102,15 @@ class TestRunCells:
     def test_single_cell_skips_the_pool(self):
         results = run_cells([Cell(key="only", fn=_square, kwargs={"x": 9})], jobs=8)
         assert results == {"only": 81}
+
+    def test_pool_sweep_with_large_array_kwarg(self):
+        big = np.arange(200_000, dtype=np.float64)  # 1.6 MB, pickled per task
+        cells = [
+            Cell(key=i, fn=_sum_array, kwargs={"values": big, "offset": float(i)})
+            for i in range(4)
+        ]
+        results = run_cells(cells, jobs=2)
+        assert results == {i: float(np.sum(big)) + i for i in range(4)}
 
 
 class TestParallelDeterminism:
@@ -272,6 +285,43 @@ class TestSweepCheckpoint:
             handle.write('{"key": "torn", "res')  # kill mid-write
         assert ckpt.load() == {canonical_key("good"): {"v": 1}}
 
+    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path):
+        """A resumed sweep appends after the torn tail; a second resume
+        must still load every record (the fragment is cut on load)."""
+        ckpt = SweepCheckpoint(tmp_path / "c.jsonl")
+        ckpt.append("good", {"v": 1})
+        with ckpt.path.open("a") as handle:
+            handle.write('{"key": "torn", "res')
+        ckpt.load()
+        ckpt.append("next", {"v": 2})
+        assert ckpt.load() == {
+            canonical_key("good"): {"v": 1},
+            canonical_key("next"): {"v": 2},
+        }
+
+    def test_corrupt_middle_line_rejected(self, tmp_path):
+        ckpt = SweepCheckpoint(tmp_path / "c.jsonl")
+        ckpt.append("a", 1)
+        with ckpt.path.open("a") as handle:
+            handle.write("GARBAGE\n")
+        ckpt.append("b", 2)
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: undecodable"):
+            ckpt.load()
+
+    def test_non_object_record_rejected(self, tmp_path):
+        ckpt = SweepCheckpoint(tmp_path / "c.jsonl")
+        ckpt.path.write_text('[1, 2]\n{"key": "\\"a\\"", "result": 1}\n')
+        with pytest.raises(ValueError, match=r"c\.jsonl:1: expected an object"):
+            ckpt.load()
+
+    def test_record_without_key_rejected(self, tmp_path):
+        ckpt = SweepCheckpoint(tmp_path / "c.jsonl")
+        ckpt.append("a", 1)
+        with ckpt.path.open("a") as handle:
+            handle.write('{"result": 2}\n')
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: expected an object"):
+            ckpt.load()
+
     def test_finalize_is_order_canonical(self, tmp_path):
         a = SweepCheckpoint(tmp_path / "a.jsonl")
         b = SweepCheckpoint(tmp_path / "b.jsonl")
@@ -357,141 +407,26 @@ class TestRunCellsCheckpointing:
         assert serial_path.read_bytes() == pool_path.read_bytes()
 
 
-def _sum_array(values, offset):
-    return float(np.sum(values)) + offset
-
-
-def _echo_runner(cells, on_done):
-    """Minimal vectorized policy: run each cell in-process."""
-    return [on_done(cell, cell.fn(**cell.kwargs)) for cell in cells]
-
-
-def _broken_runner(cells, on_done):
-    raise RuntimeError("cannot batch these cells")
-
-
 class TestResolvePolicy:
-    """The ``jobs`` argument maps to serial / vectorized / fork."""
-
-    def test_auto_prefers_vectorized_with_runner(self):
-        from repro.parallel import _resolve_policy
-
-        assert _resolve_policy("auto", 4, True) == ("vectorized", 1)
-
-    def test_auto_single_cell_is_serial(self):
-        from repro.parallel import _resolve_policy
-
-        assert _resolve_policy("auto", 1, True) == ("serial", 1)
-        assert _resolve_policy("auto", 0, False) == ("serial", 1)
-
-    def test_auto_without_runner_follows_core_count(self, monkeypatch):
-        import repro.parallel as parallel
-
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
-        assert parallel._resolve_policy("auto", 4, False) == ("fork", 4)
-        assert parallel._resolve_policy("auto", 16, False) == ("fork", 8)
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-        assert parallel._resolve_policy("auto", 4, False) == ("serial", 1)
+    """The ``jobs`` worker count maps to serial or fork."""
 
     def test_explicit_jobs_keep_old_semantics(self):
         from repro.parallel import _resolve_policy
 
-        assert _resolve_policy(1, 4, True) == ("serial", 1)
-        assert _resolve_policy(3, 4, True) == ("fork", 3)
+        assert _resolve_policy(1, 4) == ("serial", 1)
+        assert _resolve_policy(3, 4) == ("fork", 3)
+        assert _resolve_policy(3, 1) == ("serial", 1)
 
     def test_bad_string_rejected(self):
-        from repro.parallel import _resolve_policy
+        with pytest.raises(ValueError, match="jobs"):
+            run_cells([Cell(key=0, fn=_square, kwargs={"x": 2})], jobs="fast")
 
-        with pytest.raises(ValueError, match="auto"):
-            _resolve_policy("fast", 4, True)
-
-
-class TestAutoPolicy:
-    def _cells(self):
-        return [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(4)]
-
-    def test_vectorized_equals_serial(self):
-        report = {}
-        auto = run_cells(
-            self._cells(),
-            jobs="auto",
-            batch_runner=_echo_runner,
-            report=report,
-        )
-        assert auto == run_cells(self._cells(), jobs=1)
-        assert report["policy"] == "vectorized"
-        assert report["cells"] == 4
-
-    def test_runner_failure_falls_back_to_serial(self):
-        report = {}
-        results = run_cells(
-            self._cells(),
-            jobs="auto",
-            batch_runner=_broken_runner,
-            report=report,
-        )
-        assert results == {i: i * i for i in range(4)}
-        assert report["policy"] == "serial"
-        assert report["fallback_from"] == "vectorized"
-
-    def test_vectorized_results_round_trip_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["auto", "2", True, False, 2.0, None])
+    def test_non_int_jobs_rejected(self, jobs, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        results = run_cells(
-            self._cells(),
-            jobs="auto",
-            batch_runner=_echo_runner,
-            checkpoint_path=path,
-            encode=_enc,
-            decode=_dec,
-        )
-        assert results == {i: i * i for i in range(4)}
-        resumed = run_cells(
-            self._cells(),
-            jobs="auto",
-            batch_runner=_echo_runner,
-            checkpoint_path=path,
-            resume=True,
-            encode=_enc,
-            decode=_dec,
-        )
-        assert resumed == results
-
-
-class TestSharedMemoryTransport:
-    def test_pack_dedupes_and_round_trips(self):
-        from repro.parallel import (
-            _execute_cell,
-            _pack_shared_arrays,
-            _release_segments,
-            _ShmRef,
-        )
-
-        big = np.arange(200_000, dtype=np.float64)  # 1.6 MB, over threshold
-        small = np.ones(8)
-        cells = [
-            Cell(key=i, fn=_sum_array, kwargs={"values": big, "offset": float(i)})
-            for i in range(3)
-        ] + [Cell(key=3, fn=_sum_array, kwargs={"values": small, "offset": 0.0})]
-        packed, segments = _pack_shared_arrays(cells)
-        try:
-            # one segment no matter how many cells reference the array
-            assert len(segments) == 1
-            refs = [c.kwargs["values"] for c in packed[:3]]
-            assert all(isinstance(r, _ShmRef) for r in refs)
-            assert len({r.name for r in refs}) == 1
-            # small arrays ride the normal pickle path untouched
-            assert packed[3].kwargs["values"] is small
-            expected = float(np.sum(big))
-            for i, cell in enumerate(packed[:3]):
-                assert _execute_cell(cell) == expected + i
-        finally:
-            _release_segments(segments)
-
-    def test_pool_sweep_with_large_shared_array(self):
-        big = np.arange(200_000, dtype=np.float64)
-        cells = [
-            Cell(key=i, fn=_sum_array, kwargs={"values": big, "offset": float(i)})
-            for i in range(4)
-        ]
-        results = run_cells(cells, jobs=2)
-        assert results == {i: float(np.sum(big)) + i for i in range(4)}
+        SweepCheckpoint(path).append(0, 4)
+        cells = [Cell(key=0, fn=_square, kwargs={"x": 2})]
+        with pytest.raises(ValueError, match="jobs"):
+            run_cells(cells, jobs=jobs, checkpoint_path=path)
+        # rejected before the stale checkpoint is discarded
+        assert path.exists()

@@ -3,10 +3,10 @@
 Three measurements, written to ``BENCH_engine.json`` at the repository
 root:
 
-1. **Interval stepping** — dense ``ThermalDynamics.step`` (one ``O(N^3)``
-   solve + ``O(N^2)`` matmul per interval) vs the eigenbasis-resident
-   :class:`SpectralThermalState` (``O(N n)`` per interval) on the 64-core
-   evaluation platform.  The fast path must be at least **3x** faster —
+1. **Interval stepping** — dense ``ThermalDynamics.step`` (a steady-state
+   solve against the factored ``B`` + ``O(N^2)`` matmul per interval) vs
+   the eigenbasis-resident :class:`SpectralThermalState` (``O(N n)`` per
+   interval) on the 64-core evaluation platform.  The fast path must be at least **3x** faster —
    the measured margin is far larger; the assertion is generous because
    shared CI boxes are noisy.
 2. **Candidate evaluation** — HotPotato's (assignment, tau) candidates

@@ -121,15 +121,14 @@ def rotation_peak_temperature(
     peak = float(np.max(model.core_temperatures(boundaries)))
     if within_epoch_samples > 0:
         # One batched eigenbasis evaluation over all (epoch, sample, core)
-        # triples: a single multi-RHS solve yields every epoch's steady
-        # state, then T[e, s] = T_ss,e + V diag(e^{lambda t_s}) V^{-1}
-        # (start_e - T_ss,e) for the whole grid at once.  The epoch-start
+        # triples: one multi-RHS solve against the factored ``B`` yields
+        # every epoch's steady state, then
+        # T[e, s] = T_ss,e + V diag(e^{lambda t_s}) V^{-1} (start_e - T_ss,e)
+        # for the whole grid at once.  The epoch-start
         # temperatures themselves are boundary rows, already in ``peak``.
         delta = seq.shape[0]
         n = model.n_cores
-        p_nodes = np.stack([model.expand_power(seq[e]) for e in range(delta)])
-        rises = np.linalg.solve(model.b_matrix, p_nodes.T).T  # (d, N)
-        t_steady = rises + ambient_c
+        t_steady = model.steady_rise(seq) + ambient_c  # (d, N)
         starts = boundaries[np.arange(delta) - 1]  # row -1 = state before epoch 0
         coeffs = (starts - t_steady) @ dynamics.eigenvectors_inv.T  # (d, N)
         times = np.linspace(

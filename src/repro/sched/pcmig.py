@@ -102,8 +102,7 @@ class PCMigScheduler(PCGovScheduler):
         ambient = self.ctx.config.thermal.ambient_c
         nodes = model.steady_state(power, ambient)
         nodes[: model.n_cores] = temps_now
-        # one-shot what-if: the eigenbasis step avoids the dense path's
-        # second O(N^3) steady-state solve per prediction
+        # one-shot what-if: eigenbasis step, no second steady-state solve
         future = self.ctx.dynamics.step_spectral(
             nodes, power, ambient, self.prediction_horizon_s
         )
@@ -127,6 +126,7 @@ class PCMigScheduler(PCGovScheduler):
             if predicted[core] > threshold
         ]
         endangered.sort(key=lambda c: -predicted[c])
+        moved = False
         for core in endangered[:_MAX_MIGRATIONS_PER_INTERVAL]:
             if not free:
                 break
@@ -139,7 +139,11 @@ class PCMigScheduler(PCGovScheduler):
             free.remove(target)
             free.append(core)
             self.migration_decisions += 1
-        self._recompute_budget()
+            moved = True
+        # the TSP budget depends only on the occupied-core set, which only
+        # a move changes here (admit, release and failure repair recompute)
+        if moved:
+            self._recompute_budget()
 
     def decide(self, now_s: float) -> SchedulerDecision:
         self._maybe_migrate()

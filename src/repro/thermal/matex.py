@@ -208,8 +208,9 @@ class ThermalDynamics:
         Exact for piecewise-constant power (Eq. 4).  ``temps_c`` is the full
         node temperature vector in absolute degrees Celsius.
 
-        This is the **dense reference path** (one ``O(N^3)`` steady-state
-        solve plus an ``O(N^2)`` matrix-vector product per call); the
+        This is the **dense reference path** (one steady-state solve
+        against the factored ``B`` plus a dense ``O(N^2)`` product with
+        ``exp(C tau)`` per call); the
         interval engine's hot loop uses the eigenbasis-resident
         :class:`repro.thermal.spectral_state.SpectralThermalState` instead
         and is validated against this method to ``<= 1e-9`` degC.
@@ -228,9 +229,11 @@ class ThermalDynamics:
         """One exact step evaluated through the eigenbasis (no solve).
 
         Mathematically identical to :meth:`step` but costs two ``O(N^2)``
-        projections plus ``O(N n)`` work instead of an ``O(N^3)`` linear
-        solve — the right tool for one-shot what-if queries (e.g. PCMig's
-        violation predictor).  Callers that step *repeatedly* should hold a
+        projections plus ``O(N n)`` work, with no steady-state solve and
+        no ``exp(C tau)`` matrix.  PCMig's violation predictor steps
+        through here, but it still pays one ``steady_state`` solve just
+        before each call to lift its core readings onto a full node
+        vector.  Callers that step *repeatedly* should hold a
         :class:`~repro.thermal.spectral_state.SpectralThermalState` instead,
         which amortizes both projections away entirely.
         """

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .. import units
 from .floorplan import Floorplan
@@ -161,6 +162,13 @@ class RCThermalModel:
         self._cap = capacitance
         self._cond = conductance
         self._g_amb = ambient_conductance
+        # ``B`` is constant, so its LU factor is the design-time half of
+        # every steady-state query; each query is then an O(N^2) ``getrs``
+        # pair of triangular solves.  A dense solve (``gesv``) is ``getrf``
+        # + ``getrs``, so the results are bit-identical to solving afresh.
+        # A singular ``B`` is reported on use, as the dense solve would.
+        self._lu, self._piv, info = dgetrf(conductance)
+        self._singular = info > 0
 
     # -- structure --------------------------------------------------------
 
@@ -237,6 +245,26 @@ class RCThermalModel:
 
     # -- steady state --------------------------------------------------------
 
+    def steady_rise(self, core_power_w: np.ndarray) -> np.ndarray:
+        """Steady-state node rise above ambient, ``B^{-1} P``.
+
+        ``core_power_w`` is one per-core power vector ``(n_cores,)`` or a
+        stack of them ``(k, n_cores)``; the result has the same leading
+        shape with ``N`` node entries per map.  A stack is solved as one
+        multi-right-hand-side ``getrs`` against the factor of ``B``.
+        """
+        power = np.asarray(core_power_w, dtype=float)
+        if power.ndim not in (1, 2) or power.shape[-1] != self.n_cores:
+            raise ValueError(
+                f"expected {self.n_cores} core powers, got shape {power.shape}"
+            )
+        if self._singular:
+            raise np.linalg.LinAlgError("Singular matrix")
+        rhs = np.zeros((self.n_nodes,) + power.shape[:-1], order="F")
+        rhs[: self.n_cores] = power.T
+        rise, _ = dgetrs(self._lu, self._piv, rhs, overwrite_b=True)
+        return rise.T
+
     def steady_state(
         self, core_power_w: np.ndarray, ambient_c: float
     ) -> np.ndarray:
@@ -246,9 +274,12 @@ class RCThermalModel:
         ``B`` sums to its ambient conductance, ``B^{-1} G = 1`` and the
         second term is exactly the ambient offset.
         """
-        p_nodes = self.expand_power(core_power_w)
-        rise = np.linalg.solve(self._cond, p_nodes)
-        return rise + ambient_c
+        if np.ndim(core_power_w) != 1:
+            raise ValueError(
+                f"expected {self.n_cores} core powers, "
+                f"got shape {np.shape(core_power_w)}"
+            )
+        return self.steady_rise(core_power_w) + ambient_c
 
     def ambient_vector(self, ambient_c: float) -> np.ndarray:
         """All-nodes-at-ambient temperature vector."""

@@ -35,8 +35,7 @@ def uniform_power_response(model: RCThermalModel) -> np.ndarray:
     is ``p`` times this vector.  The hottest entries identify the cores that
     constrain uniform (worst-case TSP) budgets.
     """
-    rise = np.linalg.solve(model.b_matrix, model.expand_power(np.ones(model.n_cores)))
-    return model.core_temperatures(rise)
+    return model.core_temperatures(model.steady_rise(np.ones(model.n_cores)))
 
 
 def sustainable_uniform_power(

@@ -2,15 +2,31 @@
 
 Expensive artifacts (calibrated thermal models, eigendecompositions) are
 session-scoped; tests must treat them as read-only.
+
+BLAS runs one thread, as in every benchmark process: the thread count
+changes dense factorizations in the last bits, and the exact-equality
+tests (the factored steady state against a dense solve, the golden
+outputs) hold for one thread.  The pin only takes effect if it is set
+before NumPy loads its BLAS, hence before the imports below.
 """
 
-import numpy as np
-import pytest
+import os
+import sys
 
-from repro import config
-from repro.arch import AmdRings, Mesh
-from repro.core import PeakTemperatureCalculator
-from repro.thermal import ThermalDynamics, calibrated_model
+_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+if "numpy" in sys.modules and any(
+    os.environ.get(key) != value for key, value in _BLAS_ENV.items()
+):
+    raise RuntimeError("numpy was imported before tests/conftest.py pinned BLAS")
+os.environ.update(_BLAS_ENV)
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro import config  # noqa: E402
+from repro.arch import AmdRings, Mesh  # noqa: E402
+from repro.core import PeakTemperatureCalculator  # noqa: E402
+from repro.thermal import ThermalDynamics, calibrated_model  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -38,6 +38,29 @@ class TestPredictiveMigration:
         assert result.migration_count == 0
         assert sched.migration_decisions == 0
 
+    def test_budget_recomputed_only_when_the_mapping_changes(
+        self, cfg16, model16, monkeypatch
+    ):
+        """The TSP budget depends only on the occupied-core set: with no
+        migration, only the task's admission and exit recompute it, not
+        every interval's migration check."""
+        sched = PCMigScheduler()
+        ctx = SimContext(cfg16, model16)
+        calls = []
+        budget = ctx.tsp.budget_for_mapping
+        monkeypatch.setattr(
+            ctx.tsp,
+            "budget_for_mapping",
+            lambda active: calls.append(1) or budget(active),
+        )
+        sim = IntervalSimulator(
+            cfg16, sched, [Task(0, PARSEC["canneal"], 2, seed=1)], ctx=ctx
+        )
+        result = sim.run(max_time_s=0.2)
+        assert sched.migration_decisions == 0
+        assert result.scheduler_invocations > 100
+        assert len(calls) == 1  # the admission; the task is still running
+
     def test_migration_cap_per_interval(self):
         assert PCMigScheduler(guard_band_c=2.0).guard_band_c == 2.0
 

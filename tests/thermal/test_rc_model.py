@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import config
+from repro.sched.hotpotato_runtime import HotPotatoScheduler
+from repro.sched.pcmig import PCMigScheduler
+from repro.sim.context import SimContext
+from repro.sim.engine import IntervalSimulator
+from repro.stacked import Mesh3D, build_rc_model_3d, default_stacked_stack
+from repro.thermal import calibrated_model
 from repro.thermal.floorplan import Floorplan
-from repro.thermal.rc_model import MaterialStack, build_rc_model
+from repro.thermal.rc_model import MaterialStack, RCThermalModel, build_rc_model
+from repro.workload.generator import homogeneous_fill, materialize
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +104,95 @@ class TestSteadyState:
         peak_a = np.max(model.steady_state(p_a, 45.0))
         peak_b = np.max(model.steady_state(p_b, 45.0))
         assert peak_a == pytest.approx(peak_b, rel=1e-9)
+
+
+@pytest.fixture(scope="module", params=["small_test", "model16", "model64", "stacked"])
+def any_model(request):
+    if request.param == "small_test":
+        return calibrated_model(config.small_test())
+    if request.param == "stacked":
+        return build_rc_model_3d(Mesh3D(4, 4, 2), default_stacked_stack())
+    return request.getfixturevalue(request.param)
+
+
+class TestFactoredSteadyState:
+    """``steady_state`` solves against the LU factor of ``B`` taken once at
+    construction.  A dense solve is that same ``getrf`` + ``getrs`` pair,
+    so the factored path must reproduce it bit for bit (BLAS is pinned to
+    one thread in ``tests/conftest.py``; threaded factorizations of the
+    NumPy and SciPy BLAS builds differ in the last bits)."""
+
+    def test_single_map_matches_dense_solve_exactly(self, any_model):
+        rng = np.random.default_rng(7)
+        b = any_model.b_matrix
+        for _ in range(50):
+            power = rng.uniform(0.0, 8.0, any_model.n_cores)
+            power[rng.random(any_model.n_cores) < 0.3] = 0.3
+            dense = np.linalg.solve(b, any_model.expand_power(power)) + 45.0
+            assert np.array_equal(any_model.steady_state(power, 45.0), dense)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_stacked_maps_match_multi_rhs_dense_solve(self, any_model, k):
+        rng = np.random.default_rng(k)
+        seq = rng.uniform(0.0, 8.0, (k, any_model.n_cores))
+        p_nodes = np.stack([any_model.expand_power(p) for p in seq])
+        dense = np.linalg.solve(any_model.b_matrix, p_nodes.T).T
+        rises = any_model.steady_rise(seq)
+        assert rises.shape == (k, any_model.n_nodes)
+        assert np.array_equal(rises, dense)
+
+    def test_rejects_bad_shapes(self, any_model):
+        n = any_model.n_cores
+        for bad in (np.ones(n - 1), np.ones((2, n)), np.ones((n, 1)), 3.0):
+            with pytest.raises(ValueError):
+                any_model.steady_state(bad, 45.0)
+        for bad in (np.ones(n + 1), np.ones((2, n - 1)), np.ones((1, 2, n)), 3.0):
+            with pytest.raises(ValueError):
+                any_model.steady_rise(bad)
+
+    def test_singular_b_raises_on_use(self):
+        fp = Floorplan(2, 2)
+        good = build_rc_model(fp, MaterialStack())
+        cond = np.zeros((good.n_nodes, good.n_nodes))
+        model = RCThermalModel(
+            fp, good.capacitance_vector.copy(), cond, good.g_vector, good.stack
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            model.steady_state(np.ones(4), 45.0)
+
+
+class TestNoDenseSolveInTheLoop:
+    """The schedulers' per-interval steady states (PCMig's predictor,
+    HotPotato's non-rotating candidates, the engine warm start) go through
+    the factored ``B``: a run must not call the dense solver at all."""
+
+    @pytest.mark.parametrize("scheduler", ["pcmig", "hotpotato"])
+    def test_short_64_core_run_makes_no_dense_solve(
+        self, monkeypatch, cfg64, model64, scheduler
+    ):
+        counts = {"dense": 0, "factored": 0}
+        dense, factored = np.linalg.solve, RCThermalModel.steady_rise
+
+        def counting_dense(*args, **kwargs):
+            counts["dense"] += 1
+            return dense(*args, **kwargs)
+
+        def counting_factored(self, *args, **kwargs):
+            counts["factored"] += 1
+            return factored(self, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_dense)
+        monkeypatch.setattr(RCThermalModel, "steady_rise", counting_factored)
+        cls = PCMigScheduler if scheduler == "pcmig" else HotPotatoScheduler
+        sim = IntervalSimulator(
+            cfg64,
+            cls(),
+            materialize(homogeneous_fill("blackscholes", 64, seed=1)),
+            ctx=SimContext(cfg64, model64),
+        )
+        sim.run(max_time_s=0.05)
+        assert counts["dense"] == 0
+        assert counts["factored"] > 1  # warm start plus in-run queries
 
 
 class TestPowerExpansion:

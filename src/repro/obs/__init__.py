@@ -110,7 +110,6 @@ from .trace import (
     TraceRecord,
     TraceRecorder,
     event_to_record,
-    record_to_json_line,
 )
 
 __all__ = [
@@ -163,7 +162,6 @@ __all__ = [
     "openmetrics_name",
     "parse_openmetrics",
     "read_spans_jsonl",
-    "record_to_json_line",
     "rotation_stats",
     "run_detectors",
     "span_to_json_line",

@@ -1,8 +1,10 @@
 """``python -m repro.obs`` — analytics CLI over saved run artifacts.
 
-Operates on the files the library already writes — JSONL traces
-(``TraceRecorder.write_jsonl`` / ``JsonlTraceSink``), metrics-snapshot
-JSON (``MetricsRegistry.save``) and result JSON (``repro.io.save_result``):
+Operates on the files the library already writes — trace and span
+record files (``TraceRecorder.write_jsonl`` / ``JsonlTraceSink`` /
+``SpanTracer``, all read through one :mod:`repro.records` reader),
+metrics-snapshot JSON (``MetricsRegistry.save``) and result JSON
+(``repro.io.save_result``):
 
 - ``summarize <trace.jsonl>`` — derived statistics of one run (thermal
   stress, DTM duty cycle, migrations, rotation adherence, analytic bound);
@@ -30,8 +32,9 @@ from __future__ import annotations
 import argparse
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .. import records
 from .._cli import (
     EXIT_FINDINGS,
     EXIT_OK,
@@ -48,8 +51,8 @@ from .detect import (
     run_detectors,
 )
 from .export import to_openmetrics, write_html_report, write_trace_waterfall
-from .spans import SpanRecord, read_spans_jsonl
-from .trace import TraceRecorder
+from .spans import DECODERS as SPAN_DECODERS, SpanRecord
+from .trace import DECODERS as TRACE_DECODERS, KIND_OF, TraceRecorder
 
 #: Drift patterns ``diff`` skips unless ``--no-default-ignores``: wall-clock
 #: latency histograms are real measurements and never reproduce.
@@ -100,10 +103,25 @@ class _Platform:
         return lambda seq, tau: calculator.peak(seq, tau, within_epoch_samples=4)
 
 
+_DECODERS = {**TRACE_DECODERS, **SPAN_DECODERS}
+_KIND_OF = {**KIND_OF, SpanRecord: "span"}
+
+
+def _load_records(path: str, kind: str) -> List[Any]:
+    """The records of an obs record file, which must hold ``kind`` records."""
+    loaded = records.load(path, _DECODERS)
+    found = sorted({_KIND_OF[type(record)] for record in loaded})
+    if kind not in found:
+        raise SystemExit(
+            f"error: {path} holds no {kind} records "
+            f"(found: {', '.join(found) or 'no records'})"
+        )
+    return loaded
+
+
 def _load_trace(path: str) -> TraceRecorder:
-    trace = TraceRecorder.read_jsonl(path)
-    if not trace.intervals():
-        raise SystemExit(f"error: {path} holds no interval records")
+    trace = TraceRecorder()
+    trace.records = _load_records(path, "interval")
     return trace
 
 
@@ -315,10 +333,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _load_spans(path: str) -> List[SpanRecord]:
-    spans = read_spans_jsonl(path)
-    if not spans:
-        raise SystemExit(f"error: {path} holds no span records")
-    return spans
+    return [r for r in _load_records(path, "span") if isinstance(r, SpanRecord)]
 
 
 def _trace_bounds(spans: Sequence[SpanRecord]) -> Tuple[float, float]:

@@ -1,18 +1,13 @@
-"""Streaming JSONL trace sink: append records to disk as they happen.
+"""Streaming trace sink: append records to disk as they happen.
 
 A :class:`JsonlTraceSink` is a drop-in :class:`~repro.obs.trace.TraceRecorder`
-that writes each record to a JSON Lines file the moment it is recorded,
-instead of buffering the whole run in memory — the difference between a
-bounded-memory production run and an OOM on a long campaign.  The engine
-needs no special handling: it talks to the same ``record_interval`` /
-``record_epoch`` / ``record_event`` surface and calls ``flush()`` at run
-end; the file is finalized by ``close()`` (or the context manager).
-
-By default nothing is kept in memory (``len(sink) == 0``); pass
-``buffer_in_memory=True`` to additionally retain the records for immediate
-in-process analysis.  The file on disk is always readable back with
-:meth:`TraceRecorder.read_jsonl` — also mid-run after a ``flush()``, and
-(up to the last completed line) after a crash.
+that streams each record to a record file (:class:`repro.records.RecordWriter`)
+the moment it is recorded, instead of buffering the whole run in memory —
+the difference between a bounded-memory production run and an OOM on a
+long campaign.  The engine talks to the same ``record_*`` surface and calls
+``flush()`` at run end; ``close()`` (or the context manager) finalizes the
+file.  :meth:`TraceRecorder.read_jsonl` reads it back at any time, up to
+its last complete line.
 
 Enable through configuration with
 ``SystemConfig.with_observability(trace_path="run.jsonl")``.
@@ -23,60 +18,41 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from .trace import TraceRecord, TraceRecorder, record_to_json_line
+from .. import records
+from .trace import KIND_OF, TraceRecord, TraceRecorder
 
 PathLike = Union[str, Path]
 
 
 class JsonlTraceSink(TraceRecorder):
-    """A trace recorder that streams records to a JSONL file."""
+    """A trace recorder that streams records to a record file."""
 
-    def __init__(
-        self,
-        path: PathLike,
-        buffer_in_memory: bool = False,
-        flush_every: int = 256,
-    ) -> None:
+    def __init__(self, path: PathLike) -> None:
         super().__init__()
-        if flush_every < 1:
-            raise ValueError("flush_every must be at least 1")
         self.path = Path(path)
-        self.buffer_in_memory = buffer_in_memory
-        self.flush_every = flush_every
-        self._written = 0
-        self._handle = open(self.path, "w")
+        self._writer = records.RecordWriter(self.path)
 
     # -- recording ----------------------------------------------------------
 
     def _emit(self, record: TraceRecord) -> None:
-        if self._handle is None:
-            raise ValueError(f"trace sink {self.path} is closed")
-        self._handle.write(record_to_json_line(record) + "\n")
-        self._written += 1
-        if self._written % self.flush_every == 0:
-            self._handle.flush()
-        if self.buffer_in_memory:
-            self.records.append(record)
+        self._writer.write(KIND_OF[type(record)], vars(record))
 
     def __len__(self) -> int:
-        """Records written to the file (buffered or not)."""
-        return self._written
+        """Records written to the file."""
+        return self._writer.count
 
     @property
     def closed(self) -> bool:
         """True once :meth:`close` has run."""
-        return self._handle is None
+        return self._writer.closed
 
     def flush(self) -> None:
         """Push buffered lines to the OS (safe to call after close)."""
-        if self._handle is not None:
-            self._handle.flush()
+        self._writer.flush()
 
     def close(self) -> None:
         """Flush and close the file; further recording raises."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._writer.close()
 
     # -- context manager -----------------------------------------------------
 
@@ -94,6 +70,6 @@ class JsonlTraceSink(TraceRecorder):
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
         return (
-            f"JsonlTraceSink({str(self.path)!r}, {self._written} records, "
+            f"JsonlTraceSink({str(self.path)!r}, {len(self)} records, "
             f"{state})"
         )

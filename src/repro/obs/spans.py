@@ -7,8 +7,8 @@ monotonic-clock start and duration, a status, free-form attributes and
 *links* to other spans (the micro-batcher's flush span links back to
 every request span whose candidates it drained) — into a bounded
 in-memory ring buffer, optionally streaming each finished span to a
-JSONL sink following the :class:`~repro.obs.sink.JsonlTraceSink`
-conventions (one ``{"kind": "span", ...}`` object per line, key-sorted).
+record file (:mod:`repro.records`, kind ``span``; ``docs/observability.md``,
+"Record files").
 
 Design constraints, in the spirit of the rest of ``repro.obs``:
 
@@ -37,9 +37,6 @@ spans`` summarizes saved span files.
 from __future__ import annotations
 
 import itertools
-import json
-import os
-import tempfile
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -59,6 +56,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+from .. import records
 
 PathLike = Union[str, Path]
 
@@ -80,9 +79,6 @@ _CURRENT: ContextVar[Optional[Tuple[int, int]]] = ContextVar(
 
 #: Default ring-buffer capacity (finished spans retained in memory).
 DEFAULT_CAPACITY = 4096
-
-#: Streamed spans between explicit sink flushes (JsonlTraceSink convention).
-_FLUSH_EVERY = 256
 
 
 @dataclass(frozen=True)
@@ -112,57 +108,27 @@ class SpanRecord:
 
 
 def span_to_json_line(record: SpanRecord) -> str:
-    """One span as its canonical JSONL line (no trailing newline)."""
-    payload = {"kind": "span", **vars(record)}
-    return json.dumps(payload, sort_keys=True)
+    """One span as its canonical record line (no trailing newline)."""
+    return records.encode("span", vars(record))
 
 
-def _span_from_dict(payload: Dict[str, object], line_no: int) -> SpanRecord:
-    if payload.pop("kind", None) != "span":
-        raise ValueError(f"span JSONL line {line_no}: not a span record")
-    parent = payload.get("parent_id")
-    try:
-        return SpanRecord(
-            trace_id=int(payload["trace_id"]),
-            span_id=int(payload["span_id"]),
-            parent_id=None if parent is None else int(parent),
-            name=str(payload["name"]),
-            start_s=float(payload["start_s"]),
-            duration_s=float(payload["duration_s"]),
-            status=str(payload.get("status", "ok")),
-            attrs=dict(payload.get("attrs", {})),
-            links=tuple(int(s) for s in payload.get("links", ())),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"span JSONL line {line_no}: malformed span record ({exc})"
-        ) from exc
+#: Record-file decoder of the ``span`` kind.
+DECODERS = {"span": records.dataclass_decoder(SpanRecord)}
 
 
 def spans_to_jsonl(spans: Iterable[SpanRecord]) -> str:
-    """Spans as JSON Lines text (lossless round-trip)."""
-    lines = [span_to_json_line(span) for span in spans]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Spans as a whole record file (lossless round-trip)."""
+    return records.dumps(("span", vars(span)) for span in spans)
 
 
 def spans_from_jsonl(text: str) -> List[SpanRecord]:
     """Rebuild span records from :func:`spans_to_jsonl` output."""
-    spans: List[SpanRecord] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"span JSONL line {line_no}: {exc}") from exc
-        spans.append(_span_from_dict(payload, line_no))
-    return spans
+    return records.loads(text, DECODERS)
 
 
 def read_spans_jsonl(path: PathLike) -> List[SpanRecord]:
-    """Read a span file written by :meth:`SpanTracer.write_jsonl`."""
-    return spans_from_jsonl(Path(path).read_text())
+    """Read a span file (whole, or streamed by a tracer's sink)."""
+    return records.load(path, DECODERS)
 
 
 class _ActiveSpan:
@@ -250,11 +216,9 @@ class SpanTracer:
         self.finished = 0
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
-        self._sink_path = Path(sink_path) if sink_path is not None else None
-        self._handle = (
-            open(self._sink_path, "w") if self._sink_path is not None else None
+        self._sink = (
+            records.RecordWriter(sink_path) if sink_path is not None else None
         )
-        self._written = 0
 
     # -- recording ----------------------------------------------------------
 
@@ -381,11 +345,8 @@ class SpanTracer:
             self.dropped += 1
         self.records.append(record)
         self.finished += 1
-        if self._handle is not None:
-            self._handle.write(span_to_json_line(record) + "\n")
-            self._written += 1
-            if self._written % _FLUSH_EVERY == 0:
-                self._handle.flush()
+        if self._sink is not None:
+            self._sink.write("span", vars(record))
 
     # -- views ---------------------------------------------------------------
 
@@ -419,40 +380,27 @@ class SpanTracer:
         """Drop buffered spans (counters keep running)."""
         self.records.clear()
 
-    # -- JSONL sink ----------------------------------------------------------
+    # -- record files --------------------------------------------------------
 
     def to_jsonl(self) -> str:
-        """The buffered spans as JSON Lines text."""
+        """The buffered spans as a whole record file."""
         return spans_to_jsonl(self.records)
 
     def write_jsonl(self, path: PathLike) -> None:
         """Write the buffered spans to ``path`` atomically
-        (mkstemp + ``os.replace``, like ``TraceRecorder.write_jsonl``)."""
-        path = Path(path)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(self.to_jsonl())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        (:func:`repro.records.atomic_write`)."""
+        records.atomic_write(path, self.to_jsonl())
 
     def flush(self) -> None:
         """Push streamed lines to the OS (no-op without a sink)."""
-        if self._handle is not None:
-            self._handle.flush()
+        if self._sink is not None:
+            self._sink.flush()
 
     def close(self) -> None:
         """Flush and close the streaming sink (ring buffer stays usable)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
 
     def __enter__(self) -> "SpanTracer":
         return self

@@ -16,7 +16,8 @@ typed, timestamped records:
   :class:`~repro.sim.events.EventLog`.
 
 All records are plain-data (floats, ints, strings, dicts and tuples
-thereof), so the whole trace round-trips losslessly through JSON Lines:
+thereof), so the whole trace round-trips losslessly through a record file
+(:mod:`repro.records`; ``docs/observability.md``, "Record files"):
 ``TraceRecorder.from_jsonl(recorder.to_jsonl())`` compares equal to the
 original recorder.  Python's ``json`` emits floats via ``repr`` (shortest
 exact form), so no precision is lost.
@@ -24,12 +25,11 @@ exact form), so no precision is lost.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field, fields as _dc_fields, is_dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+
+from .. import records
 
 PathLike = Union[str, Path]
 
@@ -80,14 +80,12 @@ class EventRecord:
 
 TraceRecord = Union[IntervalRecord, EpochRecord, EventRecord]
 
-#: JSONL ``kind`` tag per record class.
-_KIND_OF = {IntervalRecord: "interval", EpochRecord: "epoch", EventRecord: "event"}
+#: Record-file ``kind`` per record class.
+KIND_OF = {IntervalRecord: "interval", EpochRecord: "epoch", EventRecord: "event"}
 
 
-def record_to_json_line(record: TraceRecord) -> str:
-    """One trace record as its canonical JSONL line (no trailing newline)."""
-    payload = {"kind": _KIND_OF[type(record)], **vars(record)}
-    return json.dumps(payload, sort_keys=True)
+#: Record-file decoders of the three trace kinds.
+DECODERS = {kind: records.dataclass_decoder(cls) for cls, kind in KIND_OF.items()}
 
 
 def event_to_record(event: object) -> EventRecord:
@@ -199,78 +197,28 @@ class TraceRecorder:
             if isinstance(r, EventRecord) and (not event or r.event == event)
         ]
 
-    # -- JSONL serialization -------------------------------------------------
+    # -- record-file serialization -------------------------------------------
 
     def to_jsonl(self) -> str:
-        """One JSON object per record, one record per line."""
-        lines = [record_to_json_line(record) for record in self.records]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """The trace as a whole record file (header declaring ``n``)."""
+        return records.dumps(
+            (KIND_OF[type(record)], vars(record)) for record in self.records
+        )
 
     def write_jsonl(self, path: PathLike) -> None:
-        """Write the trace to ``path`` in JSON Lines form, atomically.
-
-        The content goes to a temporary file in the same directory which is
-        then ``os.replace``-d over ``path``, so a crashed writer never
-        leaves a truncated trace behind.
-        """
-        path = Path(path)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(self.to_jsonl())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        """Write the trace to ``path`` as a whole record file, atomically."""
+        records.atomic_write(path, self.to_jsonl())
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TraceRecorder":
         """Rebuild a recorder from :meth:`to_jsonl` output (lossless)."""
         recorder = cls()
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"trace JSONL line {line_no}: {exc}") from exc
-            recorder.records.append(_record_from_dict(payload, line_no))
+        recorder.records = records.loads(text, DECODERS)
         return recorder
 
     @classmethod
     def read_jsonl(cls, path: PathLike) -> "TraceRecorder":
-        """Read a trace written by :meth:`write_jsonl`."""
-        return cls.from_jsonl(Path(path).read_text())
-
-
-def _record_from_dict(payload: Dict[str, object], line_no: int) -> TraceRecord:
-    kind = payload.pop("kind", None)
-    if kind == "interval":
-        return IntervalRecord(
-            time_s=float(payload["time_s"]),
-            dt_s=float(payload["dt_s"]),
-            placements={t: int(c) for t, c in payload["placements"].items()},
-            power_w=tuple(payload["power_w"]),
-            temps_c=tuple(payload["temps_c"]),
-            frequencies_hz=tuple(payload["frequencies_hz"]),
-            dtm_throttled=tuple(payload.get("dtm_throttled", ())),
-        )
-    if kind == "epoch":
-        return EpochRecord(
-            time_s=float(payload["time_s"]),
-            epoch=int(payload["epoch"]),
-            tau_s=float(payload["tau_s"]),
-        )
-    if kind == "event":
-        return EventRecord(
-            time_s=float(payload["time_s"]),
-            event=str(payload["event"]),
-            data=dict(payload.get("data", {})),
-        )
-    raise ValueError(f"trace JSONL line {line_no}: unknown record kind {kind!r}")
+        """Read a trace file (whole, or streamed by a sink)."""
+        recorder = cls()
+        recorder.records = records.load(path, DECODERS)
+        return recorder

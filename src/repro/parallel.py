@@ -19,7 +19,7 @@ an independent simulation.  This module fans those cells out over a
    :class:`RetryPolicy` re-runs failing cells with capped exponential
    backoff whose jitter is *seeded* (the retry schedule is as reproducible
    as the results); per-cell timeouts bound hung workers; a killed worker
-   pool is rebuilt and its unfinished cells resubmitted; and a JSONL
+   pool is rebuilt and its unfinished cells resubmitted; and a
    :class:`SweepCheckpoint` persists each finished cell so a killed sweep
    resumes with only its incomplete cells — byte-identical to an
    uninterrupted run.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +51,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+from . import records
 
 __all__ = [
     "Cell",
@@ -141,90 +142,56 @@ def canonical_key(key: Hashable) -> str:
 
 
 class SweepCheckpoint:
-    """JSONL checkpoint of finished sweep cells (``docs/faults.md``).
+    """Checkpoint of finished sweep cells (``docs/faults.md``).
 
-    One record per line: ``{"key": <canonical key>, "result": <encoded>}``.
-    Records are appended (flushed and fsynced) as cells finish, so a
-    SIGKILLed sweep loses at most the in-flight cells; a truncated final
-    line — the signature of a mid-write kill — is tolerated on load, and
-    every other malformed line is an error (:meth:`load`).
-    :meth:`finalize` atomically rewrites the file in submission order,
-    making the completed checkpoint's bytes independent of completion
-    order and of how many times the sweep was interrupted.
+    A record file of ``cell`` records (:mod:`repro.records`), each synced
+    to disk as its cell finishes, so a SIGKILLed sweep loses at most the
+    in-flight cells.  :meth:`finalize` rewrites the file whole in
+    submission order: its bytes do not depend on completion order or on
+    how often the sweep was interrupted.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._writer: Optional[records.RecordWriter] = None
 
     def load(self) -> Dict[str, Any]:
-        """Encoded results by canonical key (empty if no file yet).
-
-        Only an undecodable *last* line is skipped: it is the torn tail a
-        kill mid-append leaves, and it is cut from the file so the next
-        append starts on a fresh line.  Any other bad line — undecodable,
-        not an object, or without a string ``"key"`` and a ``"result"`` —
-        raises ``ValueError("<path>:<line>: ...")``.
-        """
+        """Encoded results by canonical key (empty if no file yet)."""
+        self.close()
         if not self.path.exists():
             return {}
-        lines = self.path.read_bytes().splitlines(keepends=True)
-        done: Dict[str, Any] = {}
-        offset = 0
-        for number, line in enumerate(lines, start=1):
-            if line.strip():
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    if number < len(lines):
-                        raise ValueError(
-                            f"{self.path}:{number}: undecodable record: {exc}"
-                        ) from None
-                    with self.path.open("r+b") as handle:
-                        handle.truncate(offset)
-                    break
-                if not (
-                    isinstance(record, dict)
-                    and isinstance(record.get("key"), str)
-                    and "result" in record
-                ):
-                    raise ValueError(
-                        f"{self.path}:{number}: expected an object with a "
-                        'string "key" and a "result"'
-                    )
-                done[record["key"]] = record["result"]
-            offset += len(line)
-        return done
+        return dict(records.load(self.path, {"cell": _decode_cell}))
 
     def append(self, key: Hashable, encoded_result: Any) -> None:
-        """Durably record one finished cell."""
-        line = json.dumps(
-            {"key": canonical_key(key), "result": encoded_result},
-            sort_keys=True,
-        )
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        """Durably record one finished cell (the first append re-creates the
+        file holding the cells already in it, without a torn tail)."""
+        if self._writer is None:
+            done = self.load()
+            self._writer = records.RecordWriter(
+                self.path, (_cell(canon, result) for canon, result in done.items())
+            )
+        self._writer.write(*_cell(canonical_key(key), encoded_result))
+        self._writer.sync()
 
     def finalize(self, ordered: Iterable[Tuple[Hashable, Any]]) -> None:
-        """Atomically rewrite the checkpoint in submission order.
+        """Atomically rewrite the checkpoint whole, in submission order."""
+        self.close()
+        cells = (_cell(canonical_key(key), encoded) for key, encoded in ordered)
+        records.atomic_write(self.path, records.dumps(cells))
 
-        After this, the file's bytes are identical whether the sweep ran
-        straight through or was killed and resumed any number of times.
-        """
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            for key, encoded in ordered:
-                handle.write(
-                    json.dumps(
-                        {"key": canonical_key(key), "result": encoded},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp.replace(self.path)
+    def close(self) -> None:
+        """Close the append stream (the next :meth:`append` reopens it)."""
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
+
+
+def _cell(canon: str, result: Any) -> Tuple[str, Dict[str, Any]]:
+    return "cell", {"key": canon, "result": result}
+
+
+def _decode_cell(fields: Dict[str, Any]) -> Tuple[str, Any]:
+    return records.typed(fields["key"], str), fields["result"]
 
 
 def _identity(value: Any) -> Any:
@@ -339,17 +306,21 @@ def run_cells(
     # every finished cell is durably checkpointed before the next result
     # lands — the crash-tolerance contract of docs/faults.md
     policy, workers = _resolve_policy(jobs, len(pending))
-    if policy == "serial":
-        computed = _run_serial(pending, retry, on_done=_record)
-    else:
-        try:
-            computed = _run_pool(
-                pending, workers, retry, timeout_s, on_done=_record
-            )
-        except (OSError, NotImplementedError, pickle.PicklingError):
-            # cells recorded before the pool died are re-run serially but
-            # re-recorded idempotently (the checkpoint keeps the last write)
+    try:
+        if policy == "serial":
             computed = _run_serial(pending, retry, on_done=_record)
+        else:
+            try:
+                computed = _run_pool(
+                    pending, workers, retry, timeout_s, on_done=_record
+                )
+            except (OSError, NotImplementedError, pickle.PicklingError):
+                # cells recorded before the pool died are re-run serially
+                # but re-recorded idempotently (the last write wins)
+                computed = _run_serial(pending, retry, on_done=_record)
+    finally:
+        if checkpoint is not None:
+            checkpoint.close()
 
     by_key: Dict[str, Any] = {}
     for cell, result in zip(pending, computed):

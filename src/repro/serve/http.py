@@ -55,6 +55,7 @@ from contextvars import ContextVar
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
+from .. import records
 from ..obs import MetricsRegistry
 from ..obs.export import (
     histogram_exposition,
@@ -62,7 +63,7 @@ from ..obs.export import (
     trace_waterfall_html,
 )
 from ..obs.profiling import PhaseProfiler
-from ..obs.spans import SpanTracer, span_to_json_line
+from ..obs.spans import SpanTracer
 from .batch import MicroBatcher, SimulateBatcher
 from .cache import ServeCache
 from .service import ServeConfig, ThermalService, metric_label
@@ -466,7 +467,11 @@ class ThermalServer:
 
     async def _peak_jsonl(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         """Streaming form: header line, then one candidate per JSONL line."""
-        lines = [line for line in body.decode("utf-8").splitlines() if line.strip()]
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _HttpError(400, f"invalid JSONL body: {exc}") from exc
+        lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise _HttpError(400, "empty JSONL body")
         header = _parse_json(lines[0].encode())
@@ -580,9 +585,7 @@ class ThermalServer:
                 "enabled": self.tracer.enabled,
                 "buffered": len(self.tracer),
                 "dropped": self.tracer.dropped,
-                "spans": [
-                    json.loads(span_to_json_line(span)) for span in spans
-                ],
+                "spans": [records.payload("span", vars(span)) for span in spans],
             }
         )
         return 200, payload, {"Content-Type": _JSON}

@@ -43,6 +43,7 @@ from ..sched import (
     PeakFrequencyScheduler,
 )
 from ..sim import IntervalSimulator
+from ..workload.benchmarks import PARSEC
 from ..workload.generator import (
     homogeneous_fill,
     materialize,
@@ -371,11 +372,11 @@ class ThermalService:
             raise ValueError("candidate must be a JSON object")
         n_cores = tenant.config.n_cores
         if "power_seq" in item:
-            seq = np.asarray(item["power_seq"], dtype=float)
+            seq = _power_array("power_seq", item["power_seq"])
             if seq.ndim != 2:
                 raise ValueError("power_seq must be a 2-D array")
         elif "power" in item:
-            seq = np.asarray(item["power"], dtype=float).reshape(1, -1)
+            seq = _power_array("power", item["power"]).reshape(1, -1)
         else:
             raise ValueError("candidate needs 'power' or 'power_seq'")
         if seq.shape[1] != n_cores:
@@ -497,7 +498,11 @@ class ThermalService:
         if not isinstance(spec, dict):
             raise ValueError("simulate needs a 'workload' object")
         scheduler_name = payload.get("scheduler", "hotpotato")
-        factory = SCHEDULERS.get(scheduler_name)
+        factory = (
+            SCHEDULERS.get(scheduler_name)
+            if isinstance(scheduler_name, str)
+            else None
+        )
         if factory is None:
             raise ValueError(
                 f"unknown scheduler {scheduler_name!r}; "
@@ -677,6 +682,10 @@ class ThermalService:
         )
         if kind == "homogeneous":
             benchmark = spec.get("benchmark", "blackscholes")
+            if not isinstance(benchmark, str) or benchmark not in PARSEC:
+                raise ValueError(
+                    f"unknown benchmark {benchmark!r}; one of {sorted(PARSEC)}"
+                )
             specs = homogeneous_fill(
                 benchmark,
                 tenant.config.n_cores,
@@ -734,6 +743,13 @@ def metric_label(name: str) -> str:
     doing it here keeps ``/metrics`` names collision-checked and stable.
     """
     return re.sub(r"[^A-Za-z0-9_]", "_", name)
+
+
+def _power_array(key: str, value: Any) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key} must be a numeric array ({exc})") from None
 
 
 def _finite_float(key: str, value: Any) -> float:

@@ -5,7 +5,6 @@ from .context import SimContext
 from .dtm import DtmController
 from .engine import IntervalSimulator
 from .events import (
-    EVENT_TYPES,
     DtmEngaged,
     DtmReleased,
     Event,
@@ -13,8 +12,6 @@ from .events import (
     TaskArrived,
     TaskCompleted,
     ThreadMigrated,
-    event_from_dict,
-    event_to_dict,
 )
 from .metrics import SimulationResult, TaskRecord
 from .migration import MigrationAccountant
@@ -24,7 +21,6 @@ __all__ = [
     "DtmController",
     "DtmEngaged",
     "DtmReleased",
-    "EVENT_TYPES",
     "Event",
     "EventLog",
     "IntervalSimulator",
@@ -35,6 +31,4 @@ __all__ = [
     "TaskCompleted",
     "TaskRecord",
     "ThreadMigrated",
-    "event_from_dict",
-    "event_to_dict",
 ]

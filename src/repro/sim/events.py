@@ -8,14 +8,14 @@ metrics object carries only aggregates.
 
 Observability integrations subscribe to the log
 (:meth:`EventLog.subscribe`) to mirror events elsewhere — the
-:class:`~repro.obs.trace.TraceRecorder` serializes them into its JSONL
-trace via :func:`event_to_dict` / :func:`event_from_dict`.
+:class:`~repro.obs.trace.TraceRecorder` serializes them as ``event``
+records of its trace (:func:`repro.obs.trace.event_to_record`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Dict, Iterator, List, Optional, Type, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Optional, Type, TypeVar
 
 
 @dataclass(frozen=True)
@@ -112,41 +112,6 @@ class DegradationChanged(Event):
 
 
 _E = TypeVar("_E", bound=Event)
-
-#: Every concrete event class, by name (the serialization registry).
-EVENT_TYPES: Dict[str, Type[Event]] = {
-    cls.__name__: cls
-    for cls in (
-        TaskArrived,
-        TaskCompleted,
-        ThreadMigrated,
-        DtmEngaged,
-        DtmReleased,
-        SensorFaultInjected,
-        PowerSpikeInjected,
-        CoreStuckFault,
-        MigrationFailed,
-        DegradationChanged,
-    )
-}
-
-
-def event_to_dict(event: Event) -> Dict[str, object]:
-    """Plain-dict form of an event: ``{"type": <class name>, <fields...>}``."""
-    data: Dict[str, object] = {"type": type(event).__name__}
-    for field in fields(event):
-        data[field.name] = getattr(event, field.name)
-    return data
-
-
-def event_from_dict(data: Dict[str, object]) -> Event:
-    """Rebuild an event from :func:`event_to_dict` output."""
-    payload = dict(data)
-    type_name = payload.pop("type", None)
-    cls = EVENT_TYPES.get(str(type_name))
-    if cls is None:
-        raise ValueError(f"unknown event type {type_name!r}")
-    return cls(**payload)
 
 
 class EventLog:

@@ -17,15 +17,11 @@ from .processes import (
     build_process,
 )
 from .trace import (
-    ARRIVAL_TRACE_KIND,
-    ARRIVAL_TRACE_VERSION,
     load_arrival_trace,
     write_arrival_trace,
 )
 
 __all__ = [
-    "ARRIVAL_TRACE_KIND",
-    "ARRIVAL_TRACE_VERSION",
     "ArrivalProcess",
     "Burst",
     "DiurnalProcess",

@@ -1,61 +1,32 @@
-"""Replayable JSONL arrival traces.
+"""Replayable JSONL arrival traces: ``arrival`` records in a whole record file.
 
-Format (one JSON object per line, keys sorted — the ``repro.io``
-conventions used by the checkpoint and trace-recorder files):
-
-- a header line
-  ``{"kind": "repro-arrival-trace", "n": <count>, "version": 1}``;
-- one record per arrival, sorted by time::
-
-      {"benchmark": "canneal", "n_threads": 4, "seed": 17,
-       "time_s": 0.0125, "work_scale": 1.0, "qos": {...}?}
-
-The declared ``n`` makes torn tails detectable: a writer crash (or a
-truncating copy) leaves fewer records than the header promises, and the
-loader refuses the file instead of silently replaying a shortened
-schedule.  Timestamps must be non-decreasing — the engine's arrival queue
-and the ordering contract of
-:func:`repro.workload.generator.materialize` both depend on it — so
-non-monotonic traces are rejected too.
-
-Round-trips are exact: floats are serialized with ``repr`` precision, so
-``load_arrival_trace(write_arrival_trace(specs))`` reproduces arrival
-times bit-for-bit.
+The format is :mod:`repro.records` (``docs/observability.md``, "Record
+files"; the fields in ``docs/traffic.md``).  Timestamps must be
+non-negative and non-decreasing — the engine's arrival queue and the
+ordering contract of :func:`repro.workload.generator.materialize` both
+depend on it.  Round-trips reproduce arrival times bit-for-bit.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import List, Sequence, Union
+from typing import Any, Callable, Dict, List, Sequence, Union
 
+from .. import records
+from ..records import typed
 from ..workload.benchmarks import parsec_profile
 from ..workload.generator import TaskSpec
 from ..workload.qos import QosSpec
 
 PathLike = Union[str, Path]
 
-#: Discriminator in the header line.
-ARRIVAL_TRACE_KIND = "repro-arrival-trace"
-#: Format version written (and the only one accepted).
-ARRIVAL_TRACE_VERSION = 1
-
 
 def write_arrival_trace(path: PathLike, specs: Sequence[TaskSpec]) -> None:
-    """Write a spec list as a JSONL arrival trace (sorted by arrival)."""
+    """Write a spec list as an arrival trace (sorted by arrival), atomically."""
     ordered = sorted(specs, key=lambda s: s.arrival_time_s)
-    lines = [
-        json.dumps(
-            {
-                "kind": ARRIVAL_TRACE_KIND,
-                "n": len(ordered),
-                "version": ARRIVAL_TRACE_VERSION,
-            },
-            sort_keys=True,
-        )
-    ]
+    lines = []
     for spec in ordered:
-        record = {
+        fields: Dict[str, Any] = {
             "benchmark": spec.profile.name,
             "n_threads": spec.n_threads,
             "seed": spec.seed,
@@ -63,114 +34,54 @@ def write_arrival_trace(path: PathLike, specs: Sequence[TaskSpec]) -> None:
             "work_scale": spec.work_scale,
         }
         if spec.qos is not None:
-            record["qos"] = spec.qos.to_dict()
-        lines.append(json.dumps(record, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            fields["qos"] = spec.qos.to_dict()
+        lines.append(("arrival", fields))
+    records.atomic_write(path, records.dumps(lines))
 
 
-def _fail(path: PathLike, line_no: int, reason: str) -> ValueError:
-    return ValueError(f"{path}:{line_no}: {reason}")
+def _arrival_decoder() -> Callable[[Dict[str, Any]], TaskSpec]:
+    """A decoder for one file's ``arrival`` records (tracks monotonicity)."""
+    previous = [0.0]
+
+    def decode(fields: Dict[str, Any]) -> TaskSpec:
+        time_s = typed(fields["time_s"], float)
+        if time_s < 0:
+            raise ValueError(f"negative timestamp {time_s!r}")
+        if time_s < previous[0]:
+            raise ValueError(
+                f"non-monotonic timestamp: {time_s!r} after {previous[0]!r}"
+            )
+        previous[0] = time_s
+        n_threads = typed(fields["n_threads"], int)
+        if n_threads < 1:
+            raise ValueError(f"invalid thread count {n_threads}")
+        qos = None
+        if fields.get("qos") is not None:
+            try:
+                qos = QosSpec.from_dict(typed(fields["qos"], dict))
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"invalid QoS annotation: {error}") from None
+        name = typed(fields["benchmark"], str)
+        try:
+            profile = parsec_profile(name)
+        except KeyError:
+            raise ValueError(f"unknown benchmark {name!r}") from None
+        return TaskSpec(
+            profile=profile,
+            n_threads=n_threads,
+            arrival_time_s=time_s,
+            seed=typed(fields.get("seed", 0), int),
+            work_scale=typed(fields.get("work_scale", 1.0), float),
+            qos=qos,
+        )
+
+    return decode
 
 
 def load_arrival_trace(path: PathLike) -> List[TaskSpec]:
-    """Load a JSONL arrival trace back into a spec list.
+    """Load an arrival trace back into a spec list.
 
-    Rejects, with errors naming the file and line:
-
-    - files whose header is missing or not an arrival-trace header;
-    - torn tails — a record count short of the header's ``n``, a final
-      line without its newline, or a line of broken JSON;
-    - non-monotonic or negative timestamps;
-    - records with missing fields or out-of-range values.
+    Every error, the record-file ones included, is a
+    ``ValueError("<path>:<line>: ...")``.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    if not text:
-        raise ValueError(f"{path}: empty file is not an arrival trace")
-    if not text.endswith("\n"):
-        raise ValueError(
-            f"{path}: torn tail — the last line is missing its newline "
-            "(the writer was interrupted mid-record)"
-        )
-    lines = text.splitlines()
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as error:
-        raise _fail(path, 1, f"broken JSON in header: {error}") from None
-    if (
-        not isinstance(header, dict)
-        or header.get("kind") != ARRIVAL_TRACE_KIND
-    ):
-        raise _fail(
-            path, 1, f"not an arrival trace (expected kind={ARRIVAL_TRACE_KIND!r})"
-        )
-    if header.get("version") != ARRIVAL_TRACE_VERSION:
-        raise _fail(
-            path,
-            1,
-            f"unsupported trace version {header.get('version')!r} "
-            f"(this reader supports {ARRIVAL_TRACE_VERSION})",
-        )
-    declared = header.get("n")
-    if not isinstance(declared, int) or declared < 0:
-        raise _fail(path, 1, f"invalid record count {declared!r} in header")
-    records = lines[1:]
-    if len(records) != declared:
-        raise ValueError(
-            f"{path}: torn tail — header declares {declared} records, "
-            f"found {len(records)}"
-        )
-    specs: List[TaskSpec] = []
-    previous_time = None
-    for offset, line in enumerate(records):
-        line_no = offset + 2
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise _fail(
-                path, line_no, f"torn or corrupt record: {error}"
-            ) from None
-        if not isinstance(data, dict):
-            raise _fail(path, line_no, "record is not a JSON object")
-        missing = {"benchmark", "n_threads", "time_s"} - set(data)
-        if missing:
-            raise _fail(
-                path, line_no, f"record missing fields {sorted(missing)}"
-            )
-        time_s = float(data["time_s"])
-        if time_s < 0:
-            raise _fail(path, line_no, f"negative timestamp {time_s!r}")
-        if previous_time is not None and time_s < previous_time:
-            raise _fail(
-                path,
-                line_no,
-                f"non-monotonic timestamp: {time_s!r} after {previous_time!r}",
-            )
-        previous_time = time_s
-        n_threads = int(data["n_threads"])
-        if n_threads < 1:
-            raise _fail(path, line_no, f"invalid thread count {n_threads}")
-        qos = None
-        if data.get("qos") is not None:
-            try:
-                qos = QosSpec.from_dict(data["qos"])
-            except (TypeError, ValueError) as error:
-                raise _fail(
-                    path, line_no, f"invalid QoS annotation: {error}"
-                ) from None
-        try:
-            profile = parsec_profile(str(data["benchmark"]))
-        except KeyError:
-            raise _fail(
-                path, line_no, f"unknown benchmark {data['benchmark']!r}"
-            ) from None
-        specs.append(
-            TaskSpec(
-                profile=profile,
-                n_threads=n_threads,
-                arrival_time_s=time_s,
-                seed=int(data.get("seed", 0)),
-                work_scale=float(data.get("work_scale", 1.0)),
-                qos=qos,
-            )
-        )
-    return specs
+    return records.load(path, {"arrival": _arrival_decoder()})

@@ -64,7 +64,7 @@ def _checkpoint_fingerprint(path):
     excluded, exactly as in ``test_byte_identity``.
     """
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines()[1:]:
         record = json.loads(line)
         record["result"].pop("scheduler_wall_time_s", None)
         record["result"].pop("profile", None)
@@ -75,7 +75,11 @@ def _checkpoint_fingerprint(path):
 def _count_lines(path):
     if not path.exists():
         return 0
-    return sum(1 for line in path.read_text(encoding="utf-8").splitlines() if line)
+    return sum(
+        1
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if '"kind": "cell"' in line
+    )
 
 
 def test_sigkill_resume_reproduces_uninterrupted_run(tmp_path):

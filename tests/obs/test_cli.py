@@ -209,6 +209,11 @@ class TestSpansSubcommand:
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("<!DOCTYPE html>")
 
+    def test_wrong_kind_file_names_what_it_holds(self, span_file):
+        proc = run_cli("summarize", str(span_file))
+        assert proc.returncode != 0
+        assert "holds no interval records (found: span)" in proc.stderr
+
     def test_empty_file_reports_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -10,9 +10,10 @@ from .conftest import build_mini_trace
 class TestStreaming:
     def test_records_stream_to_disk(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        with JsonlTraceSink(path, flush_every=1) as sink:
+        with JsonlTraceSink(path) as sink:
             build_mini_trace(sink)
-            # readable mid-run, before close
+            # readable mid-run after a flush, before close
+            sink.flush()
             partial = TraceRecorder.read_jsonl(path)
             assert len(partial.intervals()) == 4
         assert sink.closed
@@ -29,12 +30,6 @@ class TestStreaming:
             assert sink.records == []
             assert len(sink) == 13  # records written, not buffered
 
-    def test_buffer_in_memory_keeps_records(self, tmp_path):
-        with JsonlTraceSink(tmp_path / "run.jsonl", buffer_in_memory=True) as sink:
-            build_mini_trace(sink)
-            assert len(sink.records) == 13
-            assert sink.intervals() == build_mini_trace().intervals()
-
     def test_recording_after_close_raises(self, tmp_path):
         sink = JsonlTraceSink(tmp_path / "run.jsonl")
         sink.close()
@@ -46,10 +41,6 @@ class TestStreaming:
         sink.close()
         sink.close()
         sink.flush()  # safe no-op after close
-
-    def test_bad_flush_every_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="flush_every"):
-            JsonlTraceSink(tmp_path / "run.jsonl", flush_every=0)
 
 
 class TestEngineIntegration:

@@ -99,16 +99,18 @@ class TestJsonlRoundTrip:
 
     def test_empty_recorder_round_trips(self):
         recorder = TraceRecorder()
-        assert recorder.to_jsonl() == ""
-        assert TraceRecorder.from_jsonl("") == recorder
+        assert recorder.to_jsonl() == '{"kind": "header", "n": 0, "version": 1}\n'
+        assert TraceRecorder.from_jsonl(recorder.to_jsonl()) == recorder
 
     def test_bad_json_line_reports_line_number(self):
-        with pytest.raises(ValueError, match="line 1"):
-            TraceRecorder.from_jsonl("{not json\n")
+        header = TraceRecorder().to_jsonl().replace('"n": 0, ', "")
+        with pytest.raises(ValueError, match=":2: undecodable"):
+            TraceRecorder.from_jsonl(header + "{not json\n")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown record kind"):
-            TraceRecorder.from_jsonl('{"kind": "mystery", "time_s": 0}\n')
+        header = TraceRecorder().to_jsonl().replace('"n": 0, ', "")
+        with pytest.raises(ValueError, match="unknown record kind 'mystery'"):
+            TraceRecorder.from_jsonl(header + '{"kind": "mystery", "time_s": 0}\n')
 
     def test_record_types_from_jsonl(self):
         reloaded = TraceRecorder.from_jsonl(_sample_recorder().to_jsonl())

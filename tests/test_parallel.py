@@ -265,6 +265,13 @@ class TestTimeout:
         }
 
 
+def _checkpointed(path, key, result):
+    """A checkpoint file holding one finished cell."""
+    checkpoint = SweepCheckpoint(path)
+    checkpoint.append(key, result)
+    checkpoint.close()
+
+
 class TestSweepCheckpoint:
     def test_load_missing_file_is_empty(self, tmp_path):
         assert SweepCheckpoint(tmp_path / "none.jsonl").load() == {}
@@ -305,7 +312,7 @@ class TestSweepCheckpoint:
         with ckpt.path.open("a") as handle:
             handle.write("GARBAGE\n")
         ckpt.append("b", 2)
-        with pytest.raises(ValueError, match=r"c\.jsonl:2: undecodable"):
+        with pytest.raises(ValueError, match=r"c\.jsonl:3: undecodable"):
             ckpt.load()
 
     def test_non_object_record_rejected(self, tmp_path):
@@ -318,8 +325,8 @@ class TestSweepCheckpoint:
         ckpt = SweepCheckpoint(tmp_path / "c.jsonl")
         ckpt.append("a", 1)
         with ckpt.path.open("a") as handle:
-            handle.write('{"result": 2}\n')
-        with pytest.raises(ValueError, match=r"c\.jsonl:2: expected an object"):
+            handle.write('{"kind": "cell", "result": 2}\n')
+        with pytest.raises(ValueError, match=r"c\.jsonl:3: missing fields.*'key'"):
             ckpt.load()
 
     def test_finalize_is_order_canonical(self, tmp_path):
@@ -350,8 +357,8 @@ class TestRunCellsCheckpointing:
         path = tmp_path / "sweep.jsonl"
         results = run_cells(self._cells(tmp_path / "n1"), checkpoint_path=path)
         assert results == {0: 0, 1: 1, 2: 4}
-        lines = path.read_text().splitlines()
-        assert len(lines) == 3
+        header, *lines = path.read_text().splitlines()
+        assert json.loads(header) == {"kind": "header", "n": 3, "version": 1}
         assert [json.loads(l)["key"] for l in lines] == ["0", "1", "2"]
 
     def test_resume_skips_done_cells(self, tmp_path):
@@ -369,19 +376,19 @@ class TestRunCellsCheckpointing:
     def test_partial_checkpoint_resumes_only_missing(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         counter = tmp_path / "n3"
-        SweepCheckpoint(path).append(1, 1)  # cell 1 already done
+        _checkpointed(path, 1, 1)  # cell 1 already done
         results = run_cells(
             self._cells(counter), checkpoint_path=path, resume=True
         )
         assert counter.read_text() == "2"  # only cells 0 and 2 ran
         assert results == {0: 0, 1: 1, 2: 4}
         # finalized file is in submission order despite the odd history
-        keys = [json.loads(l)["key"] for l in path.read_text().splitlines()]
-        assert keys == ["0", "1", "2"]
+        lines = path.read_text().splitlines()[1:]
+        assert [json.loads(l)["key"] for l in lines] == ["0", "1", "2"]
 
     def test_without_resume_existing_checkpoint_is_discarded(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        SweepCheckpoint(path).append(1, 999)  # stale result
+        _checkpointed(path, 1, 999)  # stale result
         results = run_cells(self._cells(tmp_path / "n4"), checkpoint_path=path)
         assert results[1] == 1  # recomputed, stale value gone
 
@@ -392,7 +399,7 @@ class TestRunCellsCheckpointing:
             cells, checkpoint_path=path, encode=_enc, decode=_dec
         )
         assert results == {"k": 16}
-        stored = json.loads(path.read_text().splitlines()[0])
+        stored = json.loads(path.read_text().splitlines()[1])
         assert stored["result"] == {"payload": 16}
 
     def test_parallel_checkpoint_matches_serial(self, tmp_path):
@@ -424,7 +431,7 @@ class TestResolvePolicy:
     @pytest.mark.parametrize("jobs", ["auto", "2", True, False, 2.0, None])
     def test_non_int_jobs_rejected(self, jobs, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        SweepCheckpoint(path).append(0, 4)
+        _checkpointed(path, 0, 4)
         cells = [Cell(key=0, fn=_square, kwargs={"x": 2})]
         with pytest.raises(ValueError, match="jobs"):
             run_cells(cells, jobs=jobs, checkpoint_path=path)

@@ -119,7 +119,7 @@ class TestLoaderRejections:
         lines = trace_path.read_text().splitlines()
         lines[2] = lines[2][: len(lines[2]) // 2]  # chop a record mid-JSON
         trace_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="torn or corrupt record"):
+        with pytest.raises(ValueError, match=r":3: undecodable record"):
             load_arrival_trace(trace_path)
 
     def test_non_monotonic_timestamps(self, trace_path):
@@ -175,19 +175,25 @@ class TestLoaderRejections:
 
     def test_wrong_kind(self, tmp_path):
         path = tmp_path / "other.jsonl"
-        path.write_text(json.dumps({"kind": "checkpoint", "n": 0}) + "\n")
-        with pytest.raises(ValueError, match="not an arrival trace"):
+        path.write_text(
+            '{"kind": "header", "n": 1, "version": 1}\n'
+            '{"key": "0", "kind": "cell", "result": 1}\n'
+        )
+        with pytest.raises(ValueError, match=":2: unknown record kind 'cell'"):
+            load_arrival_trace(path)
+
+    def test_header_required(self, tmp_path):
+        path = tmp_path / "headerless.jsonl"
+        path.write_text(json.dumps({"kind": "repro-arrival-trace", "n": 0}) + "\n")
+        with pytest.raises(ValueError, match=":1: expected a header line"):
             load_arrival_trace(path)
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "future.jsonl"
         path.write_text(
-            json.dumps(
-                {"kind": "repro-arrival-trace", "n": 0, "version": 2}
-            )
-            + "\n"
+            json.dumps({"kind": "header", "n": 0, "version": 2}) + "\n"
         )
-        with pytest.raises(ValueError, match="unsupported trace version"):
+        with pytest.raises(ValueError, match="unsupported version 2"):
             load_arrival_trace(path)
 
     def test_errors_name_file_and_line(self, trace_path):

@@ -26,7 +26,7 @@ The class is simulator-agnostic: callers feed it per-thread power estimates
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from .. import units
 from ..arch.amd import AmdRings
 from .peak_temperature import PeakTemperatureCalculator
-from .rotation import RotationGroup, RotationSchedule, ThreadId
+from .rotation import RotationGroup, RotationSchedule, ThreadId, power_sequence
 
 #: Rotation-interval ladder [s], slowest first.  ``None`` (appended
 #: implicitly at the slow end) means rotation off.  The paper starts at
@@ -62,7 +62,7 @@ class ThreadInfo:
 
     def with_power(self, power_w: float) -> "ThreadInfo":
         """Copy with an updated power estimate."""
-        return replace(self, power_w=power_w)
+        return ThreadInfo(self.thread_id, power_w, self.cpi)
 
 
 class HotPotato:
@@ -103,6 +103,15 @@ class HotPotato:
         ]
         self._threads: Dict[ThreadId, ThreadInfo] = {}
         self._location: Dict[ThreadId, Tuple[int, int]] = {}  # ring, slot
+        self._ring_cores: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(rings.ring(i)) for i in range(rings.n_rings)
+        )
+        #: a schedule rotates iff tau is set and some ring has two cores
+        self._multi_core_ring = any(len(c) > 1 for c in self._ring_cores)
+        #: bumped on every slot change; keys the cached schedule
+        self._version = 0
+        self._schedule_key: Optional[Tuple[int, int]] = None
+        self._schedule: Optional[RotationSchedule] = None
 
     # -- state queries ----------------------------------------------------------
 
@@ -125,8 +134,16 @@ class HotPotato:
         return self._location[thread_id][0]
 
     def schedule(self) -> RotationSchedule:
-        """The current chip-wide rotation schedule."""
-        return self._schedule_for(self._slots, self.tau_s)
+        """The current chip-wide rotation schedule.
+
+        Built and validated once per (slot assignment, tau) and cached:
+        most decisions change neither.
+        """
+        key = (self._version, self._tau_index)
+        if key != self._schedule_key:
+            self._schedule = self._schedule_for(self._slots, self.tau_s)
+            self._schedule_key = key
+        return self._schedule
 
     def state_fingerprint(self) -> tuple:
         """Hashable snapshot of (tau, slot assignment) for change detection."""
@@ -147,17 +164,31 @@ class HotPotato:
         ]
         return RotationSchedule(groups, tau_s)
 
+    def _rotates(self, tau_s: Optional[float]) -> bool:
+        """Whether a schedule with interval ``tau_s`` actually rotates."""
+        return tau_s is not None and self._multi_core_ring
+
     def _power_seq_for(
         self, slots: Sequence[Sequence[Optional[ThreadId]]], tau_s: Optional[float]
     ) -> Tuple[np.ndarray, Optional[float]]:
         """Candidate in :meth:`PeakTemperatureCalculator.peak_batch` form:
         the periodic power sequence and the *effective* rotation interval
-        (``None`` when the schedule does not actually rotate)."""
-        schedule = self._schedule_for(slots, tau_s)
+        (``None`` when the schedule does not actually rotate).
+
+        Built straight from the slot lists: candidates are scored, not
+        validated (only :meth:`schedule` builds a :class:`RotationSchedule`).
+        """
+        rotates = self._rotates(tau_s)
         powers = {t: info.power_w for t, info in self._threads.items()}
-        n_cores = self.rings.mesh.n_cores
-        seq = schedule.power_sequence(n_cores, powers, self.idle_power_w)
-        return seq, (schedule.tau_s if schedule.rotating else None)
+        seq = power_sequence(
+            self._ring_cores,
+            slots,
+            rotates,
+            self.rings.mesh.n_cores,
+            powers,
+            self.idle_power_w,
+        )
+        return seq, (tau_s if rotates else None)
 
     def _peak_for(
         self, slots: Sequence[Sequence[Optional[ThreadId]]], tau_s: Optional[float]
@@ -254,10 +285,12 @@ class HotPotato:
             raise ValueError("slot already occupied")
         self._slots[ring][slot] = thread_id
         self._location[thread_id] = (ring, slot)
+        self._version += 1
 
     def _unplace(self, thread_id: ThreadId) -> None:
         ring, slot = self._location.pop(thread_id)
         self._slots[ring][slot] = None
+        self._version += 1
 
     def _mitigate(self) -> None:
         """Lines 8-14: outward migrations, then rotation-interval update."""
@@ -294,7 +327,7 @@ class HotPotato:
         seqs: List[np.ndarray] = []
         taus: List[Optional[float]] = []
         for tau in self._tau_ladder:
-            rotates = self._schedule_for(self._slots, tau).rotating
+            rotates = self._rotates(tau)
             if rotates not in cached:
                 cached[rotates] = self._power_seq_for(self._slots, tau)
             seq, _ = cached[rotates]

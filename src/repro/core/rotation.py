@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,12 +67,64 @@ class RotationGroup:
         return result
 
 
+def power_sequence(
+    ring_cores: Sequence[Sequence[int]],
+    ring_slots: Sequence[Sequence[Optional[ThreadId]]],
+    rotating: bool,
+    n_cores: int,
+    thread_power_w: Mapping[ThreadId, float],
+    idle_power_w: float,
+) -> np.ndarray:
+    """Per-epoch per-core power over one period of raw slot lists.
+
+    The unvalidated form of :meth:`RotationSchedule.power_sequence`:
+    ``ring_cores[i]`` and ``ring_slots[i]`` are one ring's cores and slot
+    occupants, and ``rotating`` says whether the slots shift each epoch.
+    Schedulers scoring many candidate assignments call this directly
+    instead of building (and validating) a schedule per candidate.
+    """
+    # one pass over the slots: every occupied slot becomes a track (the
+    # flat-core offset of its ring, its slot, the ring size, its power)
+    offsets, slot_idx, sizes, values, occupied = [], [], [], [], []
+    offset = 0
+    for cores, slots in zip(ring_cores, ring_slots):
+        size = len(cores)
+        before = len(values)
+        for slot, thread in enumerate(slots):
+            if thread is not None:
+                offsets.append(offset)
+                slot_idx.append(slot)
+                sizes.append(size)
+                values.append(float(thread_power_w[thread]))
+        if len(values) > before:
+            occupied.append(size)
+        offset += size
+    period = reduce(math.lcm, occupied, 1) if rotating else 1
+    seq = np.full((period, n_cores), float(idle_power_w))
+    if values:
+        # track j sits on core cores[(slot + k) % size] at epoch k: gather
+        # the whole period of every track at once.  Pure assignment of the
+        # same float64 values a scalar loop would write (rings are
+        # disjoint, so no two tracks share an (epoch, core) cell).
+        flat = np.fromiter(chain.from_iterable(ring_cores), dtype=np.intp)
+        epochs = np.arange(period)
+        positions = np.array(offsets)[:, None] + (
+            np.array(slot_idx)[:, None] + epochs
+        ) % np.array(sizes)[:, None]
+        seq[epochs, flat[positions]] = np.array(values)[:, None]
+    return seq
+
+
 class RotationSchedule:
     """Complete chip schedule: one group per occupied ring plus ``tau``.
 
     ``tau_s = None`` encodes rotation switched off (threads pinned to the
     epoch-0 placement) — the terminal state of Algorithm 2 when the workload
     is thermally sustainable without rotation.
+
+    A schedule is immutable and validated once, on construction; the
+    placement of each epoch of the period is computed on first request and
+    cached (callers receive a copy).
     """
 
     def __init__(self, groups: Sequence[RotationGroup], tau_s: Optional[float]):
@@ -89,35 +142,42 @@ class RotationSchedule:
             seen_threads.update(threads)
         self.groups: Tuple[RotationGroup, ...] = tuple(groups)
         self.tau_s = tau_s
+        self._rotating = tau_s is not None and any(g.size > 1 for g in self.groups)
+        self._period = (
+            reduce(math.lcm, [g.size for g in self.groups if g.threads], 1)
+            if self._rotating
+            else 1
+        )
+        #: epoch mod period -> placement of that epoch
+        self._placements: Dict[int, Dict[ThreadId, int]] = {}
 
     @property
     def rotating(self) -> bool:
         """True when synchronous rotation is active."""
-        return self.tau_s is not None and any(g.size > 1 for g in self.groups)
+        return self._rotating
 
     @property
     def period_epochs(self) -> int:
         """Global period: lcm of the occupied ring sizes (1 if static)."""
-        if not self.rotating:
-            return 1
-        sizes = [g.size for g in self.groups if g.threads]
-        if not sizes:
-            return 1
-        return reduce(math.lcm, sizes, 1)
+        return self._period
 
     def threads(self) -> Tuple[ThreadId, ...]:
         """All scheduled threads."""
         return tuple(t for g in self.groups for t in g.threads)
 
     def placement_at(self, epoch: int) -> Dict[ThreadId, int]:
-        """Mapping thread -> core at rotation ``epoch``."""
-        if not self.rotating:
-            epoch = 0
-        result: Dict[ThreadId, int] = {}
-        for group in self.groups:
-            for core, thread in group.occupancy_at(epoch).items():
-                result[thread] = core
-        return result
+        """Mapping thread -> core at rotation ``epoch`` (a fresh copy)."""
+        phase = epoch % self._period
+        placement = self._placements.get(phase)
+        if placement is None:
+            # every occupied ring's size divides the period, so epoch and
+            # epoch mod period put each slot on the same core
+            placement = {}
+            for group in self.groups:
+                for core, thread in group.occupancy_at(phase).items():
+                    placement[thread] = core
+            self._placements[phase] = placement
+        return dict(placement)
 
     def power_sequence(
         self,
@@ -132,26 +192,14 @@ class RotationSchedule:
         scheduler's 10 ms history average, or a profile estimate for new
         threads).  Cores outside any group and empty slots burn idle power.
         """
-        period = self.period_epochs
-        seq = np.full((period, n_cores), float(idle_power_w))
-        epochs = np.arange(period)[:, None]
-        for group in self.groups:
-            occupied = [
-                (slot, float(thread_power_w[thread]))
-                for slot, thread in enumerate(group.slots)
-                if thread is not None
-            ]
-            if not occupied:
-                continue
-            # Slot j sits on core cores[(j + k) % size] at epoch k; gather
-            # the whole period at once.  Pure assignment of the same float64
-            # values the scalar loop wrote, so the result is byte-identical.
-            slot_idx = np.array([slot for slot, _ in occupied])
-            values = np.array([value for _, value in occupied])
-            cores_arr = np.asarray(group.cores)
-            core_ids = cores_arr[(slot_idx[None, :] + epochs) % group.size]
-            seq[epochs, core_ids] = values[None, :]
-        return seq
+        return power_sequence(
+            [g.cores for g in self.groups],
+            [g.slots for g in self.groups],
+            self._rotating,
+            n_cores,
+            thread_power_w,
+            idle_power_w,
+        )
 
     def migrations_between(
         self, epoch_a: int, epoch_b: int

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import DvfsConfig, ThermalConfig
 
 
@@ -115,6 +117,44 @@ class PowerModel:
         )
         dyn = self.dynamic_power_w(p_dyn_ref_w, f_hz, min(activity, 1.0))
         return dyn + self.idle_power_w(f_hz, temp_c)
+
+    def core_power_array(
+        self,
+        dynamic_w: np.ndarray,
+        idle_w: np.ndarray,
+        compute_fraction: np.ndarray,
+        stall_fraction: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`core_power_w` for many threads at once (``temp_c=None``).
+
+        The frequency-dependent factors come in precomputed per thread:
+        ``dynamic_w = dynamic_power_w(p_dyn_ref_w, f_hz, 1.0)`` and
+        ``idle_w = idle_power_w(f_hz)``.  The range checks are the same,
+        and each element sees the same floating-point operations in the
+        same order, so every entry equals the scalar call bit for bit.
+        """
+        valid = (
+            (compute_fraction >= 0)
+            & (stall_fraction >= 0)
+            & (compute_fraction + stall_fraction <= 1.0 + 1e-9)
+        )
+        if np.count_nonzero(valid) != valid.size:
+            # the first failing check of the scalar path names the error
+            # (NaN fails no comparison there until the activity check)
+            if np.count_nonzero(compute_fraction < 0) or np.count_nonzero(
+                stall_fraction < 0
+            ):
+                raise ValueError("time fractions must be non-negative")
+            if np.count_nonzero(compute_fraction + stall_fraction > 1.0 + 1e-9):
+                raise ValueError("compute + stall fractions exceed 1")
+            raise ValueError("activity must be within [0, 1]")
+        # valid fractions keep the activity within [0, 1 + 1e-9] before
+        # the clamp, so the scalar path's activity check cannot fail
+        activity = np.minimum(
+            compute_fraction + self.params.stall_power_fraction * stall_fraction,
+            1.0,
+        )
+        return dynamic_w * activity + idle_w
 
     def max_core_power_w(self, p_dyn_ref_w: float) -> float:
         """Peak power of a thread: full activity at f_max."""

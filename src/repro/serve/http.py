@@ -34,7 +34,10 @@ root span and the serve internals (micro-batcher, cache, engine phases)
 attach child spans — see ``docs/observability.md``.
 
 Error mapping: validation failures are 400, unknown tenants/routes 404,
-wrong methods 405, oversized bodies 413, unexpected exceptions 500 (the
+wrong methods 405, oversized bodies 413, a ``Content-Length`` that is not
+a non-negative decimal integer or a header line past the stream limit 400
+(both answered with ``Connection: close``; a malformed request line just
+closes the connection), unexpected exceptions 500 (the
 connection survives; ``serve.http.errors`` counts them), and a tenant
 whose degradation ladder refuses the request gets **503 with a
 ``Retry-After`` header** (see ``docs/faults.md``).
@@ -231,7 +234,7 @@ class ThermalServer:
                 request = await self._read_request(reader)
                 if request is None:
                     break
-                method, path, headers, body = request
+                method, path, headers, body, rejected = request
                 endpoint = _endpoint_of(path.partition("?")[0])
                 scope_token = _REQUEST_SCOPE.set(_RequestScope())
                 started = time.perf_counter()
@@ -240,7 +243,7 @@ class ThermalServer:
                         f"http.{endpoint}", root=True, method=method, path=path
                     ) as span:
                         status, payload, extra = await self._dispatch(
-                            method, path, headers, body
+                            method, path, headers, body, rejected
                         )
                         span.annotate(status=status)
                     self._observe_latency(
@@ -294,11 +297,18 @@ class ThermalServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one request; ``None`` on a cleanly closed connection."""
+    ) -> Optional[Tuple[str, str, Dict[str, str], bytes, Optional[_HttpError]]]:
+        """Parse one request; ``None`` on a cleanly closed connection.
+
+        A request whose framing cannot be trusted (bad ``Content-Length``,
+        oversized body or header line) comes back with its rejection and
+        ``Connection: close``: its body is never read, so the connection
+        cannot carry another request.
+        """
         try:
             request_line = await reader.readline()
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (ConnectionResetError, asyncio.IncompleteReadError, ValueError):
+            # ValueError: a line past the stream limit
             return None
         if not request_line:
             return None
@@ -308,18 +318,30 @@ class ThermalServer:
         method, path, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                headers["connection"] = "close"
+                rejected = _HttpError(400, "header line too long")
+                return method, path, headers, b"", rejected
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length_field = headers.get("content-length", "") or "0"
+        if not (length_field.isascii() and length_field.isdigit()):
+            headers["connection"] = "close"
+            return method, path, headers, b"", _HttpError(
+                400, f"invalid Content-Length {length_field[:32]!r}"
+            )
+        length = int(length_field)
         if length > self.config.max_body_bytes:
             # drain nothing — the 413 response closes the connection
             headers["connection"] = "close"
-            return method, path, headers, b"\x00oversized"
+            rejected = _HttpError(413, "request body exceeds limit")
+            return method, path, headers, b"", rejected
         body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+        return method, path, headers, body, None
 
     def _write_response(
         self,
@@ -343,13 +365,22 @@ class ThermalServer:
     # -- routing -------------------------------------------------------------
 
     async def _dispatch(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
+        self,
+        method: str,
+        path: str,
+        headers: Dict[str, str],
+        body: bytes,
+        rejected: Optional[_HttpError] = None,
     ) -> Tuple[int, bytes, Dict[str, str]]:
-        """Route one request; never raises (errors become responses)."""
+        """Route one request; never raises (errors become responses).
+
+        ``rejected`` is a framing error :meth:`_read_request` already
+        found; it is answered without routing.
+        """
         self.registry.counter("serve.http.requests").inc()
         try:
-            if body.startswith(b"\x00oversized"):
-                raise _HttpError(413, "request body exceeds limit")
+            if rejected is not None:
+                raise rejected
             return await self._route(method, path, headers, body)
         except _HttpError as exc:
             if exc.status >= 500:

@@ -66,7 +66,7 @@ class DtmController:
         if temps.shape != (self.n_cores,):
             raise ValueError("temperature vector has wrong shape")
         newly_hot = (~self._throttled) & (temps > self.threshold_c)
-        self.trigger_count += int(np.sum(newly_hot))
+        self.trigger_count += int(np.count_nonzero(newly_hot))
         cooled = self._throttled & (
             temps < self.threshold_c - self.hysteresis_c
         )
@@ -78,5 +78,5 @@ class DtmController:
         freqs = np.asarray(frequencies_hz, dtype=float).copy()
         clamped = self._throttled | self._stuck
         freqs[clamped] = np.minimum(freqs[clamped], self.f_min_hz)
-        self.throttled_core_time_s += float(np.sum(clamped)) * interval_s
+        self.throttled_core_time_s += float(np.count_nonzero(clamped)) * interval_s
         return freqs

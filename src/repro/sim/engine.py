@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import time as _time
 from collections import deque
+from itertools import chain
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -96,47 +97,190 @@ class IntervalPlan:
 
 
 class _PowerHistory:
-    """Sliding-window average power per thread (paper: last 10 ms)."""
+    """Sliding-window average power per thread slot (paper: last 10 ms).
 
-    def __init__(self, window_s: float):
+    Samples live in a ring of columns, one column per :meth:`record` call
+    (one engine interval): ``_samples[col, 0, slot]`` is the slot's
+    ``p * dt`` and ``_samples[col, 1, slot]`` its ``dt``, both zero where
+    the slot did not record or its sample has left the window.  A slot's
+    window holds its samples no older than ``window_s`` before its own
+    latest sample, exactly as a per-thread deque evicting from the front
+    on every append would.  The ring only overwrites a column that is
+    zero for every slot, and doubles otherwise.  Admitted threads are
+    placed, so record, every interval (the :class:`SchedulerDecision`
+    contract), which keeps the ring about one window wide; a slot that
+    stopped recording while holding samples would pin its columns and
+    make the ring grow until the slot records again or is forgotten.
+
+    **Summation order.**  The average is ``sum(p*dt) / sum(dt)`` summed
+    strictly left to right, oldest sample first.  The order is part of
+    the result: a last-bit difference in an average flips scheduling
+    decisions downstream.  So no pairwise (``np.sum``), running or compensated (Python >= 3.12
+    builtin ``sum`` over floats) summation: ``np.add.accumulate`` over the
+    columns in age order is the sequential sum, and the zeros before,
+    between and after a slot's samples are exact (``x + 0.0 == x``).
+    The averages of all slots are computed at most once per interval, on
+    the first read after a record.
+    """
+
+    def __init__(self, window_s: float, slots: int = 16, width: int = 8):
         self.window_s = window_s
-        self._samples: Dict[str, Deque[Tuple[float, float, float]]] = {}
-        # schedulers read the same average several times per interval; the
-        # window only changes in record/forget, so memoizing the summed
-        # value between mutations is byte-exact and saves the re-summation
-        self._avg_cache: Dict[str, float] = {}
+        self._samples = np.zeros((width, 2, slots))
+        #: start time of each column's interval (-inf: never written)
+        self._time = np.full(width, -np.inf)
+        #: column of the latest record
+        self._col = width - 1
+        #: column indices oldest first, by latest column (per ring width)
+        self._orders: Dict[int, np.ndarray] = {}
+        self._has = np.zeros(slots, dtype=bool)
+        self._recent = np.zeros(slots)
+        #: (per-slot averages, per-slot has-samples) of the current
+        #: samples, or None when stale
+        self._avg: Optional[Tuple[List[float], List[bool]]] = None
 
-    def record(self, thread: str, now_s: float, power_w: float, dt_s: float) -> None:
-        queue = self._samples.setdefault(thread, deque())
-        queue.append((now_s, power_w, dt_s))
-        cutoff = now_s - self.window_s
-        while queue and queue[0][0] < cutoff:
-            queue.popleft()
-        self._avg_cache.pop(thread, None)
+    def reserve(self, slots: int) -> None:
+        """Make room for slot indices below ``slots``."""
+        have = self._has.shape[0]
+        if slots <= have:
+            return
+        grow = max(slots, 2 * have) - have
+        self._samples = np.pad(self._samples, ((0, 0), (0, 0), (0, grow)))
+        self._has = np.pad(self._has, (0, grow))
+        self._recent = np.pad(self._recent, (0, grow))
+        self._avg = None
 
-    def average(self, thread: str) -> float:
-        cached = self._avg_cache.get(thread)
-        if cached is not None:
-            return cached
-        queue = self._samples.get(thread)
-        if not queue:
-            raise KeyError(f"no power history for thread {thread}")
-        total_energy = sum(p * dt for _, p, dt in queue)
-        total_time = sum(dt for _, _, dt in queue)
-        value = total_energy / total_time
-        self._avg_cache[thread] = value
-        return value
+    def _age_order(self) -> np.ndarray:
+        """Column indices, oldest first."""
+        order = self._orders.get(self._col)
+        if order is None:
+            width = self._time.shape[0]
+            order = (np.arange(1, width + 1) + self._col) % width
+            self._orders[self._col] = order
+        return order
 
-    def recent(self, thread: str) -> float:
+    def _widen(self) -> None:
+        """Double the ring, keeping the columns in age order."""
+        order = self._age_order()
+        width = order.shape[0]
+        self._samples = np.pad(
+            self._samples.take(order, axis=0), ((0, width), (0, 0), (0, 0))
+        )
+        self._time = np.concatenate([self._time[order], np.full(width, -np.inf)])
+        self._col = width - 1
+        self._orders = {}
+
+    def record(
+        self, slots: np.ndarray, now_s: float, power_w: np.ndarray, dt_s: float
+    ) -> None:
+        """One interval's samples: ``power_w[i]`` for slot ``slots[i]``.
+
+        Every slot must lie below the capacity set by :meth:`reserve`.
+        """
+        if now_s < self._time[self._col]:
+            raise ValueError("power samples must be recorded in time order")
+        col = self._col + 1
+        if col == self._time.shape[0]:
+            col = 0
+        if np.count_nonzero(self._samples[col]):
+            # the oldest column still holds a sample inside some window
+            self._widen()
+            col = self._col + 1
+        self._col = col
+        self._time[col] = now_s
+        column = self._samples[col]
+        column[0, slots] = power_w * dt_s
+        column[1, slots] = dt_s
+        # evict: the recording slots' samples older than the window
+        old = np.flatnonzero(self._time < now_s - self.window_s)
+        if old.size:
+            self._samples[old[:, None], :, slots] = 0.0
+        self._has[slots] = True
+        self._recent[slots] = power_w
+        self._avg = None
+
+    def _averages(self) -> Tuple[List[float], List[bool]]:
+        ordered = self._samples.take(self._age_order(), axis=0)
+        energy, time = np.add.accumulate(ordered, axis=0)[-1]
+        has = self._has
+        # a slot without samples divides 0 by 1 (and is never read)
+        self._avg = ((energy / (time + ~has)).tolist(), has.tolist())
+        return self._avg
+
+    def average(self, slot: int) -> float:
+        averages, has = self._avg or self._averages()
+        if not (0 <= slot < len(has) and has[slot]):
+            raise KeyError(f"no power history for slot {slot}")
+        return averages[slot]
+
+    def recent(self, slot: int) -> float:
         """Most recent power sample (burst detection)."""
-        queue = self._samples.get(thread)
-        if not queue:
-            raise KeyError(f"no power history for thread {thread}")
-        return queue[-1][1]
+        if not (0 <= slot < self._has.shape[0] and self._has[slot]):
+            raise KeyError(f"no power history for slot {slot}")
+        return float(self._recent[slot])
 
-    def forget(self, thread: str) -> None:
-        self._samples.pop(thread, None)
-        self._avg_cache.pop(thread, None)
+    def forget(self, slot: int) -> None:
+        if slot < self._has.shape[0]:
+            self._samples[:, :, slot] = 0.0
+            self._has[slot] = False
+            self._avg = None
+
+
+class _RateTable:
+    """Per-(profile, frequency) rows of the per-core factors of the power map.
+
+    Time per instruction, the compute/stall split, full-activity dynamic
+    power and idle power are pure in (profile, core, f).  Each row is
+    filled once by the model methods themselves, so a gathered entry is
+    the value a fresh call returns, bit for bit, and the range checks of
+    those methods run on every new (profile, f).  ``table[row, core]``
+    holds the five factors in :data:`FACTORS` order.
+    """
+
+    FACTORS = ("tpi_s", "compute", "stall", "dynamic_w", "idle_w")
+
+    def __init__(self, ctx: SimContext):
+        self._perf = ctx.perf
+        self._power = ctx.power_model
+        self._n_cores = ctx.n_cores
+        self._index: Dict[Tuple[int, float], int] = {}
+        #: profiles by key (kept alive, so their ids stay unique)
+        self._profiles: List[object] = []
+        self._keys: Dict[int, int] = {}
+        self.table = np.empty((0, self._n_cores, len(self.FACTORS)))
+
+    def profile_key(self, profile) -> int:
+        key = self._keys.get(id(profile))
+        if key is None:
+            key = self._keys[id(profile)] = len(self._profiles)
+            self._profiles.append(profile)
+        return key
+
+    def rows(self, profile_keys: List[int], f_hz: List[float]) -> List[int]:
+        index = self._index
+        rows = []
+        for key in zip(profile_keys, f_hz):
+            row = index.get(key)
+            if row is None:
+                row = self._add(*key)
+            rows.append(row)
+        return rows
+
+    def _add(self, profile_key: int, f_hz: float) -> int:
+        profile = self._profiles[profile_key]
+        dynamic_w = self._power.dynamic_power_w(profile.p_dyn_ref_w, f_hz, 1.0)
+        idle_w = self._power.idle_power_w(f_hz)
+        row = [
+            (
+                self._perf.time_per_instruction_s(profile, core, f_hz),
+                *self._perf.activity_fractions(profile, core, f_hz),
+                dynamic_w,
+                idle_w,
+            )
+            for core in range(self._n_cores)
+        ]
+        self.table = np.concatenate([self.table, [row]])
+        index = self._index[(profile_key, f_hz)] = len(self._index)
+        return index
 
 
 class IntervalSimulator:
@@ -163,7 +307,19 @@ class IntervalSimulator:
             sorted(tasks, key=lambda t: t.arrival_time_s)
         )
         self._running: List[Task] = []
+        # per-thread state lives in arrays indexed by a thread *slot*: an
+        # integer a thread takes at arrival and gives back at completion
+        self._live: Dict[str, int] = {}
+        self._slot_task: List[Optional[Task]] = []
+        self._slot_thread: List[int] = []
+        self._slot_profile: List[int] = []
+        self._free_slots: List[int] = []
+        #: live threads not yet in ``_breakdown``
+        self._unseen = 0
+        #: per-slot time stack: compute, stall, migration, wait, queued [s]
+        self._time_stack = np.zeros((5, 0))
         self._history = _PowerHistory(config.power_history_window_s)
+        self._rates = _RateTable(self.ctx)
         self._accountant = MigrationAccountant(self.ctx.migration)
         self._dtm = DtmController(
             self.ctx.n_cores,
@@ -221,7 +377,7 @@ class IntervalSimulator:
         self._obs_epoch_start_s = 0.0
         self._breakdown: Dict[str, TimeBreakdown] = {}
         self.ctx.wire_observations(
-            self._history.average, self._core_temps, self._history.recent
+            self._thread_power, self._core_temps, self._thread_recent_power
         )
         if self._injector is not None:
             self.ctx.attach_sensors(self._injector.sensors)
@@ -231,6 +387,62 @@ class IntervalSimulator:
 
     def _core_temps(self) -> np.ndarray:
         return self._state.core_temperatures()
+
+    def _thread_power(self, thread_id: str) -> float:
+        slot = self._live.get(thread_id)
+        if slot is None:
+            raise KeyError(f"no power history for thread {thread_id}")
+        return self._history.average(slot)
+
+    def _thread_recent_power(self, thread_id: str) -> float:
+        slot = self._live.get(thread_id)
+        if slot is None:
+            raise KeyError(f"no power history for thread {thread_id}")
+        return self._history.recent(slot)
+
+    # -- thread slots ------------------------------------------------------------
+
+    def _take_slots(self, task: Task) -> None:
+        """Give each thread of an arriving task a slot."""
+        profile = self._rates.profile_key(task.profile)
+        self._unseen += task.n_threads
+        for thread in task.threads:
+            if self._free_slots:
+                slot = self._free_slots.pop()
+            else:
+                slot = len(self._slot_task)
+                self._slot_task.append(None)
+                self._slot_thread.append(0)
+                self._slot_profile.append(0)
+                if slot >= self._time_stack.shape[1]:
+                    grow = max(16, self._time_stack.shape[1])
+                    self._time_stack = np.pad(self._time_stack, ((0, 0), (0, grow)))
+                    self._history.reserve(self._time_stack.shape[1])
+            self._live[thread.thread_id] = slot
+            self._slot_task[slot] = task
+            self._slot_thread[slot] = thread.index
+            self._slot_profile[slot] = profile
+
+    def _settle_breakdown(self, thread_id: str, slot: int) -> None:
+        """Copy a slot's time stack into the thread's TimeBreakdown."""
+        stack = self._breakdown.get(thread_id)
+        if stack is not None:
+            (
+                stack.compute_s,
+                stack.stall_s,
+                stack.migration_s,
+                stack.wait_s,
+                stack.queued_s,
+            ) = self._time_stack[:, slot].tolist()
+
+    def _release_slots(self, task: Task) -> None:
+        for thread in task.threads:
+            slot = self._live.pop(thread.thread_id)
+            self._settle_breakdown(thread.thread_id, slot)
+            self._time_stack[:, slot] = 0.0
+            self._history.forget(slot)
+            self._slot_task[slot] = None
+            self._free_slots.append(slot)
 
     # -- helpers -------------------------------------------------------------------
 
@@ -269,38 +481,49 @@ class IntervalSimulator:
                 self._obs_epoch_start_s, self._obs_epoch, tau_s
             )
 
-    def _thread_of(self, thread_id: str) -> Tuple[Task, int]:
-        task_id_str, index_str = thread_id.rsplit(".", 1)
-        task_id = int(task_id_str)
-        for task in self._running:
-            if task.task_id == task_id:
-                return task, int(index_str)
-        raise KeyError(f"thread {thread_id} belongs to no running task")
-
     def _validate(self, decision: SchedulerDecision) -> None:
-        live = {
-            thread.thread_id for task in self._running for thread in task.threads
-        }
-        placed = set(decision.placements)
-        if placed & decision.waiting:
+        live = self._live
+        placed = decision.placements
+        waiting = decision.waiting
+        if any(thread in placed for thread in waiting):
             raise ValueError("a thread is both placed and waiting")
-        accounted = placed | decision.waiting
-        if accounted != live:
-            missing = live - accounted
-            extra = accounted - live
+        if (
+            len(placed) + len(waiting) != len(live)
+            or not all(map(live.__contains__, placed))
+            or not all(map(live.__contains__, waiting))
+        ):
+            accounted = set(placed) | set(waiting)
+            missing = set(live) - accounted
+            extra = accounted - set(live)
             raise ValueError(
                 f"scheduler placement mismatch: missing={sorted(missing)[:4]} "
                 f"extra={sorted(extra)[:4]}"
             )
-        cores = list(decision.placements.values())
-        if len(set(cores)) != len(cores):
+        if len(set(placed.values())) != len(placed):
             raise ValueError("scheduler placed two threads on one core")
         if decision.frequencies.shape != (self.ctx.n_cores,):
             raise ValueError("frequency vector has wrong shape")
-        if not np.all(np.isfinite(np.asarray(decision.frequencies, dtype=float))):
+        if not np.isfinite(np.asarray(decision.frequencies, dtype=float)).all():
             # a NaN sensor reading that leaked through scheduler arithmetic
             # would otherwise silently poison power, energy and temperatures
             raise ValueError("scheduler produced non-finite frequencies")
+
+    def _note_dtm_transitions(
+        self, now: float, before: np.ndarray, after: np.ndarray, temps: np.ndarray
+    ) -> None:
+        """Events and counters for the cores DTM engaged or released."""
+        if self.events is not None:
+            for core in np.nonzero(after & ~before)[0]:
+                self.events.record(DtmEngaged(now, int(core), float(temps[core])))
+            for core in np.nonzero(before & ~after)[0]:
+                self.events.record(DtmReleased(now, int(core), float(temps[core])))
+        if self._metrics is not None:
+            engaged = int(np.count_nonzero(after & ~before))
+            released = int(np.count_nonzero(before & ~after))
+            if engaged:
+                self._metrics.counter("engine.dtm.engaged").inc(engaged)
+            if released:
+                self._metrics.counter("engine.dtm.released").inc(released)
 
     def _apply_faults(
         self, decision: SchedulerDecision, now_s: float
@@ -445,6 +668,7 @@ class IntervalSimulator:
         while self._pending and self._pending[0].arrival_time_s <= now + _TIME_EPS:
             task = self._pending.popleft()
             self._running.append(task)
+            self._take_slots(task)
             self._timed_scheduler_call(
                 self.scheduler.on_task_arrival, task, now
             )
@@ -527,25 +751,13 @@ class IntervalSimulator:
 
         # 4. DTM
         if self.dtm_enabled:
-            before = self._dtm.throttled.copy()
+            # the throttle mask before the update only feeds events/metrics
+            observed = self.events is not None or self._metrics is not None
+            before = self._dtm.throttled.copy() if observed else None
             temps_now = self._core_temps()
             after = self._dtm.update(temps_now)
-            if self.events is not None:
-                for core in np.nonzero(after & ~before)[0]:
-                    self.events.record(
-                        DtmEngaged(now, int(core), float(temps_now[core]))
-                    )
-                for core in np.nonzero(before & ~after)[0]:
-                    self.events.record(
-                        DtmReleased(now, int(core), float(temps_now[core]))
-                    )
-            if self._metrics is not None:
-                engaged = int(np.count_nonzero(after & ~before))
-                released = int(np.count_nonzero(before & ~after))
-                if engaged:
-                    self._metrics.counter("engine.dtm.engaged").inc(engaged)
-                if released:
-                    self._metrics.counter("engine.dtm.released").inc(released)
+            if observed:
+                self._note_dtm_transitions(now, before, after, temps_now)
             freqs = self._dtm.apply(decision.frequencies, dt)
         else:
             freqs = np.asarray(decision.frequencies, dtype=float)
@@ -556,36 +768,7 @@ class IntervalSimulator:
             if self._profiler is not None
             else 0.0
         )
-        power = np.full(self.ctx.n_cores, self._idle_power)
-        for thread_id, core in decision.placements.items():
-            task, index = self._thread_of(thread_id)
-            profile = task.profile
-            f_hz = float(freqs[core])
-            exec_time = self._accountant.consume_debt(thread_id, dt)
-            migration_time = dt - exec_time
-            tpi = self.ctx.perf.time_per_instruction_s(profile, core, f_hz)
-            wanted = exec_time / tpi
-            retired = task.advance(index, wanted)
-            self._instructions_retired += retired
-            busy_time = retired * tpi
-            compute_b, stall_b = self.ctx.perf.activity_fractions(
-                profile, core, f_hz
-            )
-            # migration debt keeps the memory system busy (refills)
-            compute_frac = compute_b * busy_time / dt
-            stall_frac = stall_b * busy_time / dt + migration_time / dt
-            power[core] = self.ctx.power_model.core_power_w(
-                profile.p_dyn_ref_w, f_hz, compute_frac, stall_frac
-            )
-            self._history.record(thread_id, now, power[core], dt)
-            stack = self._breakdown.setdefault(thread_id, TimeBreakdown())
-            stack.compute_s += compute_b * busy_time
-            stack.stall_s += stall_b * busy_time
-            stack.migration_s += migration_time
-            stack.wait_s += exec_time - busy_time
-        for thread_id in decision.waiting:
-            stack = self._breakdown.setdefault(thread_id, TimeBreakdown())
-            stack.queued_s += dt
+        power = self._execute(decision, freqs, now, dt)
         if self._profiler is not None:
             self._profiler.end("power_map.build", power_token)
         if self._injector is not None:
@@ -594,6 +777,74 @@ class IntervalSimulator:
             power = self._injector.perturb_power(power)
 
         return IntervalPlan("active", now, dt, power, decision, freqs)
+
+    def _execute(
+        self, decision: SchedulerDecision, freqs: np.ndarray, now: float, dt: float
+    ) -> np.ndarray:
+        """Phases 5-6: advance every placed thread and build the power map.
+
+        Vectorized over the placed threads' slot, core and rate-table
+        row arrays; every element goes through the same floating-point
+        operations, in the same order, as the scalar model methods
+        (``time_per_instruction_s``, ``activity_fractions``,
+        ``core_power_w``) would apply to that thread.  Only the task
+        progress, and the instructions-retired total, advance thread by
+        thread, in placement order.
+        """
+        power = np.full(self.ctx.n_cores, self._idle_power)
+        placed = decision.placements
+        stack = self._time_stack
+        breakdown = self._breakdown
+        if self._unseen:
+            # first interval of new threads: their stacks enter the result
+            # in this order (placed threads first)
+            for thread_id in chain(placed, decision.waiting):
+                if thread_id not in breakdown:
+                    breakdown[thread_id] = TimeBreakdown()
+                    self._unseen -= 1
+        if decision.waiting:
+            queued = [self._live[thread_id] for thread_id in decision.waiting]
+            stack[4, queued] += dt
+        if not placed:
+            return power
+        live = self._live
+        slot_list = [live[thread_id] for thread_id in placed]
+        core_list = list(placed.values())
+        f_list = freqs.tolist()
+        rows = self._rates.rows(
+            [self._slot_profile[slot] for slot in slot_list],
+            [f_list[core] for core in core_list],
+        )
+        slots, cores, rows = np.array((slot_list, core_list, rows), dtype=np.intp)
+        tpi, compute_b, stall_b, dynamic_w, idle_w = self._rates.table[rows, cores].T
+        exec_time = np.array(self._accountant.consume_debts(placed, dt))
+        migration_time = dt - exec_time
+        retired = []
+        total = self._instructions_retired
+        tasks, threads = self._slot_task, self._slot_thread
+        for slot, wanted in zip(slot_list, (exec_time / tpi).tolist()):
+            done = tasks[slot].advance(threads[slot], wanted)
+            total += done
+            retired.append(done)
+        self._instructions_retired = total
+        busy_time = np.array(retired) * tpi
+        # this interval's time stack: compute, stall, migration, wait
+        spent = np.empty((4, len(slot_list)))
+        compute_s = np.multiply(compute_b, busy_time, out=spent[0])
+        stall_s = np.multiply(stall_b, busy_time, out=spent[1])
+        spent[2] = migration_time
+        np.subtract(exec_time, busy_time, out=spent[3])
+        # migration debt keeps the memory system busy (refills)
+        thread_power = self.ctx.power_model.core_power_array(
+            dynamic_w,
+            idle_w,
+            compute_s / dt,
+            stall_s / dt + migration_time / dt,
+        )
+        power[cores] = thread_power
+        self._history.record(slots, now, thread_power, dt)
+        stack[:4, slots] += spent
+        return power
 
     def step_thermal(self, plan: IntervalPlan) -> None:
         """Phase 7: exact thermal step (eigenbasis-resident: O(N) decay +
@@ -638,7 +889,7 @@ class IntervalSimulator:
 
         decision = plan.decision
         power = plan.power_w
-        self._run_energy_j += float(np.sum(power)) * dt
+        self._run_energy_j += float(power.sum()) * dt
         self._energy_per_core_j += power * dt
         self._now += dt
         now = self._now
@@ -669,7 +920,7 @@ class IntervalSimulator:
             for thread in task.threads:
                 self._prev_placements.pop(thread.thread_id, None)
                 self._accountant.forget(thread.thread_id)
-                self._history.forget(thread.thread_id)
+            self._release_slots(task)
             self._timed_scheduler_call(
                 self.scheduler.on_task_complete, task, now
             )
@@ -737,6 +988,8 @@ class IntervalSimulator:
             # streaming sinks persist everything recorded so far; the
             # in-memory recorder's flush is a no-op
             self._recorder.flush()
+        for thread_id, slot in self._live.items():
+            self._settle_breakdown(thread_id, slot)
 
         return SimulationResult(
             scheduler_name=self.scheduler.name,

@@ -9,7 +9,7 @@ is paid.  Debt larger than one interval carries over.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..arch.cache import MigrationCostModel
 
@@ -53,18 +53,30 @@ class MigrationAccountant:
 
     def consume_debt(self, thread: str, available_s: float) -> float:
         """Pay down a thread's debt; returns execution time remaining."""
+        return self.consume_debts((thread,), available_s)[0]
+
+    def consume_debts(
+        self, threads: Iterable[str], available_s: float
+    ) -> List[float]:
+        """:meth:`consume_debt` for each of ``threads`` in turn (one
+        interval's placed threads), as a list of remaining execution times."""
         if available_s < 0:
             raise ValueError("available time must be non-negative")
-        debt = self._debt_s.get(thread, 0.0)
-        if debt <= 0.0:
-            return available_s
-        paid = min(debt, available_s)
-        remaining_debt = debt - paid
-        if remaining_debt > 0:
-            self._debt_s[thread] = remaining_debt
-        else:
-            self._debt_s.pop(thread, None)
-        return available_s - paid
+        debts = self._debt_s
+        remaining_s = []
+        for thread in threads:
+            debt = debts.get(thread, 0.0)
+            if debt <= 0.0:
+                remaining_s.append(available_s)
+                continue
+            paid = min(debt, available_s)
+            remaining_debt = debt - paid
+            if remaining_debt > 0:
+                debts[thread] = remaining_debt
+            else:
+                debts.pop(thread, None)
+            remaining_s.append(available_s - paid)
+        return remaining_s
 
     def outstanding_debt_s(self, thread: str) -> float:
         """Unpaid migration debt of a thread."""

@@ -151,7 +151,7 @@ class Task:
         Returns ``True`` when at least one phase boundary was crossed.
         Phases in which no thread has work are skipped transparently.
         """
-        if self.complete or np.any(self._remaining > 0):
+        if self.complete or np.count_nonzero(self._remaining > 0):
             return False
         self._phase_index += 1
         if self._phase_index < len(self.phases):

@@ -1,14 +1,20 @@
-"""Seeded fuzz of the HTTP request bodies: malformed input is a 4xx, never a 500.
+"""Seeded fuzz of the HTTP input boundary: malformed input is a 4xx, never a 500.
 
-Each case mutates a valid request body — a JSON value swapped for one of
-another type, a key deleted or added, the serialized bytes cut or
+Bodies: each case mutates a valid request body — a JSON value swapped for
+one of another type, a key deleted or added, the serialized bytes cut or
 spliced with invalid UTF-8 — and sends it through
 :meth:`~repro.serve.http.ThermalServer._dispatch`, the routing entry
 point every TCP request takes.
+
+Request lines and headers: damaged heads (methods, targets, versions,
+``Content-Length`` values, header lines, line endings) go to a running
+server over a real socket.  Each must get an HTTP response or a clean
+close, and the event loop must never see an unhandled exception.
 """
 
 import asyncio
 import copy
+import gc
 import json
 import random
 
@@ -163,3 +169,124 @@ def test_known_500s_are_400(path, headers, body):
 
     status, payload, _ = asyncio.run(main())
     assert status == 400, payload
+
+
+# -- request lines and headers, over a real socket ---------------------------
+
+METHODS = ["GET", "POST", "DELETE", "PUT", "", "G ET", "\x00", "post", "GET\t"]
+TARGETS = [
+    "/", "/metrics", "/v1/peak", "/v1/tenants", "/v1/tenants/t", "//",
+    "/v1/peak?x=1&&=", "%zz", "*", "/" + "a" * 3000,
+]
+VERSIONS = ["HTTP/1.1", "HTTP/1.0", "", "HTTP/9.9", "garbage", "HTTP/1.1 extra"]
+LENGTHS = [
+    "0", "-1", "-0", "abc", "1e3", "+5", "1_0", "0x10", "99999999999999999999",
+    "٣", " ", "12 34", "{len}", "{len}", "{len}", "{more}",
+]
+HEADERS = [
+    ("Connection", "close"), ("Connection", "keep-alive"), ("Connection", "\xff"),
+    ("Content-Type", "application/jsonl"), ("Content-Type", ""), ("", "empty-name"),
+    ("X-Long", "v" * 8000), ("no-colon-at-all", None), (":", ":"),
+]
+BODY = json.dumps({"tenant": "t", "power": POWER}).encode()
+
+
+def _raw_request(rng):
+    """One request head (and body) with damaged framing."""
+    line = " ".join(
+        part
+        for part in (rng.choice(METHODS), rng.choice(TARGETS), rng.choice(VERSIONS))
+        if rng.randrange(8) or not part
+    )
+    lines = [line]
+    body = rng.choice([b"", BODY, BODY[: rng.randrange(len(BODY))], b"\xff\xfe{"])
+    for _ in range(rng.randrange(4)):
+        name, value = rng.choice(HEADERS)
+        lines.append(name if value is None else f"{name}: {value}")
+    if rng.randrange(5):
+        length = rng.choice(LENGTHS).format(len=len(body), more=len(body) + 7)
+        lines.append(f"Content-Length: {length}")
+    eol = rng.choice(["\r\n", "\n"])
+    head = (eol.join(lines) + eol + eol).encode("latin-1", errors="replace")
+    if rng.randrange(10) == 0:
+        cut = rng.randrange(len(head))
+        head = head[:cut] + rng.choice([b"\x00", b"\xff", b"\r", b"\n"]) + head[cut:]
+    return head + body
+
+
+async def _exchange(host, port, raw, timeout_s=10.0):
+    """Send ``raw``, half-close, read until the server closes."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(raw)
+        await writer.drain()
+        writer.write_eof()
+        return await asyncio.wait_for(reader.read(), timeout_s)
+    finally:
+        writer.close()
+
+
+def _statuses(response):
+    """Status codes of the responses in one connection's byte stream."""
+    return [
+        int(chunk[len(b"HTTP/1.1 "):][:3])
+        for chunk in response.split(b"\r\n\r\n")
+        if chunk.startswith(b"HTTP/1.1 ")
+    ]
+
+
+def _serve(cases):
+    """Every case's response bytes, plus anything the event loop caught."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        errors = []
+        loop.set_exception_handler(lambda _, context: errors.append(context))
+        server = ThermalServer(ServeConfig(port=0))
+        await server.start()
+        try:
+            host, port = server.config.host, server.port
+            await _exchange(
+                host, port,
+                b"POST /v1/tenants HTTP/1.1\r\nConnection: close\r\nContent-Length: "
+                + str(len(json.dumps({"name": "t", "config": SMALL}))).encode()
+                + b"\r\n\r\n" + json.dumps({"name": "t", "config": SMALL}).encode(),
+            )
+            responses = [await _exchange(host, port, raw) for raw in cases]
+        finally:
+            await server.close()
+        gc.collect()  # surfaces "exception was never retrieved" tasks
+        await asyncio.sleep(0)
+        return responses, errors
+
+    return asyncio.run(main())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fuzzed_request_heads_get_a_response_or_a_clean_close(seed):
+    rng = random.Random(seed)
+    cases = [_raw_request(rng) for _ in range(60)]
+    responses, errors = _serve(cases)
+    assert errors == []
+    for raw, response in zip(cases, responses):
+        assert response == b"" or response.startswith(b"HTTP/1.1 "), (raw, response)
+        assert all(status < 500 for status in _statuses(response)), (raw, response)
+
+
+@pytest.mark.parametrize("length", ["-1", "abc", "1e3", "+5", "1_0", "٣"])
+def test_bad_content_length_is_400_and_closes(length):
+    raw = (
+        f"POST /v1/peak HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+        + BODY
+    )
+    (response,), errors = _serve([raw])
+    assert errors == []
+    assert _statuses(response) == [400]
+    assert b"Connection: close" in response
+
+
+def test_overlong_header_line_is_400():
+    raw = b"GET / HTTP/1.1\r\nX-Huge: " + b"v" * 70000 + b"\r\n\r\n"
+    (response,), errors = _serve([raw])
+    assert errors == []
+    assert _statuses(response) == [400]

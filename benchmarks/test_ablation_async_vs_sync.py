@@ -46,7 +46,6 @@ def test_async_vs_sync_regeneration(benchmark, ctx64):
             AsyncMigrationScheduler(),
             tasks,
             ctx=SimContext(ctx64.config, ctx64.thermal_model),
-            record_trace=False,
         )
         return sim.run(max_time_s=3.0)
 

@@ -31,7 +31,6 @@ def _rotation_response_ms(ctx16, cost_scale):
         [Task(0, PARSEC["blackscholes"], 2, seed=1)],
         ctx=ctx,
         dtm_enabled=False,
-        record_trace=False,
     )
     return sim.run(max_time_s=1.5).tasks[0].response_time_s * 1e3
 
@@ -54,7 +53,6 @@ def test_rotation_beats_dvfs_only_when_migrations_cheap(ctx16):
         PCGovScheduler(budget_mode="worst-case"),
         [Task(0, PARSEC["blackscholes"], 2, seed=1)],
         ctx=SimContext(ctx16.config, ctx16.thermal_model),
-        record_trace=False,
     )
     dvfs_ms = dvfs_sim.run(max_time_s=1.5).tasks[0].response_time_s * 1e3
     cheap = _rotation_response_ms(ctx16, 1.0)

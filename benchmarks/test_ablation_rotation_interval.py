@@ -41,7 +41,6 @@ def _response_cell(tau_s, config, model):
         [Task(0, PARSEC["blackscholes"], 2, seed=1)],
         ctx=SimContext(config, model),
         dtm_enabled=False,
-        record_trace=False,
     )
     return sim.run(max_time_s=1.0).tasks[0].response_time_s * 1e3
 

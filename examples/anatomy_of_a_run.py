@@ -20,6 +20,7 @@ import numpy as np
 from repro import config
 from repro.analysis import hotspot_report, render_heatmap
 from repro.io import load_result, save_result
+from repro.obs import Observer, TraceRecorder
 from repro.sched import HotPotatoScheduler
 from repro.sim import IntervalSimulator, TaskCompleted, ThreadMigrated
 from repro.workload import PARSEC, Task
@@ -31,8 +32,9 @@ def main() -> None:
         Task(0, PARSEC["blackscholes"], 2, arrival_time_s=0.0, seed=1),
         Task(1, PARSEC["canneal"], 4, arrival_time_s=0.01, seed=2),
     ]
+    recorder = TraceRecorder()
     sim = IntervalSimulator(
-        cfg, HotPotatoScheduler(), tasks, record_events=True
+        cfg, HotPotatoScheduler(), tasks, observer=Observer(trace=recorder)
     )
     result = sim.run(max_time_s=2.0)
 
@@ -56,9 +58,8 @@ def main() -> None:
     print(f"chip:  {aggregate.render()}")
 
     print("\n=== die heat map at the hottest instant ===")
-    temps = result.trace.temperatures
-    hottest_sample = int(np.argmax(np.max(temps, axis=1)))
-    snapshot = temps[hottest_sample]
+    temps = np.array([record.temps_c for record in recorder.intervals()])
+    snapshot = temps[int(np.argmax(np.max(temps, axis=1)))]
     print(
         render_heatmap(
             snapshot,
@@ -72,7 +73,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
-        save_result(result, path, include_trace=True)
+        save_result(result, path)
         restored = load_result(path)
         print(
             f"\nserialized to JSON and back: makespan "

@@ -15,7 +15,8 @@ import sys
 from repro import config
 from repro.sched import HotPotatoScheduler, PCMigScheduler
 from repro.sim import IntervalSimulator, SimContext
-from repro.workload import materialize, poisson_arrivals, random_mixed_workload
+from repro.traffic import PoissonProcess, assign_arrivals
+from repro.workload import materialize, random_mixed_workload
 
 
 def main(arrival_rate_per_s: float = 60.0) -> None:
@@ -29,9 +30,9 @@ def main(arrival_rate_per_s: float = 60.0) -> None:
 
     outcomes = {}
     for scheduler in (PCMigScheduler(), HotPotatoScheduler()):
-        specs = poisson_arrivals(
+        specs = assign_arrivals(
             random_mixed_workload(20, seed=7, work_scale=2.0),
-            arrival_rate_per_s,
+            PoissonProcess(arrival_rate_per_s),
             seed=8,
         )
         sim = IntervalSimulator(

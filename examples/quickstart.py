@@ -11,6 +11,8 @@ Run:  python examples/quickstart.py
 
 from repro import config
 from repro.arch import AmdRings, Mesh
+from repro.experiments.reporting import render_trace
+from repro.obs import Observer, TraceRecorder
 from repro.sched import HotPotatoScheduler
 from repro.sim import IntervalSimulator
 from repro.workload import PARSEC, Task
@@ -36,19 +38,31 @@ def main() -> None:
         f"{task.n_phases} phases\n"
     )
 
-    # 3. simulate under HotPotato (synchronous thread rotation, no DVFS)
-    simulator = IntervalSimulator(cfg, HotPotatoScheduler(), [task])
+    # 3. simulate under HotPotato (synchronous thread rotation, no DVFS);
+    #    the trace recorder keeps every interval's core temperatures
+    recorder = TraceRecorder()
+    simulator = IntervalSimulator(
+        cfg, HotPotatoScheduler(), [task], observer=Observer(trace=recorder)
+    )
+    times = [0.0]
+    temps = [simulator.thermal_state.core_temperatures()]
     result = simulator.run(max_time_s=1.0)
+    for record in recorder.intervals():
+        times.append(record.time_s + record.dt_s)
+        temps.append(record.temps_c)
 
     print(result.summary())
     print()
     print(
         f"thermal threshold: {cfg.thermal.dtm_threshold_c:.0f} C -> "
-        f"exceeded: {result.trace.exceeds(cfg.thermal.dtm_threshold_c)}"
+        f"exceeded: {result.peak_temperature_c > cfg.thermal.dtm_threshold_c} "
+        f"({result.time_above_dtm_s * 1e3:.1f} ms above)"
     )
     print("\nthermal trace of the two hottest centre cores:")
     print(
-        result.trace.render_ascii(
+        render_trace(
+            times,
+            temps,
             core_ids=[5, 10],
             threshold_c=cfg.thermal.dtm_threshold_c,
             height=12,

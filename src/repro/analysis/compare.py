@@ -102,7 +102,6 @@ def seed_averaged_speedup(
             label=f"seed={seed}",
             shared_ctx=shared,
             max_time_s=max_time_s,
-            record_trace=False,
         )
         speedups.append(
             outcome.makespan_speedup_pct

@@ -24,8 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from .. import units
 from ..config import SystemConfig, motivational
+from ..obs import Observer, TraceRecorder
 from ..sched.fixed_rotation import FixedRotationScheduler
 from ..sched.naive import PeakFrequencyScheduler
 from ..sched.pcgov import PCGovScheduler
@@ -35,7 +38,7 @@ from ..sim.metrics import SimulationResult
 from ..thermal.rc_model import RCThermalModel
 from ..workload.benchmarks import PARSEC
 from ..workload.task import Task
-from .reporting import render_table
+from .reporting import render_table, render_trace
 
 #: The cores the paper's Fig. 1/2c rotates over (centre ring of the 4x4).
 ROTATION_CORES: Tuple[int, ...] = (5, 6, 9, 10)
@@ -50,6 +53,8 @@ class Fig2Result:
     """The three traces plus their headline numbers."""
 
     results: Dict[str, SimulationResult]
+    #: variant -> (sample times [s], core temperatures [degC] per sample)
+    traces: Dict[str, Tuple[np.ndarray, np.ndarray]]
     threshold_c: float
 
     def response_ms(self, variant: str) -> float:
@@ -62,7 +67,7 @@ class Fig2Result:
 
     def violates(self, variant: str) -> bool:
         """Did any core exceed the DTM threshold?"""
-        return self.results[variant].trace.exceeds(self.threshold_c)
+        return self.results[variant].peak_temperature_c > self.threshold_c
 
     def render(self) -> str:
         rows = []
@@ -84,11 +89,15 @@ class Fig2Result:
         )
         traces = []
         for variant in ("none", "tsp-dvfs", "rotation"):
-            trace = self.results[variant].trace
+            times, temps = self.traces[variant]
             traces.append(f"\n--- trace ({variant}), hottest centre cores ---")
             traces.append(
-                trace.render_ascii(
-                    core_ids=[5, 10], threshold_c=self.threshold_c, height=12
+                render_trace(
+                    times,
+                    temps,
+                    core_ids=[5, 10],
+                    threshold_c=self.threshold_c,
+                    height=12,
                 )
             )
         return table + "\n" + "\n".join(traces)
@@ -108,7 +117,8 @@ def run(
     cfg = config if config is not None else motivational()
     shared = SimContext(cfg, model)
 
-    def simulate(scheduler, dtm_enabled=True) -> SimulationResult:
+    def simulate(scheduler, dtm_enabled=True):
+        recorder = TraceRecorder()
         sim = IntervalSimulator(
             cfg,
             scheduler,
@@ -116,10 +126,18 @@ def run(
             ctx=SimContext(cfg, shared.thermal_model),
             dtm_enabled=dtm_enabled,
             warm_start_uniform_power_w=WARM_START_POWER_W,
+            observer=Observer(trace=recorder),
         )
-        return sim.run(max_time_s=max_time_s)
+        # the t = 0 sample, then each interval's end-of-interval sample
+        times = [0.0]
+        temps = [sim.thermal_state.core_temperatures()]
+        result = sim.run(max_time_s=max_time_s)
+        for record in recorder.intervals():
+            times.append(record.time_s + record.dt_s)
+            temps.append(record.temps_c)
+        return result, (np.array(times), np.array(temps))
 
-    results = {
+    runs = {
         # (a): expose the violation, as the paper's trace does
         "none": simulate(PeakFrequencyScheduler(), dtm_enabled=False),
         # (b): classic worst-case TSP enforced via DVFS
@@ -131,4 +149,8 @@ def run(
             )
         ),
     }
-    return Fig2Result(results=results, threshold_c=cfg.thermal.dtm_threshold_c)
+    return Fig2Result(
+        results={variant: result for variant, (result, _) in runs.items()},
+        traces={variant: trace for variant, (_, trace) in runs.items()},
+        threshold_c=cfg.thermal.dtm_threshold_c,
+    )

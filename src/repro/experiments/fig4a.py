@@ -123,7 +123,6 @@ def _simulate_cell(
         _SCHEDULERS[scheduler](),
         tasks,
         ctx=SimContext(config, model),
-        record_trace=False,
     )
     return sim.run(max_time_s=max_time_s)
 

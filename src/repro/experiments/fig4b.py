@@ -168,11 +168,10 @@ def _cell_specs(
 ) -> List[TaskSpec]:
     """The task specs of one sweep cell under the chosen traffic pattern.
 
-    ``traffic="poisson"`` reproduces the legacy
-    :func:`repro.workload.generator.poisson_arrivals` schedule
-    byte-for-byte; ``"trace"`` replays a recorded JSONL schedule wholesale
-    (benchmarks, thread counts and QoS annotations included), ignoring the
-    synthetic-workload knobs.
+    ``traffic="poisson"`` is a homogeneous Poisson schedule
+    (:class:`repro.traffic.PoissonProcess`); ``"trace"`` replays a
+    recorded JSONL schedule wholesale (benchmarks, thread counts and QoS
+    annotations included), ignoring the synthetic-workload knobs.
     """
     if traffic == "trace":
         if trace_path is None:
@@ -219,7 +218,6 @@ def _simulate_cell(
         _SCHEDULERS[scheduler](),
         materialize(specs),
         ctx=SimContext(config, model),
-        record_trace=False,
     )
     return sim.run(max_time_s=max_time_s)
 

@@ -1,14 +1,17 @@
 """Shared plain-text rendering for experiment reports.
 
-Besides the generic table/bar-chart renderers, this module renders the
-observability layer's outputs: per-phase profiling summaries
+Besides the generic table/bar-chart renderers and the temperature-trace
+plot (:func:`render_trace`), this module renders the observability
+layer's outputs: per-phase profiling summaries
 (:func:`render_profile_table`) and metrics-registry snapshots
 (:func:`render_metrics_table`) — see ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 # The generic table renderer lives with the shared CLI conventions so the
 # ``repro.obs`` and ``repro.lint`` CLIs render identically; it is re-exported
@@ -18,6 +21,7 @@ from .._cli import render_table
 __all__ = [
     "render_table",
     "render_bar_chart",
+    "render_trace",
     "render_profile_table",
     "render_metrics_table",
     "render_violations_table",
@@ -42,6 +46,64 @@ def render_bar_chart(
     for label, value in zip(labels, values):
         bar = "#" * max(0, int(round(abs(value) / top * width)))
         lines.append(f"{label.ljust(label_width)} | {bar} {value:.2f}{unit}")
+    return "\n".join(lines)
+
+
+def render_trace(
+    times_s: Sequence[float],
+    temps_c: Sequence[Sequence[float]],
+    core_ids: Optional[Sequence[int]] = None,
+    width: int = 72,
+    height: int = 16,
+    threshold_c: Optional[float] = None,
+) -> str:
+    """Plain-text plot of per-core temperature series.
+
+    ``temps_c`` has one row of core temperatures per sample time in
+    ``times_s``.  ``core_ids`` selects the plotted cores (default: the
+    core that reaches the highest temperature); ``threshold_c`` draws a
+    horizontal ``-`` line.
+    """
+    times = np.asarray(times_s, dtype=float)
+    if times.size == 0:
+        return "(empty trace)"
+    temps = np.asarray(temps_c, dtype=float)
+    if core_ids is None:
+        core_ids = [int(np.argmax(np.max(temps, axis=0)))]
+    t_lo = float(np.min(temps[:, core_ids]))
+    t_hi = float(np.max(temps[:, core_ids]))
+    if threshold_c is not None:
+        t_lo = min(t_lo, threshold_c)
+        t_hi = max(t_hi, threshold_c)
+    if t_hi - t_lo < 1e-9:
+        t_hi = t_lo + 1.0
+    grid = [[" "] * width for _ in range(height)]
+    t_span = max(times[-1] - times[0], 1e-12)
+    marks = "0123456789"
+    for series_idx, core in enumerate(core_ids):
+        mark = marks[series_idx % len(marks)]
+        for time_s, temp in zip(times, temps[:, core]):
+            x = int((time_s - times[0]) / t_span * (width - 1))
+            y = int((temp - t_lo) / (t_hi - t_lo) * (height - 1))
+            grid[height - 1 - y][x] = mark
+    if threshold_c is not None:
+        y = int((threshold_c - t_lo) / (t_hi - t_lo) * (height - 1))
+        row = grid[height - 1 - y]
+        for x in range(width):
+            if row[x] == " ":
+                row[x] = "-"
+    lines = [f"{t_hi:7.2f} C |" + "".join(grid[0])]
+    lines += ["          |" + "".join(row) for row in grid[1:-1]]
+    lines.append(f"{t_lo:7.2f} C |" + "".join(grid[-1]))
+    lines.append(
+        "          +"
+        + "-" * width
+        + f"  t in [{times[0]*1e3:.1f}, {times[-1]*1e3:.1f}] ms"
+    )
+    legend = ", ".join(
+        f"{marks[i % len(marks)]}=core {core}" for i, core in enumerate(core_ids)
+    )
+    lines.append(f"           {legend}")
     return "\n".join(lines)
 
 

@@ -1,78 +1,33 @@
-"""Result and trace serialization.
+"""Result serialization.
 
-Plain-text interchange for downstream analysis/plotting outside this
-package: thermal traces as CSV, simulation results as JSON.  Round-trip
-loaders are provided so recorded campaigns can be re-analyzed without
-re-simulating.
+Simulation results as JSON, for downstream analysis outside this package.
+Round-trip loaders are provided so recorded campaigns can be re-analyzed
+without re-simulating.  Per-interval core temperatures are not part of a
+result; they are the interval records of an obs trace
+(:class:`repro.obs.TraceRecorder`, ``docs/observability.md``).
 """
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from .sim.metrics import SimulationResult, TaskRecord
-from .thermal.trace import ThermalTrace
 
 PathLike = Union[str, Path]
-
-
-# -- thermal traces <-> CSV ----------------------------------------------------
-
-
-def trace_to_csv(trace: ThermalTrace) -> str:
-    """Serialize a trace: header ``time_s,core0,...``, one row per sample."""
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["time_s"] + [f"core{i}" for i in range(trace.n_cores)])
-    temps = trace.temperatures
-    for time_s, row in zip(trace.times, temps):
-        writer.writerow([repr(float(time_s))] + [repr(float(t)) for t in row])
-    return buffer.getvalue()
-
-
-def trace_from_csv(text: str) -> ThermalTrace:
-    """Parse a trace written by :func:`trace_to_csv`."""
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader, None)
-    if not header or header[0] != "time_s":
-        raise ValueError("not a thermal-trace CSV (missing 'time_s' header)")
-    n_cores = len(header) - 1
-    if n_cores < 1:
-        raise ValueError("trace CSV has no core columns")
-    trace = ThermalTrace(n_cores)
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != n_cores + 1:
-            raise ValueError(f"row width {len(row)} != {n_cores + 1}")
-        trace.record(float(row[0]), np.array([float(v) for v in row[1:]]))
-    return trace
-
-
-def save_trace(trace: ThermalTrace, path: PathLike) -> None:
-    """Write a trace CSV to ``path``."""
-    Path(path).write_text(trace_to_csv(trace))
-
-
-def load_trace(path: PathLike) -> ThermalTrace:
-    """Read a trace CSV from ``path``."""
-    return trace_from_csv(Path(path).read_text())
 
 
 # -- simulation results <-> JSON ---------------------------------------------------
 
 
-def result_to_dict(result: SimulationResult, include_trace: bool = False) -> dict:
+def result_to_dict(result: SimulationResult) -> dict:
     """Plain-dict form of a result (JSON-serializable)."""
     data = {
         "scheduler": result.scheduler_name,
         "sim_time_s": result.sim_time_s,
+        "peak_temperature_c": result.peak_temperature_c,
+        "time_above_dtm_s": result.time_above_dtm_s,
         "tasks": [
             {
                 "task_id": t.task_id,
@@ -100,19 +55,16 @@ def result_to_dict(result: SimulationResult, include_trace: bool = False) -> dic
         data["metrics_snapshot"] = dict(result.metrics_snapshot)
     if result.profile:
         data["profile"] = {k: dict(v) for k, v in result.profile.items()}
-    if include_trace and result.trace is not None:
-        data["trace_csv"] = trace_to_csv(result.trace)
     return data
 
 
 def result_from_dict(data: dict) -> SimulationResult:
     """Rebuild a result from :func:`result_to_dict` output."""
-    trace = None
-    if "trace_csv" in data:
-        trace = trace_from_csv(data["trace_csv"])
     return SimulationResult(
         scheduler_name=data["scheduler"],
         sim_time_s=data["sim_time_s"],
+        peak_temperature_c=data["peak_temperature_c"],
+        time_above_dtm_s=data["time_above_dtm_s"],
         tasks=[
             TaskRecord(
                 task_id=t["task_id"],
@@ -123,7 +75,6 @@ def result_from_dict(data: dict) -> SimulationResult:
             )
             for t in data["tasks"]
         ],
-        trace=trace,
         dtm_triggers=data["dtm_triggers"],
         dtm_core_time_s=data["dtm_core_time_s"],
         migration_count=data["migration_count"],
@@ -143,13 +94,9 @@ def result_from_dict(data: dict) -> SimulationResult:
     )
 
 
-def save_result(
-    result: SimulationResult, path: PathLike, include_trace: bool = False
-) -> None:
+def save_result(result: SimulationResult, path: PathLike) -> None:
     """Write a result JSON to ``path``."""
-    Path(path).write_text(
-        json.dumps(result_to_dict(result, include_trace), indent=2)
-    )
+    Path(path).write_text(json.dumps(result_to_dict(result), indent=2))
 
 
 def load_result(path: PathLike) -> SimulationResult:

@@ -43,11 +43,11 @@ from ..sched import (
     PeakFrequencyScheduler,
 )
 from ..sim import IntervalSimulator
+from ..traffic import PoissonProcess, assign_arrivals
 from ..workload.benchmarks import PARSEC
 from ..workload.generator import (
     homogeneous_fill,
     materialize,
-    poisson_arrivals,
     random_mixed_workload,
 )
 from .cache import ServeCache, config_fingerprint, model_fingerprint
@@ -523,11 +523,7 @@ class ThermalService:
         return simulator, horizon_s, len(tasks)
 
     def summarize_simulation(
-        self,
-        tenant: TenantState,
-        result,
-        horizon_s: float,
-        tasks_submitted: int,
+        self, result, horizon_s: float, tasks_submitted: int
     ) -> Dict[str, Any]:
         """Phase 2 of ``/v1/simulate``: the response body for one run."""
         summary: Dict[str, Any] = {
@@ -545,11 +541,8 @@ class ThermalService:
         if result.tasks:
             summary["makespan_s"] = result.makespan_s
             summary["mean_response_time_s"] = result.mean_response_time_s
-        if result.trace is not None and len(result.trace):
-            summary["peak_temperature_c"] = result.peak_temperature_c
-            summary["time_above_dtm_s"] = result.time_above_c(
-                tenant.config.thermal.dtm_threshold_c
-            )
+        summary["peak_temperature_c"] = result.peak_temperature_c
+        summary["time_above_dtm_s"] = result.time_above_dtm_s
         return summary
 
     def simulate(
@@ -570,7 +563,7 @@ class ThermalService:
             tenant, payload, profiler
         )
         result = simulator.run(max_time_s=horizon_s)
-        return self.summarize_simulation(tenant, result, horizon_s, n_tasks)
+        return self.summarize_simulation(result, horizon_s, n_tasks)
 
     def simulate_many(
         self,
@@ -629,14 +622,11 @@ class ThermalService:
         for members in groups.values():
             if len(members) == 1:
                 index, simulator, horizon_s, n_tasks = members[0]
-                tenant = items[index][0]
                 try:
                     result = simulator.run(max_time_s=horizon_s)
                     outcomes[index] = (
                         "ok",
-                        self.summarize_simulation(
-                            tenant, result, horizon_s, n_tasks
-                        ),
+                        self.summarize_simulation(result, horizon_s, n_tasks),
                     )
                 except Exception as exc:
                     outcomes[index] = ("error", exc)
@@ -665,10 +655,7 @@ class ThermalService:
                 members, results
             ):
                 outcomes[index] = (
-                    "ok",
-                    self.summarize_simulation(
-                        items[index][0], result, horizon_s, n_tasks
-                    ),
+                    "ok", self.summarize_simulation(result, horizon_s, n_tasks)
                 )
         return outcomes
 
@@ -705,8 +692,10 @@ class ThermalService:
             )
         rate = spec.get("arrival_rate_per_s")
         if rate is not None:
-            specs = poisson_arrivals(
-                specs, _positive_float("arrival_rate_per_s", rate), seed=seed
+            specs = assign_arrivals(
+                specs,
+                PoissonProcess(_positive_float("arrival_rate_per_s", rate)),
+                seed=seed,
             )
         return specs
 

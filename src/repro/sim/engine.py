@@ -18,11 +18,11 @@ power.  This engine reproduces that loop on top of our substrates:
    integration error regardless of interval length).  The state lives in
    the eigenbasis (:class:`~repro.thermal.spectral_state.SpectralThermalState`):
    each step is an ``O(N)`` elementwise decay plus an ``O(N n)``
-   steady-coefficient update, and temperatures are projected back only
-   when the scheduler, DTM layer or a trace recorder reads them — no
-   dense ``exp(C tau)`` matrix and no linear solve in the hot loop
-   (``docs/performance.md``);
-7. record traces/metrics, deliver completions, repeat.
+   steady-coefficient update, and core temperatures are projected back
+   once per step and cached for every reader — no dense ``exp(C tau)``
+   matrix and no linear solve in the hot loop (``docs/performance.md``);
+7. fold the new core temperatures into the result's peak and time above
+   ``T_DTM``, record traces/metrics, deliver completions, repeat.
 
 The engine steps at the scheduler's preferred interval (so synchronous
 rotation epochs align with simulation intervals) clipped to the configured
@@ -52,7 +52,6 @@ from ..config import SystemConfig
 from ..obs.observer import Observer
 from ..sched.base import MigrationFailure, Scheduler, SchedulerDecision
 from ..thermal.spectral_state import SpectralThermalState
-from ..thermal.trace import ThermalTrace
 from ..workload.task import Task
 from .context import SimContext
 from .dtm import DtmController
@@ -293,7 +292,6 @@ class IntervalSimulator:
         tasks: List[Task],
         ctx: Optional[SimContext] = None,
         dtm_enabled: bool = True,
-        record_trace: bool = True,
         record_events: bool = False,
         warm_start_uniform_power_w: Optional[float] = None,
         observer: Optional[Observer] = None,
@@ -302,7 +300,6 @@ class IntervalSimulator:
         self.ctx = ctx if ctx is not None else SimContext(config)
         self.scheduler = scheduler
         self.dtm_enabled = dtm_enabled
-        self.record_trace = record_trace
         self._pending: Deque[Task] = deque(
             sorted(tasks, key=lambda t: t.arrival_time_s)
         )
@@ -609,7 +606,7 @@ class IntervalSimulator:
     # -- phase API (run == begin_run + [prepare/step/complete]* + finalize) ---
 
     def begin_run(self, max_time_s: float = 10.0) -> None:
-        """Phase 0: reset the per-run accumulators, record the initial trace.
+        """Phase 0: reset the per-run accumulators, take the t = 0 sample.
 
         The phase split (``begin_run`` -> repeated :meth:`prepare_interval`
         / :meth:`step_thermal` / :meth:`complete_interval` ->
@@ -619,9 +616,6 @@ class IntervalSimulator:
         same phases for the solo case.
         """
         self._max_time_s = max_time_s
-        self._run_trace = (
-            ThermalTrace(self.ctx.n_cores) if self.record_trace else None
-        )
         self._run_records: List[TaskRecord] = []
         self._run_energy_j = 0.0
         #: per-core energy integral [J] (energy accounting, docs/traffic.md)
@@ -630,8 +624,24 @@ class IntervalSimulator:
         self._instructions_retired = 0.0
         self._now = 0.0
         self._idle_power = self.ctx.power_model.idle_power_w()
-        if self._run_trace is not None:
-            self._run_trace.record(self._now, self._core_temps())
+        #: thermal summary of the samples so far (t = 0 and every interval
+        #: end): the hottest core's running max, and the sample-and-hold
+        #: gaps that start at a sample above T_DTM
+        self._peak_c = -np.inf
+        self._hot_gaps: List[float] = []
+        self._sample_s = 0.0
+        self._sample_hot = False
+        self._sample_temperatures()
+
+    def _sample_temperatures(self) -> None:
+        """Fold the core temperatures at ``self._now`` into the summary."""
+        hottest = float(self._core_temps().max())
+        if self._sample_hot:
+            self._hot_gaps.append(self._now - self._sample_s)
+        self._sample_s = self._now
+        self._sample_hot = hottest > self.config.thermal.dtm_threshold_c
+        if hottest > self._peak_c:
+            self._peak_c = hottest
 
     @property
     def thermal_state(self):
@@ -857,25 +867,22 @@ class IntervalSimulator:
             self._state.step(plan.power_w, plan.dt_s)
 
     def complete_interval(self, plan: IntervalPlan) -> None:
-        """Phases 7b-8: energy/trace accounting, barriers and completions.
+        """Phases 7b-8: energy/temperature accounting, barriers, completions.
 
         Assumes the thermal state has just advanced by ``plan.dt_s`` —
         either via :meth:`step_thermal` or a fused batch step.
         """
         cfg = self.config
-        trace = self._run_trace
         dt = plan.dt_s
 
         if plan.kind == "idle":
             self._run_energy_j += self._idle_power * self.ctx.n_cores * dt
             self._energy_per_core_j += plan.power_w * dt
             self._now += dt
-            now = self._now
-            if trace is not None:
-                trace.record(now, self._core_temps())
+            self._sample_temperatures()
             if self._recorder is not None:
                 self._recorder.record_interval(
-                    time_s=now - dt,
+                    time_s=plan.start_s,
                     dt_s=dt,
                     placements={},
                     power_w=plan.power_w,
@@ -893,13 +900,12 @@ class IntervalSimulator:
         self._energy_per_core_j += power * dt
         self._now += dt
         now = self._now
-        if trace is not None:
-            trace.record(now, self._core_temps())
+        self._sample_temperatures()
         if self._metrics is not None:
             self._metrics.counter("engine.intervals").inc()
         if self._recorder is not None:
             self._recorder.record_interval(
-                time_s=now - dt,
+                time_s=plan.start_s,
                 dt_s=dt,
                 placements=decision.placements,
                 power_w=power,
@@ -994,8 +1000,9 @@ class IntervalSimulator:
         return SimulationResult(
             scheduler_name=self.scheduler.name,
             sim_time_s=self._now,
+            peak_temperature_c=self._peak_c,
+            time_above_dtm_s=float(np.sum(self._hot_gaps)),
             tasks=sorted(self._run_records, key=lambda r: r.task_id),
-            trace=self._run_trace,
             dtm_triggers=self._dtm.trigger_count,
             dtm_core_time_s=self._dtm.throttled_core_time_s,
             migration_count=self._accountant.migration_count,

@@ -10,11 +10,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
-
-from ..thermal.trace import ThermalTrace
 
 
 @dataclass
@@ -88,8 +86,13 @@ class SimulationResult:
 
     scheduler_name: str
     sim_time_s: float
+    #: hottest core temperature at any sample (t = 0 and every interval
+    #: end, idle gaps included) [degC]
+    peak_temperature_c: float
+    #: time with the hottest core above T_DTM, each sample held until the
+    #: next one [s]
+    time_above_dtm_s: float
     tasks: List[TaskRecord] = field(default_factory=list)
-    trace: Optional[ThermalTrace] = None
     #: count of DTM trigger events (cool -> throttled transitions)
     dtm_triggers: int = 0
     #: core-seconds spent DTM-throttled
@@ -131,19 +134,6 @@ class SimulationResult:
         if not self.tasks:
             raise ValueError("no completed tasks")
         return float(np.mean([t.response_time_s for t in self.tasks]))
-
-    @property
-    def peak_temperature_c(self) -> float:
-        """Hottest observed core temperature."""
-        if self.trace is None or len(self.trace) == 0:
-            raise ValueError("no thermal trace recorded")
-        return self.trace.peak()
-
-    def time_above_c(self, threshold_c: float) -> float:
-        """Time any core spent above ``threshold_c``."""
-        if self.trace is None:
-            return 0.0
-        return self.trace.time_above(threshold_c)
 
     def response_time_of(self, task_id: int) -> float:
         """Response time of one task."""
@@ -204,8 +194,7 @@ class SimulationResult:
                 f"makespan={self.makespan_s * 1e3:.1f} ms  "
                 f"mean response={self.mean_response_time_s * 1e3:.1f} ms"
             )
-        if self.trace is not None and len(self.trace):
-            lines.append(f"peak temperature={self.peak_temperature_c:.2f} C")
+        lines.append(f"peak temperature={self.peak_temperature_c:.2f} C")
         lines.append(
             f"DTM triggers={self.dtm_triggers}  "
             f"throttled core-time={self.dtm_core_time_s * 1e3:.1f} ms"

@@ -23,7 +23,6 @@ from .steady_state import (
     sustainable_uniform_power,
     uniform_power_response,
 )
-from .trace import ThermalTrace
 
 __all__ = [
     "BatchedSpectralState",
@@ -33,7 +32,6 @@ __all__ = [
     "RCThermalModel",
     "SpectralThermalState",
     "ThermalDynamics",
-    "ThermalTrace",
     "build_rc_model",
     "calibrated_model",
     "calibrated_stack",

@@ -25,8 +25,8 @@ about this decomposition make the batch bit-exact against S independent
   GEMM accumulates in a different order than GEMV and its row results
   vary with the batch width.  The batch therefore projects each cell's
   power map through the *same* GEMV kernel the scalar path calls
-  (:meth:`~repro.thermal.matex.ThermalDynamics.steady_coeffs_batch`
-  with ``exact=True``), and fuses only the elementwise tail.
+  (:meth:`~repro.thermal.matex.ThermalDynamics.steady_coeffs_batch`),
+  and fuses only the elementwise tail.
 
 Decay vectors are grouped by unique tau within a step: the Algorithm-2
 tau-ladder is tiny, so a lock-step sweep collapses to one or two fused

@@ -132,24 +132,18 @@ class ThermalDynamics:
             )
         return self._vinv_binv_cores @ core_power_w
 
-    def steady_coeffs_batch(
-        self, core_power_w: np.ndarray, exact: bool = True
-    ) -> np.ndarray:
+    def steady_coeffs_batch(self, core_power_w: np.ndarray) -> np.ndarray:
         """Steady-state eigen-coefficients for a stack of power maps.
 
         ``core_power_w`` has shape ``(S, n_cores)``; the result has shape
         ``(S, n_nodes)`` with row ``i`` equal to ``steady_coeffs(P[i])``.
 
-        With ``exact=True`` (the default) each row is computed by the *same*
-        GEMV kernel the scalar path uses, so every row is byte-identical to
-        an independent :meth:`steady_coeffs` call — the property the batched
-        sweep engine's byte-identity guarantee rests on.  ``exact=False``
-        collapses the stack into one GEMM (``P @ M.T``), which is faster for
-        wide batches but not bitwise-reproducible against the scalar path
-        (BLAS GEMM accumulates in a different order than GEMV, and its row
-        results vary with the batch size); use it only for throughput work
-        that never compares against serial runs (e.g. many-rollout oracle
-        label generation).
+        Each row is computed by the *same* GEMV kernel the scalar path uses,
+        so every row is byte-identical to an independent
+        :meth:`steady_coeffs` call — the property the batched engine's
+        byte-identity guarantee rests on.  One GEMM over the stack
+        (``P @ M.T``) would accumulate in a different order, with row
+        results that vary with the batch size.
         """
         stacked = np.asarray(core_power_w, dtype=float)
         if stacked.ndim != 2 or stacked.shape[1] != self.model.n_cores:
@@ -157,8 +151,6 @@ class ThermalDynamics:
                 f"expected (S, {self.model.n_cores}) stacked core powers, "
                 f"got shape {stacked.shape}"
             )
-        if not exact:
-            return stacked @ self._vinv_binv_cores.T
         out = np.empty((stacked.shape[0], self.model.n_nodes))
         for i in range(stacked.shape[0]):
             np.matmul(self._vinv_binv_cores, stacked[i], out=out[i])

@@ -4,10 +4,9 @@ The paper's Fig. 4b drives the chip with a single homogeneous Poisson
 stream; real serving traffic is not that kind.  This module provides the
 arrival-time side of ``repro.traffic``:
 
-- :class:`PoissonProcess` — homogeneous Poisson (exponential gaps);
-  byte-identical to the legacy
-  :func:`repro.workload.generator.poisson_arrivals` draw for the same
-  seed and rate.
+- :class:`PoissonProcess` — homogeneous Poisson (exponential gaps): one
+  ``default_rng(seed).exponential(1 / rate, n)`` draw, cumulatively
+  summed.
 - :class:`DiurnalProcess` — non-homogeneous Poisson with a sinusoidal
   (day/night) rate, sampled by Lewis-Shedler thinning: candidates are
   drawn at the peak rate and accepted with probability
@@ -107,8 +106,8 @@ class PoissonProcess(ArrivalProcess):
     def sample_times(
         self, n: int, rng: np.random.Generator, seed: int = 0
     ) -> np.ndarray:
-        # one vectorized exponential draw + cumsum: exactly the legacy
-        # poisson_arrivals / loadgen tape, so those callers stay byte-exact
+        # one vectorized exponential draw + cumsum: exactly the loadgen
+        # tape, so the load generator stays byte-exact
         gaps = rng.exponential(1.0 / self.rate_per_s, size=n)
         return np.cumsum(gaps)
 
@@ -350,9 +349,7 @@ def assign_arrivals(
 
     Spec ``i`` (input order) receives the ``i``-th arrival time; the
     result is then sorted by arrival time so that list position == the id
-    :func:`repro.workload.generator.materialize` assigns (the ordering
-    contract shared with
-    :func:`repro.workload.generator.poisson_arrivals`).  Sampled times
+    :func:`repro.workload.generator.materialize` assigns.  Sampled times
     are non-decreasing, so the pairing of payloads to times survives the
     sort unchanged.
     """

@@ -11,7 +11,6 @@ from .generator import (
     TaskSpec,
     homogeneous_fill,
     materialize,
-    poisson_arrivals,
     random_mixed_workload,
 )
 from .perf import PerformanceModel
@@ -49,7 +48,6 @@ __all__ = [
     "materialize",
     "parsec_profile",
     "pipeline",
-    "poisson_arrivals",
     "priority_of",
     "random_mixed_workload",
     "streaming",

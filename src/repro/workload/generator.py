@@ -4,8 +4,9 @@
   with vari-sized multi-threaded instances of one benchmark, all arriving at
   time zero.
 - **Heterogeneous open system** (Fig. 4b): a random 20-benchmark
-  multi-program workload whose tasks arrive following a Poisson process; the
-  arrival rate sweeps the system from under- to over-loaded.
+  multi-program workload whose tasks arrive following a Poisson process
+  (:func:`repro.traffic.assign_arrivals` stamps the times); the arrival
+  rate sweeps the system from under- to over-loaded.
 
 Generators emit :class:`TaskSpec` lists (pure descriptions); experiments
 materialize them into :class:`~repro.workload.task.Task` objects.  All
@@ -14,7 +15,7 @@ randomness is seeded for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -55,9 +56,8 @@ def materialize(specs: Sequence[TaskSpec]) -> List[Task]:
 
     The sort key is ``(arrival_time_s, position in the input list)`` — a
     stable sort — so arrival-assignment helpers that already return specs
-    in arrival order (:func:`poisson_arrivals`,
-    :func:`repro.traffic.assign_arrivals`) keep their pairing of spec
-    payloads to ids unchanged.
+    in arrival order (:func:`repro.traffic.assign_arrivals`) keep their
+    pairing of spec payloads to ids unchanged.
     """
     ordered = sorted(specs, key=lambda s: s.arrival_time_s)
     return [spec.materialize(task_id) for task_id, spec in enumerate(ordered)]
@@ -122,32 +122,3 @@ def random_mixed_workload(
             )
         )
     return specs
-
-
-def poisson_arrivals(
-    specs: Sequence[TaskSpec], arrival_rate_per_s: float, seed: int = 0
-) -> List[TaskSpec]:
-    """Assign Poisson arrival times (exponential gaps) to a task list.
-
-    ``arrival_rate_per_s`` is the mean number of task arrivals per second;
-    sweeping it moves the open system between under- and over-load.
-
-    **Ordering contract** (shared by every arrival-assignment helper, see
-    :func:`repro.traffic.assign_arrivals`): the returned list is sorted by
-    final arrival time, so list position == the sequential id
-    :func:`materialize` will assign.  Cumulative exponential gaps are
-    already monotone, but the explicit sort makes the contract hold for
-    any composed process whose raw draw order is not its time order —
-    without it, ids would silently detach from their spec payloads for
-    the first out-of-order stream.
-    """
-    if arrival_rate_per_s <= 0:
-        raise ValueError("arrival rate must be positive")
-    rng = np.random.default_rng(seed)
-    gaps = rng.exponential(1.0 / arrival_rate_per_s, size=len(specs))
-    arrivals = np.cumsum(gaps)
-    assigned = [
-        replace(spec, arrival_time_s=float(at))
-        for spec, at in zip(specs, arrivals)
-    ]
-    return sorted(assigned, key=lambda s: s.arrival_time_s)

@@ -8,6 +8,7 @@ the results it always did — same floats bit for bit, not approximately.
 import numpy as np
 
 from repro.io import result_to_dict
+from repro.obs import Observer, TraceRecorder
 from repro.sched.hotpotato_runtime import HotPotatoScheduler
 from repro.sched.pcmig import PCMigScheduler
 from repro.workload.benchmarks import PARSEC
@@ -18,7 +19,19 @@ def _tasks():
     return [Task(0, PARSEC["x264"], 2, seed=1), Task(1, PARSEC["canneal"], 2, seed=2)]
 
 
-def _result_fingerprint(result):
+def _run(run_sim, cfg, scheduler):
+    """Run with a trace recorder attached; return (sim, result)."""
+    return run_sim(
+        cfg, scheduler, _tasks(), observer=Observer(trace=TraceRecorder())
+    )
+
+
+def _temps(sim):
+    """Every interval's end-of-interval core temperatures."""
+    return np.array([r.temps_c for r in sim.observer.trace.intervals()])
+
+
+def _result_fingerprint(sim, result):
     """Everything a run produced, as plain data for exact comparison.
 
     Wall-clock telemetry (``scheduler_wall_time_s``, profiling) is
@@ -28,17 +41,17 @@ def _result_fingerprint(result):
     data = result_to_dict(result)
     data.pop("scheduler_wall_time_s", None)
     data.pop("profile", None)
-    if result.trace is not None:
-        data["trace_temps"] = result.trace.temperatures.tolist()
-        data["trace_times"] = result.trace.times.tolist()
+    intervals = sim.observer.trace.intervals()
+    data["trace_temps"] = [r.temps_c for r in intervals]
+    data["trace_times"] = [(r.time_s, r.dt_s) for r in intervals]
     return data
 
 
 class TestDisabledIsSeedBehavior:
     def test_repeated_disabled_runs_identical(self, fcfg, run_sim):
-        _, a = run_sim(fcfg, HotPotatoScheduler(), _tasks())
-        _, b = run_sim(fcfg, HotPotatoScheduler(), _tasks())
-        assert _result_fingerprint(a) == _result_fingerprint(b)
+        a = _run(run_sim, fcfg, HotPotatoScheduler())
+        b = _run(run_sim, fcfg, HotPotatoScheduler())
+        assert _result_fingerprint(*a) == _result_fingerprint(*b)
 
     def test_zero_amplitude_equals_disabled(self, fcfg, run_sim):
         """Metamorphic: enabling the machinery with all amplitudes at zero
@@ -46,18 +59,14 @@ class TestDisabledIsSeedBehavior:
         and every engine fault branch is gated."""
         zero = fcfg.with_faults(seed=123)
         for scheduler_cls in (HotPotatoScheduler, PCMigScheduler):
-            _, plain = run_sim(fcfg, scheduler_cls(), _tasks())
-            _, faulted = run_sim(zero, scheduler_cls(), _tasks())
-            assert _result_fingerprint(plain) == _result_fingerprint(faulted)
+            plain = _run(run_sim, fcfg, scheduler_cls())
+            faulted = _run(run_sim, zero, scheduler_cls())
+            assert _result_fingerprint(*plain) == _result_fingerprint(*faulted)
 
     def test_zero_amplitude_trace_bitwise_equal(self, fcfg, run_sim):
-        _, plain = run_sim(fcfg, HotPotatoScheduler(), _tasks())
-        _, faulted = run_sim(
-            fcfg.with_faults(seed=9), HotPotatoScheduler(), _tasks()
-        )
-        assert np.array_equal(
-            plain.trace.temperatures, faulted.trace.temperatures
-        )
+        plain, _ = _run(run_sim, fcfg, HotPotatoScheduler())
+        faulted, _ = _run(run_sim, fcfg.with_faults(seed=9), HotPotatoScheduler())
+        assert np.array_equal(_temps(plain), _temps(faulted))
 
 
 class TestFaultedRunsAreDeterministic:
@@ -69,9 +78,9 @@ class TestFaultedRunsAreDeterministic:
             power_spike_prob=0.05,
             power_spike_w=1.0,
         )
-        _, a = run_sim(cfg, HotPotatoScheduler(), _tasks())
-        _, b = run_sim(cfg, HotPotatoScheduler(), _tasks())
-        assert _result_fingerprint(a) == _result_fingerprint(b)
+        a = _run(run_sim, cfg, HotPotatoScheduler())
+        b = _run(run_sim, cfg, HotPotatoScheduler())
+        assert _result_fingerprint(*a) == _result_fingerprint(*b)
 
     def test_different_fault_seed_different_run(self, fcfg, run_sim):
         # power spikes perturb ground truth, so different fault seeds must
@@ -81,7 +90,7 @@ class TestFaultedRunsAreDeterministic:
             cfg = fcfg.with_faults(
                 seed=seed, power_spike_prob=0.3, power_spike_w=2.0
             )
-            return run_sim(cfg, PCMigScheduler(), _tasks())[1]
+            return _run(run_sim, cfg, PCMigScheduler())[0]
 
         a, b = go(1), go(2)
-        assert not np.array_equal(a.trace.temperatures, b.trace.temperatures)
+        assert not np.array_equal(_temps(a), _temps(b))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import units
+from repro.obs import Observer, TraceRecorder
 from repro.sched.hotpotato_runtime import HotPotatoScheduler
 from repro.sched.pcmig import PCMigScheduler
 from repro.workload.benchmarks import PARSEC
@@ -76,7 +77,7 @@ def test_dtm_safety_under_random_faults(
         + cfg.thermal.dtm_hysteresis_c
         + _OVERSHOOT_TOLERANCE_C
     )
-    peak = float(np.max(result.trace.temperatures))
+    peak = result.peak_temperature_c
     assert peak <= limit, (params, peak, limit)
     assert math.isfinite(result.makespan_s) and result.makespan_s > 0
 
@@ -103,11 +104,17 @@ def test_metamorphic_zero_amplitude(fcfg, run_sim, sample_seed):
                       or key == "power_spike_w") else value)
         for key, value in params.items()
     }
-    _, plain = run_sim(fcfg, HotPotatoScheduler(), _hot_tasks(), max_time_s=0.2)
-    _, faulted = run_sim(
-        fcfg.with_faults(**zeroed), HotPotatoScheduler(), _hot_tasks(),
-        max_time_s=0.2,
+    plain_sim, plain = run_sim(
+        fcfg, HotPotatoScheduler(), _hot_tasks(), max_time_s=0.2,
+        observer=Observer(trace=TraceRecorder()),
     )
-    assert np.array_equal(plain.trace.temperatures, faulted.trace.temperatures)
+    faulted_sim, faulted = run_sim(
+        fcfg.with_faults(**zeroed), HotPotatoScheduler(), _hot_tasks(),
+        max_time_s=0.2, observer=Observer(trace=TraceRecorder()),
+    )
+    assert np.array_equal(
+        [r.temps_c for r in plain_sim.observer.trace.intervals()],
+        [r.temps_c for r in faulted_sim.observer.trace.intervals()],
+    )
     assert plain.makespan_s == faulted.makespan_s
     assert plain.energy_j == faulted.energy_j

@@ -145,6 +145,25 @@ class TestEngineIntegration:
             result.sim_time_s
         )
 
+    def test_interval_starts_are_exact(self):
+        """Each record starts exactly where the previous one ended (no
+        recomputation from the end of the interval), from 0.0 on."""
+        cfg = config.motivational().with_observability(trace=True)
+        task = Task(0, PARSEC["blackscholes"], n_threads=2, seed=1)
+        sim = IntervalSimulator(
+            cfg,
+            FixedRotationScheduler(cores=(5, 6, 9, 10), tau_s=0.5e-3),
+            [task],
+            warm_start_uniform_power_w=2.8,
+        )
+        result = sim.run(max_time_s=1.0)
+        intervals = sim.observer.trace.intervals()
+        assert len(intervals) >= 100
+        assert intervals[0].time_s == 0.0
+        for prev, cur in zip(intervals, intervals[1:]):
+            assert cur.time_s == prev.time_s + prev.dt_s
+        assert intervals[-1].time_s + intervals[-1].dt_s == result.sim_time_s
+
     def test_interval_records_carry_engine_state(self, traced_run):
         sim, _ = traced_run
         cfg = sim.config

@@ -18,7 +18,6 @@ class TestMeasuredGovernor:
             PCGovScheduler(governor="measured"),
             tasks,
             ctx=SimContext(cfg16, model16),
-            record_trace=False,
         )
         result = sim.run(max_time_s=4.0)
         assert result.tasks
@@ -34,7 +33,6 @@ class TestMeasuredGovernor:
                 PCGovScheduler(governor=governor),
                 tasks,
                 ctx=SimContext(cfg16, model16),
-                record_trace=False,
             )
             makespans[governor] = sim.run(max_time_s=4.0).makespan_s
         assert makespans["measured"] <= makespans["profile"] * 1.02

@@ -169,7 +169,6 @@ class TestEnergyRelaxation:
             sched,
             [_task(0, n_threads=2)],
             ctx=SimContext(cfg4),
-            record_trace=False,
         )
         result = sim.run(max_time_s=0.05)
         assert sched.hotpotato.tau_bias == 1
@@ -187,7 +186,6 @@ class TestEnergyRelaxation:
             sched,
             [_task(0, n_threads=2)],
             ctx=SimContext(cfg4),
-            record_trace=False,
         )
         sim.run(max_time_s=0.05)
         assert sched.hotpotato.tau_bias == 0
@@ -214,7 +212,6 @@ class TestDecisionAnnotations:
             sched,
             [_task(0, n_threads=2)],
             ctx=SimContext(cfg4),
-            record_trace=False,
         )
         sim.run(max_time_s=0.01)
         decision = sched.decide(0.01)

@@ -4,7 +4,7 @@ The acceptance bar for ``repro.sim.batch``: driving S simulators through
 one :class:`BatchedSimulatorSet` — including both detach paths (finish
 and interval-length divergence) and fault-injected configs — produces
 *exactly* the results of S independent ``sim.run()`` calls.  Same floats
-bit for bit, traces included.
+bit for bit, every interval's core temperatures included.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 
 from repro import config
 from repro.io import result_to_dict
+from repro.obs import Observer, TraceRecorder
 from repro.sched.fixed_rotation import FixedRotationScheduler
 from repro.sched.hotpotato_runtime import HotPotatoScheduler
 from repro.sched.pcmig import PCMigScheduler
@@ -51,38 +52,43 @@ def _tasks(variant):
     ]
 
 
-def _fingerprint(result):
-    """Everything a run produced, wall-clock telemetry excluded."""
-    data = result_to_dict(result)
-    data.pop("scheduler_wall_time_s", None)
-    data.pop("profile", None)
-    if result.trace is not None:
-        data["trace_temps"] = result.trace.temperatures.tolist()
-        data["trace_times"] = result.trace.times.tolist()
-    return data
+def _recorded(cfg, scheduler, tasks, ctx):
+    """A simulator with a trace recorder attached."""
+    return IntervalSimulator(
+        cfg, scheduler, tasks, ctx=ctx, observer=Observer(trace=TraceRecorder())
+    )
 
 
-def _solo_results(cfg, model, scheduler_cls, n_cells=4):
-    results = []
-    for variant in range(n_cells):
-        sim = IntervalSimulator(
-            cfg,
-            scheduler_cls(),
-            _tasks(variant),
-            ctx=SimContext(cfg, model),
-        )
-        results.append(sim.run(max_time_s=MAX_TIME_S))
-    return results
+def _fingerprints(sims, results):
+    """Everything each run produced, wall-clock telemetry excluded."""
+    out = []
+    for sim, result in zip(sims, results):
+        data = result_to_dict(result)
+        data.pop("scheduler_wall_time_s", None)
+        data.pop("profile", None)
+        intervals = sim.observer.trace.intervals()
+        data["trace_temps"] = [r.temps_c for r in intervals]
+        data["trace_times"] = [(r.time_s, r.dt_s) for r in intervals]
+        out.append(data)
+    return out
+
+
+def _solo_fingerprints(cfg, model, scheduler_cls, n_cells=4):
+    sims = [
+        _recorded(cfg, scheduler_cls(), _tasks(variant), SimContext(cfg, model))
+        for variant in range(n_cells)
+    ]
+    return _fingerprints(sims, [sim.run(max_time_s=MAX_TIME_S) for sim in sims])
 
 
 def _batched_sims(cfg, model, scheduler_cls, n_cells=4):
     dynamics = ThermalDynamics(model)
     return [
-        IntervalSimulator(
+        _recorded(
             cfg,
             scheduler_cls(),
             _tasks(variant),
-            ctx=SimContext(cfg, dynamics=dynamics),
+            SimContext(cfg, dynamics=dynamics),
         )
         for variant in range(n_cells)
     ]
@@ -105,14 +111,10 @@ class TestByteIdentity:
             if faults
             else cfg
         )
-        solo = _solo_results(run_cfg, model, scheduler_cls)
-        batch = BatchedSimulatorSet(
-            _batched_sims(run_cfg, model, scheduler_cls)
-        )
-        batched = batch.run_all(MAX_TIME_S)
-        assert [_fingerprint(r) for r in batched] == [
-            _fingerprint(r) for r in solo
-        ]
+        solo = _solo_fingerprints(run_cfg, model, scheduler_cls)
+        sims = _batched_sims(run_cfg, model, scheduler_cls)
+        batch = BatchedSimulatorSet(sims)
+        assert _fingerprints(sims, batch.run_all(MAX_TIME_S)) == solo
         stats = batch.stats()
         assert stats["width_initial"] == 4
         assert stats["detached_finished"] + stats["detached_diverged"] == 4
@@ -126,43 +128,39 @@ class TestByteIdentity:
         def sims(ctx_of):
             taus = (0.5e-3, 0.5e-3, 0.8e-3)  # the odd one diverges
             return [
-                IntervalSimulator(
-                    cfg,
-                    FixedRotationScheduler(tau_s=tau),
-                    _tasks(i % 4),
-                    ctx=ctx_of(),
+                _recorded(
+                    cfg, FixedRotationScheduler(tau_s=tau), _tasks(i % 4), ctx_of()
                 )
                 for i, tau in enumerate(taus)
             ]
 
-        solo = [s.run(max_time_s=MAX_TIME_S) for s in sims(lambda: SimContext(cfg, model))]
+        solo_sims = sims(lambda: SimContext(cfg, model))
+        solo = [s.run(max_time_s=MAX_TIME_S) for s in solo_sims]
         dynamics = ThermalDynamics(model)
-        batch = BatchedSimulatorSet(
-            sims(lambda: SimContext(cfg, dynamics=dynamics))
-        )
+        batched_sims = sims(lambda: SimContext(cfg, dynamics=dynamics))
+        batch = BatchedSimulatorSet(batched_sims)
         batched = batch.run_all(MAX_TIME_S)
         assert batch.stats()["detached_diverged"] >= 1
-        assert [_fingerprint(r) for r in batched] == [
-            _fingerprint(r) for r in solo
-        ]
+        assert _fingerprints(batched_sims, batched) == _fingerprints(
+            solo_sims, solo
+        )
 
     def test_per_sim_horizons(self, cfg, model):
         """A horizon sequence bounds each cell independently."""
         horizons = [0.1, 0.25]
-        solo = []
-        for variant, horizon in enumerate(horizons):
-            sim = IntervalSimulator(
-                cfg,
-                HotPotatoScheduler(),
-                _tasks(variant),
-                ctx=SimContext(cfg, model),
+        solo_sims = [
+            _recorded(
+                cfg, HotPotatoScheduler(), _tasks(variant), SimContext(cfg, model)
             )
-            solo.append(sim.run(max_time_s=horizon))
-        batch = BatchedSimulatorSet(_batched_sims(cfg, model, HotPotatoScheduler, 2))
-        batched = batch.run_all(horizons)
-        assert [_fingerprint(r) for r in batched] == [
-            _fingerprint(r) for r in solo
+            for variant in range(len(horizons))
         ]
+        solo = [
+            sim.run(max_time_s=horizon)
+            for sim, horizon in zip(solo_sims, horizons)
+        ]
+        sims = _batched_sims(cfg, model, HotPotatoScheduler, 2)
+        batched = BatchedSimulatorSet(sims).run_all(horizons)
+        assert _fingerprints(sims, batched) == _fingerprints(solo_sims, solo)
 
 
 class TestDriverContract:

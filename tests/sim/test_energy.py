@@ -30,7 +30,6 @@ def energy_run(cfg4):
         HotPotatoScheduler(),
         tasks,
         ctx=SimContext(cfg4),
-        record_trace=False,
         observer=observer,
     )
     result = sim.run(max_time_s=2.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import config
+from repro.obs import Observer, TraceRecorder
 from repro.sched.fixed_rotation import FixedRotationScheduler
 from repro.sched.naive import PeakFrequencyScheduler
 from repro.sim.context import SimContext
@@ -48,18 +49,24 @@ class TestBasicRun:
 
     def test_trace_recorded(self, cfg, shared_model):
         tasks = [Task(0, PARSEC["canneal"], 2, seed=1)]
-        sim = make_sim(cfg, shared_model, PeakFrequencyScheduler(), tasks)
-        result = sim.run(max_time_s=2.0)
-        assert result.trace is not None
-        assert len(result.trace) > 10
-        assert result.peak_temperature_c > cfg.thermal.ambient_c
-
-    def test_trace_can_be_disabled(self, cfg, shared_model):
-        tasks = [Task(0, PARSEC["canneal"], 2, seed=1)]
+        recorder = TraceRecorder()
         sim = make_sim(
-            cfg, shared_model, PeakFrequencyScheduler(), tasks, record_trace=False
+            cfg,
+            shared_model,
+            PeakFrequencyScheduler(),
+            tasks,
+            observer=Observer(trace=recorder),
         )
-        assert sim.run(max_time_s=2.0).trace is None
+        start = sim.thermal_state.core_temperatures()
+        result = sim.run(max_time_s=2.0)
+        intervals = recorder.intervals()
+        assert len(intervals) > 10
+        # the peak is the hottest core over the t = 0 sample and every
+        # end-of-interval sample
+        assert result.peak_temperature_c == max(
+            max(start), *(max(r.temps_c) for r in intervals)
+        )
+        assert result.peak_temperature_c > cfg.thermal.ambient_c
 
     def test_energy_positive_and_bounded(self, cfg, shared_model):
         tasks = [Task(0, PARSEC["canneal"], 2, seed=1)]

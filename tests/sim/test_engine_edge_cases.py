@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import Observer, TraceRecorder
 from repro.sched import FixedRotationScheduler, PeakFrequencyScheduler
 from repro.sim import IntervalSimulator, SimContext
 from repro.workload import PARSEC, Task
@@ -59,9 +60,10 @@ class TestEdgeCases:
             ctx=SimContext(cfg16, model16),
             warm_start_uniform_power_w=3.0,
         )
-        result = sim.run(max_time_s=0.01)
-        first = result.trace.temperatures[0]
+        first = sim.thermal_state.core_temperatures()
         assert np.max(first) > 55.0  # clearly pre-heated
+        # the t = 0 sample counts toward the peak
+        assert sim.run(max_time_s=0.01).peak_temperature_c >= np.max(first)
 
     def test_single_core_task_on_rotating_scheduler(self, cfg16, model16):
         """A 1-thread task still rotates over the whole ring."""
@@ -87,12 +89,14 @@ class TestEdgeCases:
         assert result.scheduler_wall_time_s > 0.0
 
     def test_trace_times_strictly_increasing_samples(self, cfg16, model16):
+        recorder = TraceRecorder()
         sim = IntervalSimulator(
             cfg16,
             PeakFrequencyScheduler(),
             [Task(0, PARSEC["canneal"], 2, seed=1)],
             ctx=SimContext(cfg16, model16),
+            observer=Observer(trace=recorder),
         )
-        result = sim.run(max_time_s=1.0)
-        times = result.trace.times
+        sim.run(max_time_s=1.0)
+        times = [0.0] + [r.time_s + r.dt_s for r in recorder.intervals()]
         assert np.all(np.diff(times) > 0)

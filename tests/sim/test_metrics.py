@@ -3,21 +3,18 @@
 import pytest
 
 from repro.sim.metrics import SimulationResult, TaskRecord
-from repro.thermal.trace import ThermalTrace
 
 
 def make_result():
-    trace = ThermalTrace(2)
-    trace.record(0.0, [45.0, 45.0])
-    trace.record(0.05, [66.0, 55.0])
     return SimulationResult(
         scheduler_name="test",
         sim_time_s=0.1,
+        peak_temperature_c=66.0,
+        time_above_dtm_s=0.0,
         tasks=[
             TaskRecord(0, "canneal", 4, arrival_s=0.0, completion_s=0.08),
             TaskRecord(1, "x264", 2, arrival_s=0.02, completion_s=0.06),
         ],
-        trace=trace,
         dtm_triggers=3,
         migration_count=10,
         scheduler_wall_time_s=0.002,
@@ -46,7 +43,7 @@ class TestDerivedMetrics:
         assert make_result().mean_scheduler_overhead_s() == pytest.approx(5e-4)
 
     def test_empty_results_raise(self):
-        empty = SimulationResult("x", 0.0)
+        empty = SimulationResult("x", 0.0, 45.0, 0.0)
         with pytest.raises(ValueError):
             _ = empty.makespan_s
         with pytest.raises(ValueError):
@@ -56,5 +53,6 @@ class TestDerivedMetrics:
     def test_summary_mentions_key_numbers(self):
         text = make_result().summary()
         assert "makespan" in text
+        assert "peak temperature=66.00 C" in text
         assert "test" in text
         assert "DTM" in text

@@ -71,7 +71,6 @@ class TestComparisons:
             label="canneal",
             shared_ctx=SimContext(cfg16, model16),
             max_time_s=3.0,
-            record_trace=False,
         )
         assert isinstance(outcome, PairedOutcome)
         assert outcome.label == "canneal"

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import config
+from repro.obs import Observer, TraceRecorder
 from repro.sched import (
     HotPotatoScheduler,
     PCGovScheduler,
@@ -60,11 +61,13 @@ def test_random_workloads_conserve_invariants(scheduler_idx, task_specs):
         for i, (name, threads, arrival, seed) in enumerate(task_specs)
     ]
     totals = {t.task_id: t.total_instructions() for t in tasks}
+    recorder = TraceRecorder()
     sim = IntervalSimulator(
         _CFG,
         _SCHEDULERS[scheduler_idx](),
         tasks,
         ctx=SimContext(_CFG, _MODEL),
+        observer=Observer(trace=recorder),
     )
     result = sim.run(max_time_s=5.0)
 
@@ -78,10 +81,10 @@ def test_random_workloads_conserve_invariants(scheduler_idx, task_specs):
         assert task.instructions_retired() == pytest.approx(
             totals[task.task_id], rel=1e-9
         )
-    # physical temperatures
-    assert result.trace is not None
-    temps = result.trace.temperatures
+    # physical temperatures, every interval
+    temps = np.array([r.temps_c for r in recorder.intervals()])
     assert np.all(temps >= _CFG.thermal.ambient_c - 1e-6)
     assert np.all(temps < 150.0)
+    assert np.max(temps) <= result.peak_temperature_c
     # energy is positive and bounded by max chip power
     assert 0.0 < result.energy_j <= 4 * 10.0 * result.sim_time_s + 1e-9

@@ -1,38 +1,24 @@
-"""Trace/result serialization round trips."""
+"""Result serialization round trips."""
 
-import numpy as np
 import pytest
 
 from repro.io import (
     load_result,
-    load_trace,
     result_from_dict,
     result_to_dict,
     save_result,
-    save_trace,
-    trace_from_csv,
-    trace_to_csv,
 )
 from repro.sim.metrics import SimulationResult, TaskRecord
-from repro.thermal.trace import ThermalTrace
 
 
 @pytest.fixture()
-def trace():
-    t = ThermalTrace(3)
-    t.record(0.0, [45.0, 45.5, 46.0])
-    t.record(0.5e-3, [50.123456, 47.0, 45.0])
-    t.record(1.0e-3, [55.0, 48.0, 45.25])
-    return t
-
-
-@pytest.fixture()
-def result(trace):
+def result():
     return SimulationResult(
         scheduler_name="hotpotato",
         sim_time_s=0.1,
+        peak_temperature_c=55.123456789,
+        time_above_dtm_s=1.5e-3,
         tasks=[TaskRecord(0, "x264", 4, 0.0, 0.05)],
-        trace=trace,
         dtm_triggers=2,
         dtm_core_time_s=1e-3,
         migration_count=17,
@@ -44,32 +30,6 @@ def result(trace):
     )
 
 
-class TestTraceCsv:
-    def test_round_trip_exact(self, trace):
-        restored = trace_from_csv(trace_to_csv(trace))
-        assert restored.n_cores == trace.n_cores
-        assert np.array_equal(restored.times, trace.times)
-        assert np.array_equal(restored.temperatures, trace.temperatures)
-
-    def test_header(self, trace):
-        text = trace_to_csv(trace)
-        assert text.splitlines()[0] == "time_s,core0,core1,core2"
-
-    def test_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            trace_from_csv("bogus,data\n1,2\n")
-
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
-            trace_from_csv("time_s,core0,core1\n0.0,45.0\n")
-
-    def test_file_round_trip(self, trace, tmp_path):
-        path = tmp_path / "trace.csv"
-        save_trace(trace, path)
-        restored = load_trace(path)
-        assert restored.peak() == pytest.approx(trace.peak())
-
-
 class TestResultJson:
     def test_round_trip(self, result):
         restored = result_from_dict(result_to_dict(result))
@@ -77,18 +37,21 @@ class TestResultJson:
         assert restored.makespan_s == pytest.approx(result.makespan_s)
         assert restored.migration_count == 17
         assert restored.annotations == {"note": 1.0}
-        assert restored.trace is None  # not included by default
 
-    def test_round_trip_with_trace(self, result):
-        restored = result_from_dict(result_to_dict(result, include_trace=True))
-        assert restored.trace is not None
-        assert restored.peak_temperature_c == pytest.approx(
-            result.peak_temperature_c
-        )
+    def test_round_trip_keeps_thermal_summary(self, result):
+        restored = result_from_dict(result_to_dict(result))
+        assert restored.peak_temperature_c == result.peak_temperature_c
+        assert restored.time_above_dtm_s == result.time_above_dtm_s
+
+    def test_result_without_thermal_summary_is_rejected(self, result):
+        data = result_to_dict(result)
+        del data["peak_temperature_c"]
+        with pytest.raises(KeyError):
+            result_from_dict(data)
 
     def test_file_round_trip(self, result, tmp_path):
         path = tmp_path / "result.json"
-        save_result(result, path, include_trace=True)
+        save_result(result, path)
         restored = load_result(path)
         assert restored.tasks[0].benchmark == "x264"
         assert restored.tasks[0].response_time_s == pytest.approx(0.05)
@@ -114,9 +77,8 @@ class TestResultJson:
         )
         original = sim.run(max_time_s=1.0)
         path = tmp_path / "run.json"
-        save_result(original, path, include_trace=True)
+        save_result(original, path)
         restored = load_result(path)
         assert restored.makespan_s == pytest.approx(original.makespan_s)
-        assert restored.peak_temperature_c == pytest.approx(
-            original.peak_temperature_c
-        )
+        assert restored.peak_temperature_c == original.peak_temperature_c
+        assert restored.time_above_dtm_s == original.time_above_dtm_s

@@ -1,34 +1,22 @@
 """Property-based round trips for serialization."""
 
-import numpy as np
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.io import trace_from_csv, trace_to_csv
-from repro.thermal.trace import ThermalTrace
+from repro.io import result_from_dict, result_to_dict
+from repro.sim.metrics import SimulationResult
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    n_cores=st.integers(1, 8),
-    samples=st.lists(
-        st.tuples(
-            st.floats(0, 1, allow_nan=False),
-            st.floats(20.0, 150.0, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=20,
-    ),
-)
-def test_trace_csv_round_trip(n_cores, samples, ):
-    trace = ThermalTrace(n_cores)
-    rng = np.random.default_rng(0)
-    time = 0.0
-    for gap, base in samples:
-        time += gap
-        trace.record(time, base + rng.uniform(0, 5, n_cores))
-    restored = trace_from_csv(trace_to_csv(trace))
-    assert restored.n_cores == trace.n_cores
-    assert np.array_equal(restored.times, trace.times)
-    assert np.array_equal(restored.temperatures, trace.temperatures)
-    assert restored.peak() == trace.peak()
+@given(sim_time_s=_finite, peak_c=_finite, above_s=_finite)
+def test_result_json_round_trip(sim_time_s, peak_c, above_s):
+    """The result's floats survive JSON text bit for bit."""
+    result = SimulationResult("x", sim_time_s, peak_c, above_s)
+    restored = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
+    assert restored.sim_time_s.hex() == sim_time_s.hex()
+    assert restored.peak_temperature_c.hex() == peak_c.hex()
+    assert restored.time_above_dtm_s.hex() == above_s.hex()

@@ -49,7 +49,6 @@ def _simulate(seed, config_obj, model, max_time_s):
         FixedRotationScheduler(tau_s=0.5e-3),
         [task],
         ctx=SimContext(config_obj, model),
-        record_trace=False,
     )
     result = sim.run(max_time_s=max_time_s)
     return {

@@ -22,7 +22,6 @@ class TestDocumentedEntryPoints:
                     "Floorplan",
                     "RCThermalModel",
                     "ThermalDynamics",
-                    "ThermalTrace",
                     "build_rc_model",
                     "calibrated_model",
                     "sustainable_uniform_power",
@@ -41,7 +40,6 @@ class TestDocumentedEntryPoints:
                     "PerformanceModel",
                     "homogeneous_fill",
                     "random_mixed_workload",
-                    "poisson_arrivals",
                     "materialize",
                     "characterize",
                 ],
@@ -95,7 +93,7 @@ class TestDocumentedEntryPoints:
             ),
             (
                 "repro.io",
-                ["save_trace", "load_trace", "save_result", "load_result"],
+                ["save_result", "load_result", "result_to_dict", "result_from_dict"],
             ),
         ],
     )

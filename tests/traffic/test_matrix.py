@@ -36,6 +36,23 @@ from repro.workload.qos import (
 #: generous relative deadline under light load — nothing should miss it
 LIGHT_DEADLINE_S = 30.0
 
+#: (traffic, scheduler) -> peak_temperature_c as ``float.hex()``, recorded
+#: from a per-core trace of every sample; no cell crosses T_DTM
+MATRIX_PEAKS = {
+    ("poisson", "hotpotato"): "0x1.c19eab83b2caep+5",
+    ("poisson", "pcmig"): "0x1.b281c3d033f9ep+5",
+    ("poisson", "qos"): "0x1.c19eab83b2caep+5",
+    ("diurnal", "hotpotato"): "0x1.c89e1a541dee1p+5",
+    ("diurnal", "pcmig"): "0x1.b71234c35fb06p+5",
+    ("diurnal", "qos"): "0x1.c30d844d4eae0p+5",
+    ("flash-crowd", "hotpotato"): "0x1.d5933e9c1bd8dp+5",
+    ("flash-crowd", "pcmig"): "0x1.b36a2918a7445p+5",
+    ("flash-crowd", "qos"): "0x1.d42b1d42edcc8p+5",
+    ("trace", "hotpotato"): "0x1.b6e5cffbfcfe7p+5",
+    ("trace", "pcmig"): "0x1.b89003437ac13p+5",
+    ("trace", "qos"): "0x1.b6e5ce935b233p+5",
+}
+
 
 def _light_specs():
     """Six tiny tasks (at most 2 threads) the 2x2 chip digests easily."""
@@ -91,7 +108,6 @@ def matrix_runs(tmp_path_factory, cfg16, model16):
                 fig4b._SCHEDULERS[scheduler](),
                 materialize(specs),
                 ctx=SimContext(cfg, model16),
-                record_trace=True,
                 observer=observer,
             )
             result = sim.run(max_time_s=4.0)
@@ -110,6 +126,13 @@ class TestScenarioMatrix:
         }
         for (traffic, scheduler), (result, _) in runs.items():
             assert result.tasks, f"cell {(traffic, scheduler)} completed nothing"
+
+    def test_thermal_summary_pinned(self, matrix_runs):
+        """Peak and time above T_DTM, bit for bit (``float.hex()``)."""
+        _, runs = matrix_runs
+        for key, (result, _) in runs.items():
+            assert result.peak_temperature_c.hex() == MATRIX_PEAKS[key], key
+            assert result.time_above_dtm_s == 0.0, key
 
     def test_every_cell_stays_thermally_safe(self, matrix_runs):
         cfg, runs = matrix_runs
@@ -162,7 +185,6 @@ class TestScenarioMatrix:
             fig4b._SCHEDULERS["qos"](),
             materialize(specs),
             ctx=ctx,
-            record_trace=False,
         )
         again = sim.run(max_time_s=4.0)
         assert [t.response_time_s for t in again.tasks] == [
@@ -199,7 +221,6 @@ class TestOverloadSheds:
             fig4b._SCHEDULERS["qos"](),
             materialize(specs),
             ctx=SimContext(cfg),
-            record_trace=False,
             observer=observer,
         )
         result = sim.run(max_time_s=0.2)
@@ -247,7 +268,6 @@ class TestOverloadSheds:
             ),
             materialize(specs),
             ctx=SimContext(cfg),
-            record_trace=False,
             observer=observer,
         )
         result = sim.run(max_time_s=0.2)

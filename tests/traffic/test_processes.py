@@ -24,7 +24,7 @@ from repro.traffic import (
     assign_arrivals,
     build_process,
 )
-from repro.workload.generator import poisson_arrivals, random_mixed_workload
+from repro.workload.generator import random_mixed_workload
 
 _SETTINGS = settings(
     max_examples=25,
@@ -82,7 +82,7 @@ def test_distinct_seeds_differ(seed):
 
 
 def test_poisson_matches_legacy_draw_bytes():
-    """PoissonProcess is the legacy poisson_arrivals draw, bit for bit."""
+    """PoissonProcess is one raw exponential draw, cumsummed, bit for bit."""
     process = PoissonProcess(30.0)
     times = process.sample(25, seed=11)
     legacy = np.random.default_rng(11).exponential(1.0 / 30.0, 25).cumsum()
@@ -277,15 +277,16 @@ class TestAssignArrivals:
         assert times == sorted(times)
         assert len(assigned) == len(specs)
 
-    def test_matches_legacy_poisson_arrivals_bytes(self):
-        """assign_arrivals(PoissonProcess) == poisson_arrivals, including
-        the payload-to-time pairing."""
+    def test_poisson_matches_raw_draw_with_payload_pairing(self):
+        """assign_arrivals(PoissonProcess) stamps the raw exponential draw,
+        bit for bit: spec ``i`` gets the ``i``-th cumulative gap."""
         specs = random_mixed_workload(10, seed=2)
         via_process = assign_arrivals(specs, PoissonProcess(40.0), seed=6)
-        legacy = poisson_arrivals(specs, 40.0, seed=6)
+        raw = np.random.default_rng(6).exponential(1.0 / 40.0, 10).cumsum()
         assert [
             (s.profile.name, s.n_threads, s.arrival_time_s)
             for s in via_process
         ] == [
-            (s.profile.name, s.n_threads, s.arrival_time_s) for s in legacy
+            (s.profile.name, s.n_threads, float(at))
+            for s, at in zip(specs, raw)
         ]

@@ -215,7 +215,6 @@ class TestGoldenReplay:
             fig4b._SCHEDULERS["hotpotato"](),
             materialize(_hand_built_specs()),
             ctx=SimContext(cfg, model),
-            record_trace=False,
         )
         return sim.run(max_time_s=3.0)
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.traffic import PoissonProcess, assign_arrivals
 from repro.workload.generator import (
     TaskSpec,
     homogeneous_fill,
     materialize,
-    poisson_arrivals,
     random_mixed_workload,
 )
 from repro.workload.benchmarks import PARSEC
@@ -66,14 +66,16 @@ class TestRandomMix:
 
 class TestPoissonArrivals:
     def test_arrivals_sorted_positive(self):
-        specs = poisson_arrivals(random_mixed_workload(20, seed=1), 10.0, seed=2)
+        specs = assign_arrivals(
+            random_mixed_workload(20, seed=1), PoissonProcess(10.0), seed=2
+        )
         times = [s.arrival_time_s for s in specs]
         assert times == sorted(times)
         assert all(t > 0 for t in times)
 
     def test_mean_gap_matches_rate(self):
-        specs = poisson_arrivals(
-            random_mixed_workload(2000, seed=3), 50.0, seed=4
+        specs = assign_arrivals(
+            random_mixed_workload(2000, seed=3), PoissonProcess(50.0), seed=4
         )
         times = np.array([s.arrival_time_s for s in specs])
         gaps = np.diff(np.concatenate([[0.0], times]))
@@ -81,12 +83,14 @@ class TestPoissonArrivals:
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
-            poisson_arrivals([], 0.0)
+            PoissonProcess(0.0)
 
 
 class TestMaterialize:
     def test_ids_follow_arrival_order(self):
-        specs = poisson_arrivals(random_mixed_workload(10, seed=9), 20.0, seed=10)
+        specs = assign_arrivals(
+            random_mixed_workload(10, seed=9), PoissonProcess(20.0), seed=10
+        )
         tasks = materialize(specs)
         assert [t.task_id for t in tasks] == list(range(10))
         arrivals = [t.arrival_time_s for t in tasks]
@@ -125,8 +129,8 @@ class TestArrivalOrderingContract:
         ]
 
     def test_poisson_arrivals_position_equals_materialized_id(self):
-        specs = poisson_arrivals(
-            random_mixed_workload(15, seed=6), 30.0, seed=7
+        specs = assign_arrivals(
+            random_mixed_workload(15, seed=6), PoissonProcess(30.0), seed=7
         )
         tasks = materialize(specs)
         for position, (spec, task) in enumerate(zip(specs, tasks)):
@@ -138,8 +142,7 @@ class TestArrivalOrderingContract:
     def test_composed_process_keeps_the_contract(self):
         """assign_arrivals sorts even when the raw draw order is not the
         time order (flash-crowd burst arrivals interleave the base)."""
-        from repro.traffic import Burst, FlashCrowd, PoissonProcess
-        from repro.traffic import assign_arrivals
+        from repro.traffic import Burst, FlashCrowd
 
         process = FlashCrowd(
             PoissonProcess(10.0),

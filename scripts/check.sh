@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-2 gate: everything a PR must pass, in one command.
 #
-#   scripts/check.sh            # tier-1 pytest + domain lint + mypy + ruff
-#   scripts/check.sh --fast     # skip the (slow) tier-1 pytest run
+#   scripts/check.sh            # tier-1 pytest + perf gates + domain lint + mypy + ruff
+#   scripts/check.sh --fast     # skip the (slow) pytest and perf-gate runs
 #
 # The first two stages are self-contained (stdlib + the repo itself).
 # mypy and ruff are optional extras (`pip install .[lint]`); when a tool
@@ -42,10 +42,21 @@ skip_stage() {  # skip_stage <name> <reason>
     record "$1" "SKIP ($2)"
 }
 
+# Overhead gates: observability and faults "free when off", lint wall
+# time, and the parallel sweep runner's pool overhead.
+PERF_GATES=(
+    benchmarks/test_obs_overhead.py
+    benchmarks/test_faults_overhead.py
+    benchmarks/test_lint_overhead.py
+    benchmarks/test_parallel_sweep.py
+)
+
 if [ "${1:-}" = "--fast" ]; then
     skip_stage pytest "--fast requested"
+    skip_stage perf-gates "--fast requested"
 else
     run_stage pytest "$PYTHON" -m pytest -q
+    run_stage perf-gates "$PYTHON" -m pytest -q "${PERF_GATES[@]}"
 fi
 
 run_stage lint "$PYTHON" -m repro.lint check src/repro \

@@ -19,9 +19,11 @@ The layers, bottom-up (the request lifecycle is traced end-to-end in
   into fused batched engines (``repro.sim.batch``);
 - :class:`ThermalService` — transport-free tenant registry, payload
   validation, tau selection, simulation, degradation ladder;
-- :class:`ThermalServer` — the asyncio HTTP transport;
-- :mod:`repro.serve.loadgen` — seeded Poisson load generator writing
-  ``BENCH_serve.json``.
+- :class:`ThermalServer` — the asyncio HTTP transport.
+
+Load generation and serve benchmarks live in ``python -m bench``
+(workload ``serve-mixed``), which drives the ``python -m repro.serve``
+CLI over TCP.
 """
 
 from .batch import MicroBatcher, SimulateBatcher

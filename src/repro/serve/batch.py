@@ -13,9 +13,11 @@ default for the very next tick (``loop.call_soon``), optionally delayed
 by a coalescing window — drains the queue, groups candidates by
 calculator instance (tenants sharing a calculator batch together, see
 :class:`~repro.serve.cache.ServeCache`), and issues **one**
-``peak_batch`` call per group.  Because ``peak_batch`` is memoized and
-deterministic, batched answers are bit-for-bit identical to sequential
-ones — a property the serve test suite asserts.
+``peak_batch`` call per group.  Single-epoch answers are bit-for-bit
+identical to sequential ones.  Multi-epoch (``delta > 1``) answers can
+differ in the last bit (~1e-14 °C): stacking more candidates into one
+matmul changes BLAS's summation order.  The serve test suite asserts
+both.
 
 Counters (``serve.batch.*``) surface on ``/metrics``: ``flushes``,
 ``requests`` (candidates evaluated), and ``coalesced`` (candidates that

@@ -89,7 +89,7 @@ class ServeConfig:
     """Operating limits of one server instance."""
 
     host: str = "127.0.0.1"
-    #: TCP port; 0 binds an ephemeral port (tests, loadgen).
+    #: TCP port; 0 binds an ephemeral port (tests, benchmarks).
     port: int = 0
     max_tenants: int = 64
     #: hard ceiling on one ``/v1/simulate`` horizon [simulated s].

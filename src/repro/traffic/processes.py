@@ -21,9 +21,9 @@ arrival-time side of ``repro.traffic``:
   schedule (see :mod:`repro.traffic.trace` for the JSONL format).
 
 Every process is a pure function of ``(n, seed)``; the shared-generator
-entry point :meth:`ArrivalProcess.sample_times` exists so callers that
-interleave other draws on one generator (the serve load generator) keep
-their existing byte-exact tapes.
+entry point :meth:`ArrivalProcess.sample_times` exists so an overlay
+(:class:`FlashCrowd`) can draw its base process's stream from the
+overlay's own generator.
 
 :func:`assign_arrivals` stamps sampled times onto
 :class:`~repro.workload.generator.TaskSpec` lists following the ordering
@@ -61,11 +61,11 @@ class ArrivalProcess(abc.ABC):
     ) -> np.ndarray:
         """Draw ``n`` arrival times [s] using the caller's generator.
 
-        ``rng`` drives the base stream (callers interleaving other draws
-        on the same generator — the serve loadgen — keep their existing
-        tapes); ``seed`` derives any *independent* side streams (burst
-        overlays), so it must match the seed used for ``rng`` when exact
-        reproducibility across entry points matters.
+        ``rng`` drives the base stream (:class:`FlashCrowd` hands its own
+        generator to its base process); ``seed`` derives any
+        *independent* side streams (burst overlays), so it must match the
+        seed used for ``rng`` when exact reproducibility across entry
+        points matters.
         """
 
     def sample(self, n: int, seed: int = 0) -> np.ndarray:
@@ -106,8 +106,7 @@ class PoissonProcess(ArrivalProcess):
     def sample_times(
         self, n: int, rng: np.random.Generator, seed: int = 0
     ) -> np.ndarray:
-        # one vectorized exponential draw + cumsum: exactly the loadgen
-        # tape, so the load generator stays byte-exact
+        # one vectorized exponential draw + cumsum
         gaps = rng.exponential(1.0 / self.rate_per_s, size=n)
         return np.cumsum(gaps)
 

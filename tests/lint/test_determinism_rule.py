@@ -173,9 +173,9 @@ class TestTopLevelDeterministicModules:
 
 class TestServePackageIsDeterministic:
     """repro/serve/ joined DETERMINISTIC_MODULES: identical request
-    payloads must yield identical answers and the loadgen request tape
-    is a pure function of its seed, so calendar time and global RNG are
-    banned; monotonic clocks (latency measurement) stay allowed."""
+    payloads must yield identical answers, so calendar time and global
+    RNG are banned; monotonic clocks (latency measurement) stay
+    allowed."""
 
     def test_wallclock_in_serve_fires(self, lint_files):
         code = DOC + "import time\nstamp = time.time()\n"
@@ -272,8 +272,8 @@ class TestSpansModuleIsDeterministic:
 class TestTrafficPackageIsDeterministic:
     """repro/traffic/ joined DETERMINISTIC_MODULES: every arrival
     schedule and JSONL trace is a pure function of its seed (the
-    scenario-matrix suite and the loadgen byte-compat guarantee depend
-    on it), so calendar time and global RNG are banned."""
+    scenario-matrix suite depends on it), so calendar time and global
+    RNG are banned."""
 
     def test_wallclock_in_traffic_fires(self, lint_files):
         code = DOC + "import time\nstamp = time.time()\n"

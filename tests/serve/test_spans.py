@@ -8,8 +8,7 @@ The tentpole guarantees under test (``docs/observability.md``):
   N request spans linked to one ``batch.flush`` span, no orphans;
 - ``/debug/traces`` serves the span buffer as JSON and waterfall HTML;
 - ``/metrics`` exposes per-endpoint/per-tenant latency quantiles and
-  buckets;
-- a traced loadgen run exports a waterfall HTML.
+  buckets.
 """
 
 import asyncio
@@ -20,7 +19,8 @@ import pytest
 from repro.obs.detect import SpanOrphanDetector
 from repro.obs.export import parse_openmetrics
 from repro.serve import MicroBatcher, ServeConfig, ThermalServer
-from repro.serve.loadgen import LoadgenConfig, _http_request, run_loadgen
+
+from .client import http_request
 
 SMALL = {"mesh_width": 2, "mesh_height": 2}
 
@@ -42,7 +42,7 @@ def run_server(handler, serve_config=None):
 
 
 async def _post(host, port, path, payload):
-    status, body = await _http_request(host, port, "POST", path, payload)
+    status, body = await http_request(host, port, "POST", path, payload)
     return status, json.loads(body) if body else {}
 
 
@@ -107,7 +107,7 @@ class TestDisabledByDefault:
                 await _create_tenant(host, port, "t0")
                 bodies = []
                 for method, path, payload in requests:
-                    status, body = await _http_request(
+                    status, body = await http_request(
                         host, port, method, path, payload
                     )
                     assert status == 200
@@ -235,7 +235,7 @@ class TestDebugTracesEndpoint:
             await _post(
                 host, port, "/v1/peak", {"tenant": "t0", "power": [1.0] * 4}
             )
-            status, body = await _http_request(
+            status, body = await http_request(
                 host, port, "GET", "/debug/traces?limit=500", None
             )
             assert status == 200
@@ -249,22 +249,22 @@ class TestDebugTracesEndpoint:
     def test_html_view_and_limit(self):
         async def handler(server, host, port):
             await _create_tenant(host, port, "t0")
-            status, body = await _http_request(
+            status, body = await http_request(
                 host, port, "GET", "/debug/traces?format=html", None
             )
             assert status == 200
             assert body.startswith(b"<!DOCTYPE html>")
 
-            status, body = await _http_request(
+            status, body = await http_request(
                 host, port, "GET", "/debug/traces?limit=1", None
             )
             assert len(json.loads(body)["spans"]) == 1
 
-            status, _ = await _http_request(
+            status, _ = await http_request(
                 host, port, "GET", "/debug/traces?limit=zero", None
             )
             assert status == 400
-            status, _ = await _http_request(
+            status, _ = await http_request(
                 host, port, "GET", "/debug/traces?format=yaml", None
             )
             assert status == 400
@@ -273,7 +273,7 @@ class TestDebugTracesEndpoint:
 
     def test_disabled_tracer_serves_empty(self):
         async def handler(server, host, port):
-            status, body = await _http_request(
+            status, body = await http_request(
                 host, port, "GET", "/debug/traces", None
             )
             assert status == 200
@@ -299,7 +299,7 @@ class TestLatencyMetrics:
                     "/v1/peak",
                     {"tenant": "t0", "power": [1.0] * 4},
                 )
-            status, body = await _http_request(
+            status, body = await http_request(
                 host, port, "GET", "/metrics", None
             )
             assert status == 200
@@ -334,7 +334,7 @@ class TestLatencyMetrics:
                     "/v1/peak",
                     {"tenant": "t0", "power": [1.0] * 4},
                 )
-            status, body = await _http_request(
+            status, body = await http_request(
                 host, port, "GET", "/metrics", None
             )
             tenant = server.service.tenant("t0")
@@ -372,26 +372,3 @@ class TestLatencyMetrics:
 
         run_server(handler)
 
-
-class TestTracedLoadgen:
-    def test_loadgen_writes_waterfall_and_quantiles(self, tmp_path):
-        waterfall = tmp_path / "waterfall.html"
-        report = run_loadgen(
-            LoadgenConfig(
-                n_tenants=2,
-                n_distinct_configs=1,
-                n_requests=12,
-                arrival_rate_per_s=500.0,
-                mesh_width=2,
-                mesh_height=2,
-                seed=7,
-                trace=True,
-                trace_waterfall_path=str(waterfall),
-            )
-        )
-        assert report["http_statuses"] == {"200": 12}
-        latency = report["latency_s"]
-        assert 0.0 < latency["p50"] <= latency["p95"] <= latency["p99"]
-        assert latency["p99"] <= latency["max"]
-        assert report["trace"]["spans"] > 0
-        assert waterfall.read_text().startswith("<!DOCTYPE html>")

@@ -33,7 +33,7 @@ _SCHEDULERS = (
     HotPotatoScheduler,
 )
 
-_BENCH_NAMES = sorted(PARSEC)
+_PROFILE_NAMES = sorted(PARSEC)
 
 
 @settings(
@@ -45,7 +45,7 @@ _BENCH_NAMES = sorted(PARSEC)
     scheduler_idx=st.integers(0, len(_SCHEDULERS) - 1),
     task_specs=st.lists(
         st.tuples(
-            st.sampled_from(_BENCH_NAMES),
+            st.sampled_from(_PROFILE_NAMES),
             st.integers(1, 2),  # threads
             st.floats(0.0, 0.05),  # arrival
             st.integers(0, 1000),  # seed

@@ -23,15 +23,12 @@ demand (:mod:`repro.lint.graph`, via :meth:`Project.graph`) for the
 ``async-safety`` family: flow- and reachability-sensitive checks that
 the single-threaded asyncio serve loop never blocks, races on shared
 state across an ``await``, or leaks request-scoped ContextVars.
-Unchanged files are served from a content-hashed incremental cache
-(:mod:`repro.lint.cache`).
 
 See ``docs/lint.md`` for the rule catalogue and the suppression /
 baseline workflow.  The package is deliberately stdlib-only.
 """
 
 from .baseline import load_baseline, partition, save_baseline
-from .cache import LintCache, rules_signature
 from .engine import (
     Module,
     Project,
@@ -49,7 +46,6 @@ from .graph import ProjectGraph
 
 __all__ = [
     "Finding",
-    "LintCache",
     "Module",
     "Project",
     "ProjectGraph",
@@ -62,7 +58,6 @@ __all__ = [
     "register",
     "rule_families",
     "rule_ids",
-    "rules_signature",
     "run_lint",
     "save_baseline",
 ]

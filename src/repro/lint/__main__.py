@@ -12,18 +12,14 @@ a comma-separated set of rule ids **or families** (``--select
 async-safety`` runs the five async rules) — the same vocabulary as the
 ``# lint: ignore[...]`` suppression form; it works for ``rules`` too.
 
-``check`` keeps an incremental findings cache (``.lint-cache.json``,
-content-hashed — see :mod:`repro.lint.cache`) so unchanged files skip
-the per-file rule walks; ``--no-cache`` bypasses it and ``--cache FILE``
-relocates it.  ``--graph-dump`` prints the project call graph
-(:mod:`repro.lint.graph`) as JSON instead of linting — the debugging
-view of what the ``async-safety`` family sees.
+``--graph-dump`` prints the project call graph (:mod:`repro.lint.graph`)
+as JSON instead of linting — the debugging view of what the
+``async-safety`` family sees.
 """
 
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .._cli import (
@@ -35,7 +31,6 @@ from .._cli import (
     run_cli,
 )
 from .baseline import load_baseline, partition, save_baseline
-from .cache import DEFAULT_CACHE_PATH, LintCache, rules_signature
 from .engine import Project, collect_files, default_rules, parse_module, run_lint
 from .findings import Finding
 
@@ -83,12 +78,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.graph_dump:
         return _cmd_graph_dump(paths)
     rules = _selected_rules(args.select)
-    cache: Optional[LintCache] = None
-    if not args.no_cache:
-        cache = LintCache(
-            Path(args.cache), rules_signature(r.id for r in rules)
-        )
-    findings = run_lint(paths, rules=rules, cache=cache)
+    findings = run_lint(paths, rules=rules)
     if args.write_baseline:
         save_baseline(args.write_baseline, findings)
         print(
@@ -107,8 +97,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "families": sorted({f.family for f in findings}),
             "grandfathered": len(grandfathered),
         }
-        if cache is not None:
-            payload["cache"] = {"hits": cache.hits, "misses": cache.misses}
         print_json(payload)
     else:
         title = f"repro.lint check {' '.join(str(p) for p in paths)}"
@@ -116,10 +104,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         summary = f"{len(findings)} finding(s)"
         if grandfathered:
             summary += f", {len(grandfathered)} grandfathered by baseline"
-        if cache is not None:
-            summary += (
-                f" [cache: {cache.hits} unchanged, {cache.misses} analyzed]"
-            )
         print(summary)
     return EXIT_FINDINGS if findings else EXIT_OK
 
@@ -178,17 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="IDS",
         help="comma-separated rule ids/families to run (default: all)",
-    )
-    p_check.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the incremental findings cache",
-    )
-    p_check.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=DEFAULT_CACHE_PATH,
-        help=f"cache file location (default: {DEFAULT_CACHE_PATH})",
     )
     p_check.add_argument(
         "--graph-dump",

@@ -37,7 +37,6 @@ from typing import (
 from .findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .cache import LintCache
     from .graph import ProjectGraph
 
 #: Subpackages of ``repro`` that must be bit-deterministic under a seed.
@@ -49,18 +48,17 @@ DETERMINISTIC_SUBPACKAGES = ("sim", "sched", "thermal", "core")
 
 #: Top-level ``repro`` modules held to the same determinism rules; an
 #: entry with a trailing slash covers a whole package.  The parallel
-#: runner's contract is that a sweep's results (and now its retry/backoff
-#: schedule) are a pure function of its seeds, and the fault injector's
-#: is that a fault schedule replays bit-exactly from ``FaultsConfig.seed``
-#: — a wall-clock or global-RNG read in either silently breaks that.
-#: The serve layer joins them: identical request payloads must yield
-#: identical answers (cached or not), and its load generator replays a
-#: request tape that is a pure function of its seed — monotonic clocks
-#: (``loop.time()``, ``perf_counter``) are fine for latency measurement,
-#: calendar time is not.  The span tracer joins for the same reason:
-#: trace/span ids are monotonic counters and durations come from
-#: ``perf_counter`` only, so a span JSONL is replayable and two traced
-#: runs differ only in their (excluded-by-convention) timing fields.
+#: runner's contract is that a sweep's results are a pure function of
+#: its seeds, and the fault injector's is that a fault schedule replays
+#: bit-exactly from ``FaultsConfig.seed`` — a wall-clock or global-RNG
+#: read in either silently breaks that.  The serve layer joins them:
+#: identical request payloads must yield identical answers (cached or
+#: not) — monotonic clocks (``loop.time()``, ``perf_counter``) are fine
+#: for latency measurement, calendar time is not.  The span tracer joins
+#: for the same reason: trace/span ids are monotonic counters and
+#: durations come from ``perf_counter`` only, so a span JSONL is
+#: replayable and two traced runs differ only in their
+#: (excluded-by-convention) timing fields.
 #: The traffic layer is determinism-critical by construction: every
 #: arrival schedule (and its JSONL trace) is a pure function of its seed.
 DETERMINISTIC_MODULES = (
@@ -335,9 +333,8 @@ def _suppressed(finding: Finding, modules: Dict[str, Module]) -> bool:
 def has_project_pass(rule: Rule) -> bool:
     """Whether ``rule`` overrides :meth:`Rule.check_project`.
 
-    Project-pass rules see the whole tree at once, so the incremental
-    cache can never skip them — one changed file may flip a finding in
-    another (that is the point of the call graph).
+    Project-pass rules see the whole tree at once: one file may flip a
+    finding in another (that is the point of the call graph).
     """
     return type(rule).check_project is not Rule.check_project
 
@@ -345,21 +342,12 @@ def has_project_pass(rule: Rule) -> bool:
 def run_lint(
     paths: Sequence[object],
     rules: Optional[Sequence[Rule]] = None,
-    cache: Optional["LintCache"] = None,
 ) -> List[Finding]:
     """Lint every ``*.py`` file under ``paths`` and return sorted findings.
 
     Suppression comments are honored; parse failures surface as
     ``parse-error`` findings rather than exceptions, so one broken file
     cannot hide findings in the rest of the tree.
-
-    When ``cache`` is given (see :class:`repro.lint.cache.LintCache`),
-    per-module findings of unchanged files — keyed by a BLAKE2b content
-    hash — are served from it instead of re-running the per-file rules.
-    Cached entries are stored post-suppression (suppression comments live
-    in the same file as the findings they silence, so any edit that could
-    change the outcome also changes the hash).  Project-pass rules always
-    re-run; parse errors are never cached.
     """
     active = list(rules) if rules is not None else default_rules()
     findings: List[Finding] = []
@@ -371,28 +359,15 @@ def run_lint(
         if module is not None:
             modules.append(module)
     by_display = {module.display: module for module in modules}
+    raw: List[Finding] = []
     for module in modules:
-        cached = cache.lookup(module) if cache is not None else None
-        if cached is not None:
-            findings.extend(cached)
-            continue
-        per_module: List[Finding] = []
         for rule in active:
             if rule.applies_to(module):
-                per_module.extend(rule.check_module(module))
-        per_module = [f for f in per_module if not _suppressed(f, by_display)]
-        if cache is not None:
-            cache.store(module, per_module)
-        findings.extend(per_module)
+                raw.extend(rule.check_module(module))
     project = Project(modules)
-    project_findings: List[Finding] = []
     for rule in active:
-        project_findings.extend(rule.check_project(project))
-    findings.extend(
-        f for f in project_findings if not _suppressed(f, by_display)
-    )
-    if cache is not None:
-        cache.save(module.display for module in modules)
+        raw.extend(rule.check_project(project))
+    findings.extend(f for f in raw if not _suppressed(f, by_display))
     return sorted(findings)
 
 

@@ -2,13 +2,10 @@
 
 A :class:`PhaseProfiler` accumulates, per named phase (``"scheduler.decide"``,
 ``"thermal.step"``, ``"power_map.build"``, ...), the call count and the
-total/min/max wall-clock time.  It is built for hot loops:
-
-- **disabled** (the default, ``SystemConfig.obs.profiling = False``):
-  :meth:`begin` / :meth:`end` return immediately without recording anything
-  — a disabled profiler holds zero records, and the engine skips the hooks
-  entirely when no profiler is attached;
-- **enabled**: one ``perf_counter`` call on each side of the phase.
+total/min/max wall-clock time.  It is built for hot loops: one
+``perf_counter`` call on each side of the phase.  Profiling is off by
+default (``SystemConfig.obs.profiling = False``): then no profiler is
+attached and the engine skips the hooks entirely.
 
 Use :meth:`time` as a context manager for coarse, non-hot-loop sections.
 The per-run summary renders through
@@ -46,24 +43,19 @@ class PhaseStat:
 
 
 class PhaseProfiler:
-    """Accumulate wall-clock time per named phase; no-op when disabled."""
+    """Accumulate wall-clock time per named phase."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.records: Dict[str, PhaseStat] = {}
 
     # -- hot-loop hooks ------------------------------------------------------
 
     def begin(self, phase: str) -> float:
         """Start timing ``phase``; returns the token to pass to :meth:`end`."""
-        if not self.enabled:
-            return 0.0
         return _time.perf_counter()
 
     def end(self, phase: str, token: float) -> None:
         """Stop timing ``phase`` started with :meth:`begin`."""
-        if not self.enabled:
-            return
         elapsed = _time.perf_counter() - token
         stat = self.records.get(phase)
         if stat is None:

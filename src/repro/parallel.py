@@ -15,14 +15,12 @@ an independent simulation.  This module fans those cells out over a
 3. **Graceful degradation** — with ``jobs <= 1``, a single cell, or on any
    platform where process pools are unavailable (sandboxes without
    ``fork``/semaphores), the cells simply run serially in-process.
-4. **Crash tolerance** (``docs/faults.md``) — an optional
-   :class:`RetryPolicy` re-runs failing cells with capped exponential
-   backoff whose jitter is *seeded* (the retry schedule is as reproducible
-   as the results); per-cell timeouts bound hung workers; a killed worker
-   pool is rebuilt and its unfinished cells resubmitted; and a
+4. **Crash tolerance** (``docs/faults.md``) — a killed worker pool is
+   rebuilt and its unfinished cells resubmitted, and a
    :class:`SweepCheckpoint` persists each finished cell so a killed sweep
    resumes with only its incomplete cells — byte-identical to an
-   uninterrupted run.
+   uninterrupted run.  A cell that raises is not retried: its seed is
+   fixed, so a second attempt would raise the same way.
 
 Cell functions must be module-level (picklable) callables; everything a
 cell needs travels through its ``kwargs`` (an :class:`RCThermalModel`
@@ -34,9 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,8 +52,6 @@ from . import records
 
 __all__ = [
     "Cell",
-    "CellTimeoutError",
-    "RetryPolicy",
     "SweepCheckpoint",
     "derive_seed",
     "run_cells",
@@ -84,10 +78,6 @@ def derive_seed(base_seed: int, *parts: Any) -> int:
     return int.from_bytes(digest.digest()[:4], "big")
 
 
-class CellTimeoutError(RuntimeError):
-    """A cell exceeded its per-cell timeout on every allowed attempt."""
-
-
 @dataclass(frozen=True)
 class Cell:
     """One independent unit of a sweep.
@@ -102,34 +92,6 @@ class Cell:
 
     def execute(self) -> Any:
         return self.fn(**self.kwargs)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-cell retry with capped exponential backoff, seeded jitter.
-
-    A failing (or timed-out) cell is re-run up to ``retries`` extra times.
-    Before attempt ``k`` the runner sleeps
-    ``min(cap, base * 2**(k-1)) * jitter`` where ``jitter`` in ``[0, 1)``
-    comes from :func:`derive_seed` over ``(seed, cell key, k)`` — the full
-    backoff schedule is a pure function of the policy and the cell, never
-    of the wall clock, so retry behaviour is reproducible in tests.
-    """
-
-    retries: int = 0
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    seed: int = 0
-
-    def delay_s(self, key: Hashable, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based) of cell ``key``."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        bound = min(
-            self.backoff_cap_s, self.backoff_base_s * 2 ** (attempt - 1)
-        )
-        jitter = derive_seed(self.seed, canonical_key(key), attempt) / 2**32
-        return bound * jitter
 
 
 def canonical_key(key: Hashable) -> str:
@@ -198,22 +160,8 @@ def _identity(value: Any) -> Any:
     return value
 
 
-def _run_serial_cell(cell: Cell, retry: RetryPolicy) -> Any:
-    attempt = 0
-    while True:
-        try:
-            return cell.execute()
-        except Exception:
-            if attempt >= retry.retries:
-                raise
-            attempt += 1
-            _time.sleep(retry.delay_s(cell.key, attempt))
-
-
 def _run_serial(
-    cells: List[Cell],
-    retry: RetryPolicy,
-    on_done: Callable[[Cell, Any], Any],
+    cells: List[Cell], on_done: Callable[[Cell, Any], Any]
 ) -> List[Any]:
     """Run cells in-process; ``on_done`` fires as each cell finishes.
 
@@ -221,21 +169,12 @@ def _run_serial(
     a checkpointing callback makes every finished cell durable before the
     next one starts (a SIGKILL mid-sweep loses only the in-flight cell).
     """
-    return [on_done(cell, _run_serial_cell(cell, retry)) for cell in cells]
-
-
-def _resolve_policy(jobs: int, n_pending: int) -> Tuple[str, int]:
-    """Map the ``jobs`` worker count to a policy and a pool size."""
-    if jobs <= 1 or n_pending <= 1:
-        return "serial", 1
-    return "fork", jobs
+    return [on_done(cell, cell.execute()) for cell in cells]
 
 
 def run_cells(
     cells: Iterable[Cell],
     jobs: int = 1,
-    retry: Optional[RetryPolicy] = None,
-    timeout_s: Optional[float] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
     encode: Callable[[Any], Any] = _identity,
@@ -250,14 +189,7 @@ def run_cells(
     support, sandboxed semaphores, unpicklable payload) — or breaks more
     than ``_MAX_POOL_RESTARTS`` times — the sweep falls back to the
     serial path; the results are identical either way, only the wall
-    time differs.
-
-    ``retry`` re-runs failing cells per :class:`RetryPolicy` (both modes);
-    after the allowed attempts the cell's exception propagates.
-    ``timeout_s`` bounds each cell's wall time — pool mode only (a serial
-    in-process cell cannot be pre-empted); a timed-out attempt abandons
-    the current pool and counts as a failed attempt, raising
-    :class:`CellTimeoutError` once attempts are exhausted.
+    time differs.  A cell's exception propagates; it is not retried.
 
     ``checkpoint_path`` enables crash-tolerant sweeps: each finished
     cell's ``encode``-d result is durably appended to a
@@ -276,7 +208,6 @@ def run_cells(
     keys = [cell.key for cell in cells]
     if len(set(keys)) != len(keys):
         raise ValueError("cell keys must be unique")
-    retry = retry if retry is not None else RetryPolicy()
     checkpoint = (
         SweepCheckpoint(checkpoint_path) if checkpoint_path is not None else None
     )
@@ -305,19 +236,16 @@ def run_cells(
     # _record runs per cell *at completion time* (not after the sweep), so
     # every finished cell is durably checkpointed before the next result
     # lands — the crash-tolerance contract of docs/faults.md
-    policy, workers = _resolve_policy(jobs, len(pending))
     try:
-        if policy == "serial":
-            computed = _run_serial(pending, retry, on_done=_record)
+        if jobs <= 1 or len(pending) <= 1:
+            computed = _run_serial(pending, on_done=_record)
         else:
             try:
-                computed = _run_pool(
-                    pending, workers, retry, timeout_s, on_done=_record
-                )
+                computed = _run_pool(pending, jobs, on_done=_record)
             except (OSError, NotImplementedError, pickle.PicklingError):
                 # cells recorded before the pool died are re-run serially
                 # but re-recorded idempotently (the last write wins)
-                computed = _run_serial(pending, retry, on_done=_record)
+                computed = _run_serial(pending, on_done=_record)
     finally:
         if checkpoint is not None:
             checkpoint.close()
@@ -337,13 +265,9 @@ def run_cells(
 
 
 def _run_pool(
-    cells: List[Cell],
-    jobs: int,
-    retry: RetryPolicy,
-    timeout_s: Optional[float],
-    on_done: Callable[[Cell, Any], Any],
+    cells: List[Cell], jobs: int, on_done: Callable[[Cell, Any], Any]
 ) -> List[Any]:
-    """Pool execution with retries, timeouts and pool-restart recovery.
+    """Pool execution with pool-restart recovery.
 
     ``on_done`` fires per cell as its future resolves (checkpoint
     durability, as in :func:`_run_serial`); already-recorded cells are
@@ -351,68 +275,25 @@ def _run_pool(
     Results are collated in submission order.  A ``BrokenProcessPool``
     (a worker died — OOM kill, SIGKILL, segfault) rebuilds the pool and
     resubmits the unfinished cells, up to ``_MAX_POOL_RESTARTS`` times;
-    beyond that the remaining cells run serially.  A timed-out cell also
-    abandons the pool (the hung worker would otherwise keep its slot),
-    counting one failed attempt for that cell only.
+    beyond that the remaining cells run serially.
     """
     results: Dict[int, Any] = {}
-    attempts = [0] * len(cells)
     restarts = 0
     while len(results) < len(cells):
         outstanding = [i for i in range(len(cells)) if i not in results]
-        # no `with`: its __exit__ would join workers, blocking forever on a
-        # hung cell after a timeout — shutdown is managed explicitly instead
+        if restarts > _MAX_POOL_RESTARTS:
+            # the environment cannot keep a pool alive; finish serially
+            for i in outstanding:
+                results[i] = on_done(cells[i], cells[i].execute())
+            break
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(outstanding)))
         try:
-            futures = {
-                i: pool.submit(cells[i].execute) for i in outstanding
-            }
+            futures = {i: pool.submit(cells[i].execute) for i in outstanding}
             for i in outstanding:
-                while True:
-                    try:
-                        results[i] = on_done(
-                            cells[i], futures[i].result(timeout=timeout_s)
-                        )
-                        break
-                    except _FutureTimeout:
-                        attempts[i] += 1
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        if attempts[i] > retry.retries:
-                            raise CellTimeoutError(
-                                f"cell {cells[i].key!r} exceeded "
-                                f"{timeout_s} s on every attempt"
-                            ) from None
-                        _time.sleep(retry.delay_s(cells[i].key, attempts[i]))
-                        # the worker may be hung: abandon this pool and
-                        # resubmit everything unfinished in a fresh one
-                        raise _PoolAbandoned()
-                    except BrokenProcessPool:
-                        raise
-                    except _PoolAbandoned:
-                        raise
-                    except Exception:
-                        attempts[i] += 1
-                        if attempts[i] > retry.retries:
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            raise
-                        _time.sleep(retry.delay_s(cells[i].key, attempts[i]))
-                        futures[i] = pool.submit(cells[i].execute)
-        except _PoolAbandoned:
-            continue
+                results[i] = on_done(cells[i], futures[i].result())
         except BrokenProcessPool:
-            pool.shutdown(wait=False, cancel_futures=True)
             restarts += 1
-            if restarts > _MAX_POOL_RESTARTS:
-                # the environment cannot keep a pool alive; finish serially
-                remaining = [i for i in range(len(cells)) if i not in results]
-                for i in remaining:
-                    results[i] = on_done(
-                        cells[i], _run_serial_cell(cells[i], retry)
-                    )
-            continue
-        pool.shutdown(wait=True)
+        finally:
+            # a raising cell cancels the cells not yet started
+            pool.shutdown(wait=True, cancel_futures=True)
     return [results[i] for i in range(len(cells))]
-
-
-class _PoolAbandoned(Exception):
-    """Internal: restart the pool without counting a broken-pool strike."""

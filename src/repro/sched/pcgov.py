@@ -4,12 +4,9 @@ PCGov (Rapp et al., ISLPED 2018 / TC 2019) maps tasks onto the S-NUCA
 many-core performance-greedily and keeps the chip thermally safe purely
 with DVFS: every active core receives the (mapping-aware) Thermal Safe
 Power budget, and each core's frequency is the highest 100 MHz step whose
-*measured* thread power fits the budget.
-
-The measured-power governor (rather than worst-case activity) is what makes
-this a strong baseline: a duty-cycled or memory-bound thread that naturally
-fits the budget keeps running at f_max; only threads whose observed power
-exceeds the budget get slowed.
+full-activity thread power (the task profile's power at that step) fits
+the budget — deterministic and thermally safe by construction, the
+published governor.
 """
 
 from __future__ import annotations
@@ -28,26 +25,15 @@ class PCGovScheduler(Scheduler):
 
     name = "pcgov"
 
-    def __init__(
-        self, budget_mode: str = "mapping", governor: str = "profile"
-    ) -> None:
+    def __init__(self, budget_mode: str = "mapping") -> None:
         """``budget_mode``: ``"mapping"`` uses the mapping-aware TSP budget
         (the stronger PCGov variant); ``"worst-case"`` uses the classic
         mapping-agnostic TSP budget of Pagani et al. (what the paper's
-        Fig. 2b labels "TSP").
-
-        ``governor``: ``"profile"`` (published behaviour) picks the highest
-        frequency whose *full-activity* thread power fits the budget —
-        deterministic and always thermally safe; ``"measured"`` budgets the
-        observed (duty-cycled) power instead — more aggressive, kept as an
-        ablation variant."""
+        Fig. 2b labels "TSP")."""
         super().__init__()
         if budget_mode not in ("mapping", "worst-case"):
             raise ValueError("budget_mode must be 'mapping' or 'worst-case'")
-        if governor not in ("profile", "measured"):
-            raise ValueError("governor must be 'profile' or 'measured'")
         self.budget_mode = budget_mode
-        self.governor = governor
         self._placer: Optional[StaticPlacer] = None
         self._budget_w: Optional[float] = None
         self._core_freq: Optional[np.ndarray] = None
@@ -100,18 +86,6 @@ class PCGovScheduler(Scheduler):
 
     # -- DVFS governor ----------------------------------------------------------
 
-    def _power_at(self, measured_w: float, f_from: float, f_to: float) -> float:
-        """Rescale a measured core power from one frequency to another.
-
-        Dynamic power scales with ``f * V(f)^2``; the idle floor does not.
-        """
-        idle = self.ctx.power_model.idle_power_w()
-        dyn = max(0.0, measured_w - idle)
-        dvfs = self.ctx.config.dvfs
-        scale_from = f_from * dvfs.voltage(f_from) ** 2
-        scale_to = f_to * dvfs.voltage(f_to) ** 2
-        return idle + dyn * scale_to / scale_from
-
     def _profile_frequency(self, thread_id: str, core: int) -> float:
         """Highest step whose full-activity thread power fits the budget."""
         profile = self._profile_of.get(thread_id)
@@ -137,45 +111,11 @@ class PCGovScheduler(Scheduler):
         self._profile_freq_cache[key] = chosen
         return chosen
 
-    def _measured_frequency(self, thread_id: str, core: int) -> float:
-        """Highest step whose measured-power projection fits the budget."""
-        dvfs = self.ctx.dvfs
-        f_max = self.ctx.config.dvfs.f_max_hz
-        try:
-            # burst-reactive: a phase change shows up in the last sample a
-            # full window before it moves the average
-            measured = max(
-                self.ctx.thread_power_w(thread_id),
-                self.ctx.thread_recent_power_w(thread_id),
-            )
-        except (KeyError, RuntimeError):
-            return f_max  # no history yet: start optimistic at f_max
-        f_cur = float(self._core_freq[core])
-        if self._budget_w is None:
-            return f_max
-        # binary search over the quantized levels (power monotone in f)
-        levels = dvfs.levels
-        lo, hi, best = 0, len(levels) - 1, 0
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if self._power_at(measured, f_cur, levels[mid]) <= self._budget_w:
-                best = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return levels[best]
-
-    def _governor_frequency(self, thread_id: str, core: int) -> float:
-        """Dispatch to the configured governor variant."""
-        if self.governor == "profile":
-            return self._profile_frequency(thread_id, core)
-        return self._measured_frequency(thread_id, core)
-
     def decide(self, now_s: float) -> SchedulerDecision:
         placements = dict(self._placer.placements)
         freqs = np.full(self.ctx.n_cores, self.ctx.config.dvfs.f_max_hz)
         for thread_id, core in placements.items():
-            freqs[core] = self._governor_frequency(thread_id, core)
+            freqs[core] = self._profile_frequency(thread_id, core)
         self._core_freq = freqs
         return SchedulerDecision(
             placements=placements,

@@ -538,7 +538,7 @@ class ThermalServer:
     ) -> Tuple[int, bytes, Dict[str, str]]:
         payload = _parse_json(body)
         tenant = self._tenant_for(payload, "simulate")
-        profiler = PhaseProfiler(enabled=True) if self.tracer.enabled else None
+        profiler = PhaseProfiler() if self.tracer.enabled else None
         try:
             # concurrent requests coalesce in the SimulateBatcher and run
             # with fused thermal stepping; each future resolves with its

@@ -155,32 +155,19 @@ class TestFamilySelection:
 
 
 @pytest.mark.lint
-class TestIncrementalCache:
-    def test_warm_run_hits_every_file(self, tmp_path):
-        relpath = "repro/mod.py"
-        path = tmp_path / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('"""doc."""\nx = 1\n')
-        first = _cli("check", str(tmp_path), "--json", cwd=tmp_path)
-        assert json.loads(first.stdout)["cache"] == {
-            "hits": 0, "misses": 1
-        }
-        second = _cli("check", str(tmp_path), "--json", cwd=tmp_path)
-        assert json.loads(second.stdout)["cache"] == {
-            "hits": 1, "misses": 0
-        }
-        assert (tmp_path / ".lint-cache.json").exists()
-
-    def test_no_cache_flag_skips_cache(self, tmp_path):
-        relpath = "repro/mod.py"
-        path = tmp_path / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('"""doc."""\nx = 1\n')
-        result = _cli(
-            "check", str(tmp_path), "--no-cache", "--json", cwd=tmp_path
-        )
+class TestCliHygiene:
+    def test_check_json_writes_no_file_and_has_no_cache_key(self, tmp_path):
+        tree = tmp_path / "tree"
+        (tree / "repro").mkdir(parents=True)
+        (tree / "repro" / "mod.py").write_text('"""doc."""\nx = 1\n')
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        result = _cli("check", str(tree), "--json", cwd=workdir)
+        assert result.returncode == 0, result.stdout + result.stderr
         assert "cache" not in json.loads(result.stdout)
-        assert not (tmp_path / ".lint-cache.json").exists()
+        after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert after == before  # nothing written in the cwd or the tree
 
 
 @pytest.mark.lint

@@ -97,8 +97,6 @@ class TestGovernor:
     def test_invalid_modes(self):
         with pytest.raises(ValueError):
             PCGovScheduler(budget_mode="bogus")
-        with pytest.raises(ValueError):
-            PCGovScheduler(governor="bogus")
 
     def test_no_migrations_ever(self, cfg64, model64):
         sched = make(cfg64, model64)

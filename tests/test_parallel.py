@@ -6,7 +6,7 @@ ordered, and pool failures degrade to the serial path.
 """
 
 import json
-import time
+import os
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +15,6 @@ import pytest
 from repro import config
 from repro.parallel import (
     Cell,
-    CellTimeoutError,
-    RetryPolicy,
     SweepCheckpoint,
     canonical_key,
     derive_seed,
@@ -150,22 +148,21 @@ class TestParallelDeterminism:
         assert a == b
 
 
-# -- retry / timeout / checkpoint (the repro.faults hardening layer) -------------
+# -- checkpoint and worker death (the repro.faults hardening layer) -------------
 
 
-def _flaky(counter_path, succeed_on):
-    """Fail until attempt ``succeed_on``; a tmp file counts real invocations."""
-    path = Path(counter_path)
-    attempt = int(path.read_text()) + 1 if path.exists() else 1
-    path.write_text(str(attempt))
-    if attempt < succeed_on:
-        raise RuntimeError(f"flaky attempt {attempt}")
-    return attempt
+def _die_once(marker_path, parent_pid, x):
+    """Kill the worker process on the first call only, square ``x`` after.
 
-
-def _sleep_then_return(seconds, value):
-    time.sleep(seconds)
-    return value
+    The marker file records that a worker already died; a call in the
+    test process itself never exits (a serial fallback must not kill
+    the test run).
+    """
+    marker = Path(marker_path)
+    if os.getpid() != parent_pid and not marker.exists():
+        marker.write_text("died")
+        os._exit(1)
+    return x * x
 
 
 def _count_and_square(counter_path, x):
@@ -180,88 +177,6 @@ def _enc(x):
 
 def _dec(d):
     return d["payload"]
-
-
-class TestRetryPolicy:
-    def test_delay_is_pure_and_deterministic(self):
-        policy = RetryPolicy(retries=3, seed=7)
-        assert policy.delay_s("cell", 1) == policy.delay_s("cell", 1)
-        assert policy.delay_s("cell", 1) != policy.delay_s("cell", 2)
-        assert policy.delay_s("cell", 1) != policy.delay_s("other", 1)
-
-    def test_delay_bounded_by_capped_exponential(self):
-        policy = RetryPolicy(retries=8, backoff_base_s=0.05, backoff_cap_s=0.4)
-        for attempt in range(1, 9):
-            bound = min(0.4, 0.05 * 2 ** (attempt - 1))
-            delay = policy.delay_s(("k", attempt), attempt)
-            assert 0.0 <= delay <= bound
-
-    def test_attempt_is_one_based(self):
-        with pytest.raises(ValueError, match="1-based"):
-            RetryPolicy().delay_s("k", 0)
-
-    def test_seed_changes_schedule(self):
-        a = RetryPolicy(seed=1).delay_s("k", 1)
-        b = RetryPolicy(seed=2).delay_s("k", 1)
-        assert a != b
-
-
-class TestRetryExecution:
-    def test_serial_retry_recovers_flaky_cell(self, tmp_path):
-        counter = tmp_path / "attempts"
-        cells = [
-            Cell(
-                key="flaky",
-                fn=_flaky,
-                kwargs={"counter_path": str(counter), "succeed_on": 3},
-            )
-        ]
-        policy = RetryPolicy(retries=2, backoff_base_s=1e-4)
-        assert run_cells(cells, jobs=1, retry=policy) == {"flaky": 3}
-        assert counter.read_text() == "3"
-
-    def test_exhausted_retries_propagate(self, tmp_path):
-        counter = tmp_path / "attempts"
-        cells = [
-            Cell(
-                key="flaky",
-                fn=_flaky,
-                kwargs={"counter_path": str(counter), "succeed_on": 5},
-            )
-        ]
-        policy = RetryPolicy(retries=1, backoff_base_s=1e-4)
-        with pytest.raises(RuntimeError, match="flaky attempt 2"):
-            run_cells(cells, jobs=1, retry=policy)
-
-    def test_pool_retry_recovers_flaky_cell(self, tmp_path):
-        counter = tmp_path / "attempts"
-        cells = [
-            Cell(
-                key="flaky",
-                fn=_flaky,
-                kwargs={"counter_path": str(counter), "succeed_on": 2},
-            ),
-            Cell(key="ok", fn=_square, kwargs={"x": 3}),
-        ]
-        policy = RetryPolicy(retries=1, backoff_base_s=1e-4)
-        results = run_cells(cells, jobs=2, retry=policy)
-        assert results == {"flaky": 2, "ok": 9}
-
-
-class TestTimeout:
-    def test_pool_timeout_raises_cell_timeout(self):
-        cells = [
-            Cell(key="hang", fn=_sleep_then_return, kwargs={"seconds": 60, "value": 1}),
-            Cell(key="fast", fn=_square, kwargs={"x": 2}),
-        ]
-        with pytest.raises(CellTimeoutError):
-            run_cells(cells, jobs=2, timeout_s=0.5)
-
-    def test_fast_cells_unaffected_by_generous_timeout(self):
-        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(4)]
-        assert run_cells(cells, jobs=2, timeout_s=30.0) == {
-            i: i * i for i in range(4)
-        }
 
 
 def _checkpointed(path, key, result):
@@ -412,20 +327,36 @@ class TestRunCellsCheckpointing:
         assert a == b
         assert serial_path.read_bytes() == pool_path.read_bytes()
 
+    def test_dead_worker_is_replaced_and_checkpoint_matches_serial(
+        self, tmp_path
+    ):
+        marker = tmp_path / "died"
+        serial_path = tmp_path / "serial.jsonl"
+        pool_path = tmp_path / "pool.jsonl"
+        cells = [
+            Cell(key=0, fn=_square, kwargs={"x": 0}),
+            Cell(
+                key=1,
+                fn=_die_once,
+                kwargs={
+                    "marker_path": str(marker),
+                    "parent_pid": os.getpid(),
+                    "x": 1,
+                },
+            ),
+            Cell(key=2, fn=_square, kwargs={"x": 2}),
+            Cell(key=3, fn=_square, kwargs={"x": 3}),
+        ]
+        serial = run_cells(cells, jobs=1, checkpoint_path=serial_path)
+        assert not marker.exists()
+        pooled = run_cells(cells, jobs=2, checkpoint_path=pool_path)
+        assert marker.exists()  # a worker really died mid-sweep
+        assert pooled == serial == {0: 0, 1: 1, 2: 4, 3: 9}
+        assert pool_path.read_bytes() == serial_path.read_bytes()
+
 
 class TestResolvePolicy:
-    """The ``jobs`` worker count maps to serial or fork."""
-
-    def test_explicit_jobs_keep_old_semantics(self):
-        from repro.parallel import _resolve_policy
-
-        assert _resolve_policy(1, 4) == ("serial", 1)
-        assert _resolve_policy(3, 4) == ("fork", 3)
-        assert _resolve_policy(3, 1) == ("serial", 1)
-
-    def test_bad_string_rejected(self):
-        with pytest.raises(ValueError, match="jobs"):
-            run_cells([Cell(key=0, fn=_square, kwargs={"x": 2})], jobs="fast")
+    """The ``jobs`` worker count must be an ``int``."""
 
     @pytest.mark.parametrize("jobs", ["auto", "2", True, False, 2.0, None])
     def test_non_int_jobs_rejected(self, jobs, tmp_path):

@@ -20,7 +20,7 @@ from .conftest import build_mini_trace
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def run_cli(*args):
+def run_cli(*args, cwd=None):
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = _SRC + (os.pathsep + existing if existing else "")
@@ -29,6 +29,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
         timeout=120,
     )
 

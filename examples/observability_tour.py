@@ -13,8 +13,9 @@ observability component enabled (``docs/observability.md``), then shows:
 3. the **profiling summary** — wall-clock cost of the scheduler-decision,
    power-map-build and thermal-step phases of the hot loop;
 4. the **analysis layer** — derived statistics, the analytic ``T_peak``
-   bound of Algorithm 1, the violation detectors (a ``check``) and a
-   self-contained single-file HTML report.
+   bound of Algorithm 1, the violation detectors (a ``check``) and the
+   derived statistics as OpenMetrics (what ``python -m repro.obs export``
+   writes).
 
 Run:  python examples/observability_tour.py
 """
@@ -32,10 +33,11 @@ from repro.obs import (
     BoundDetector,
     PowerMapDetector,
     TraceRecorder,
+    analysis_to_flat,
     analyze,
     default_detectors,
     run_detectors,
-    write_html_report,
+    to_openmetrics,
 )
 from repro.sched import HotPotatoScheduler
 from repro.sim import IntervalSimulator
@@ -153,7 +155,7 @@ def main() -> None:
             f"(margin {bound.margin_c:+.2f} C, delta={bound.delta})"
         )
 
-    # 6. a `check` (what `python -m repro.obs check` does) + HTML export
+    # 6. a `check` (what `python -m repro.obs check` does) + OpenMetrics
     detectors = default_detectors(dtm_threshold_c=cfg.thermal.dtm_threshold_c)
     detectors.append(PowerMapDetector(cfg.thermal.idle_power_w))
     if analysis.bound is not None:
@@ -161,14 +163,9 @@ def main() -> None:
     violations = run_detectors(trace, detectors)
     print()
     print(render_violations_table(violations, title="check"))
-    report_path = Path(tempfile.gettempdir()) / "observability_tour_report.html"
-    write_html_report(
-        report_path, trace, analysis, violations, title="Observability tour"
-    )
-    print(
-        f"\nself-contained HTML report: {report_path} "
-        f"({report_path.stat().st_size} bytes)"
-    )
+    exposition = to_openmetrics(analysis_to_flat(analysis)).splitlines()
+    print(f"\nOpenMetrics export ({len(exposition)} lines) starts:")
+    print("\n".join(exposition[:6]))
 
 
 if __name__ == "__main__":

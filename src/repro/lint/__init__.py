@@ -35,7 +35,6 @@ from .engine import (
     Rule,
     collect_files,
     default_rules,
-    has_project_pass,
     register,
     rule_families,
     rule_ids,
@@ -52,7 +51,6 @@ __all__ = [
     "Rule",
     "collect_files",
     "default_rules",
-    "has_project_pass",
     "load_baseline",
     "partition",
     "register",

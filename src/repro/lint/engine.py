@@ -330,15 +330,6 @@ def _suppressed(finding: Finding, modules: Dict[str, Module]) -> bool:
     return finding.rule in tokens or (finding.family in tokens)
 
 
-def has_project_pass(rule: Rule) -> bool:
-    """Whether ``rule`` overrides :meth:`Rule.check_project`.
-
-    Project-pass rules see the whole tree at once: one file may flip a
-    finding in another (that is the point of the call graph).
-    """
-    return type(rule).check_project is not Rule.check_project
-
-
 def run_lint(
     paths: Sequence[object],
     rules: Optional[Sequence[Rule]] = None,

@@ -22,8 +22,7 @@ hot loop, plus the analytics that turn its artifacts into insight (see
 - :mod:`repro.obs.detect` — a detector registry producing structured
   :class:`Violation` records, online or offline;
 - :mod:`repro.obs.export` — OpenMetrics textfile rendering (including
-  histogram quantile/bucket exposition) and self-contained single-file
-  HTML reports (run report and trace waterfall);
+  histogram quantile/bucket exposition);
 - :class:`SpanTracer` — off-by-default request tracing for the serve
   stack: trace/span/parent ids, monotonic durations, bounded ring buffer,
   optional JSONL sink (:mod:`repro.obs.spans`);
@@ -81,14 +80,10 @@ from .detect import (
 )
 from .export import (
     histogram_exposition,
-    html_report,
     openmetrics_name,
     parse_openmetrics,
     to_openmetrics,
-    trace_waterfall_html,
-    write_html_report,
     write_openmetrics,
-    write_trace_waterfall,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observer import Observer
@@ -156,7 +151,6 @@ __all__ = [
     "event_callback",
     "event_to_record",
     "histogram_exposition",
-    "html_report",
     "infer_rotation_period",
     "migration_stats",
     "openmetrics_name",
@@ -169,8 +163,5 @@ __all__ = [
     "spans_to_jsonl",
     "thermal_stats",
     "to_openmetrics",
-    "trace_waterfall_html",
-    "write_html_report",
     "write_openmetrics",
-    "write_trace_waterfall",
 ]

@@ -12,12 +12,10 @@ metrics-snapshot JSON (``MetricsRegistry.save``) and result JSON
   when anything fires (the CI gate);
 - ``diff <a> <b>`` — compare two runs' snapshots or analyses with
   configurable tolerances; exit status 1 on drift (the regression gate);
-- ``export <artifact>`` — render OpenMetrics or a self-contained HTML
-  report;
-- ``spans {summarize,slowest,export} <spans.jsonl>`` — analytics over
+- ``export <artifact>`` — write its metrics as an OpenMetrics textfile;
+- ``spans {summarize,slowest} <spans.jsonl>`` — analytics over
   request-span JSONL written by :class:`~repro.obs.spans.SpanTracer`:
-  per-name duration statistics, the slowest traces, or a trace-waterfall
-  HTML export.
+  per-name duration statistics or the slowest traces.
 
 ``--config {table1,motivational,small_test}`` names the platform the trace
 was recorded on; it unlocks everything that needs platform knowledge (the
@@ -46,11 +44,10 @@ from .analyze import RunAnalysis, analysis_to_flat, analyze
 from .detect import (
     BoundDetector,
     PowerMapDetector,
-    Violation,
     default_detectors,
     run_detectors,
 )
-from .export import to_openmetrics, write_html_report, write_trace_waterfall
+from .export import to_openmetrics
 from .spans import DECODERS as SPAN_DECODERS, SpanRecord
 from .trace import DECODERS as TRACE_DECODERS, KIND_OF, TraceRecorder
 
@@ -190,9 +187,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 # -- check ---------------------------------------------------------------------
 
 
-def _check_violations(
-    args: argparse.Namespace, trace: TraceRecorder
-) -> Tuple[List[Violation], Optional[RunAnalysis]]:
+def _cmd_check(args: argparse.Namespace) -> int:
+    trace = _load_trace(args.trace)
     platform = _Platform(args.config) if args.config else None
     threshold_c = (
         args.threshold
@@ -206,7 +202,6 @@ def _check_violations(
         thrash_max_transitions=args.thrash_max,
         stall_factor=args.stall_factor,
     )
-    analysis: Optional[RunAnalysis] = None
     if platform is not None:
         detectors.append(PowerMapDetector(platform.idle_power_w))
         analysis = _build_analysis(args, trace)
@@ -219,12 +214,7 @@ def _check_violations(
             )
     elif args.bound_c is not None:
         detectors.append(BoundDetector(args.bound_c, args.bound_tolerance))
-    return run_detectors(trace, detectors), analysis
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.trace)
-    violations, _ = _check_violations(args, trace)
+    violations = run_detectors(trace, detectors)
     if args.json:
         print_json([v.to_dict() for v in violations])
     else:
@@ -304,27 +294,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     out = Path(args.output)
-    if args.format == "openmetrics":
-        if args.input.endswith(".jsonl"):
-            flat = analysis_to_flat(_build_analysis(args, _load_trace(args.input)))
-        else:
-            from ..io import load_metrics_snapshot
-
-            flat = load_metrics_snapshot(args.input)
-        out.write_text(to_openmetrics(flat, prefix=args.prefix))
-    else:  # html
-        if not args.input.endswith(".jsonl"):
-            raise SystemExit("error: HTML export needs a trace (.jsonl) input")
-        trace = _load_trace(args.input)
-        analysis = _build_analysis(args, trace)
-        violations, _ = _check_violations(args, trace)
-        write_html_report(
-            out,
-            trace,
-            analysis,
-            violations,
-            title=args.title or f"Run report: {Path(args.input).name}",
-        )
+    flat = _load_flat(args.input, args)
+    out.write_text(to_openmetrics(flat, prefix=args.prefix))
     print(f"wrote {out} ({out.stat().st_size} bytes)")
     return EXIT_OK
 
@@ -449,19 +420,6 @@ def _cmd_spans_slowest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_spans_export(args: argparse.Namespace) -> int:
-    spans = _load_spans(args.spans)
-    out = Path(args.output)
-    write_trace_waterfall(
-        out,
-        spans,
-        title=args.title or f"Trace waterfall: {Path(args.spans).name}",
-        max_traces=args.limit,
-    )
-    print(f"wrote {out} ({out.stat().st_size} bytes)")
-    return EXIT_OK
-
-
 # -- argument parsing ----------------------------------------------------------
 
 
@@ -569,23 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--json", action="store_true", help="machine output")
     p_diff.set_defaults(func=_cmd_diff)
 
-    p_exp = sub.add_parser(
-        "export", help="render OpenMetrics or a self-contained HTML report"
-    )
+    p_exp = sub.add_parser("export", help="write an OpenMetrics textfile")
     p_exp.add_argument("input", help="trace .jsonl or snapshot/result .json")
-    p_exp.add_argument(
-        "--format",
-        choices=("openmetrics", "html"),
-        required=True,
-        help="output format",
-    )
     p_exp.add_argument("-o", "--output", required=True, help="output file")
     p_exp.add_argument(
         "--prefix", default="repro", help="OpenMetrics metric-name prefix"
     )
-    p_exp.add_argument("--title", help="HTML report title")
     _add_platform_args(p_exp)
-    _add_check_args(p_exp)
     p_exp.set_defaults(func=_cmd_export)
 
     p_spans = sub.add_parser(
@@ -608,16 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sl.add_argument("--json", action="store_true", help="machine output")
     p_sl.set_defaults(func=_cmd_spans_slowest)
 
-    p_se = spans_sub.add_parser(
-        "export", help="render a self-contained trace-waterfall HTML file"
-    )
-    p_se.add_argument("spans", help="span JSONL file")
-    p_se.add_argument("-o", "--output", required=True, help="output HTML file")
-    p_se.add_argument(
-        "--limit", type=int, default=20, help="max traces in the waterfall"
-    )
-    p_se.add_argument("--title", help="HTML document title")
-    p_se.set_defaults(func=_cmd_spans_export)
     return parser
 
 

@@ -541,7 +541,7 @@ class SpanOrphanDetector(Detector):
 
     Orphans mean broken context propagation (a span created on the wrong
     task/context) or ring-buffer eviction of a still-referenced parent —
-    either way the waterfall is lying about causality, so each orphan is
+    either way the span tree is lying about causality, so each orphan is
     reported as a warning located at the span's start time.
     """
 

@@ -1,6 +1,4 @@
-"""Run exporters: OpenMetrics text format and a self-contained HTML report.
-
-Two render targets for observability artifacts:
+"""Run exporter: metrics snapshots as OpenMetrics text.
 
 - :func:`to_openmetrics` — any flat metrics snapshot (a
   ``name -> float`` dict, e.g. ``MetricsRegistry.snapshot()`` or
@@ -8,35 +6,22 @@ Two render targets for observability artifacts:
   textfile, suitable for the node-exporter textfile collector or a
   ``promtool``-style scrape.  :func:`parse_openmetrics` is the matching
   strict line-format parser (used by the test suite to validate output);
-- :func:`html_report` — one run as a single self-contained HTML file: no
-  external scripts, stylesheets or images, just inline SVG temperature
-  timelines per core, the per-core thermal-stress table, the
-  ring-migration table and the violation list;
 - :func:`histogram_exposition` — flattens a
   :class:`~repro.obs.metrics.Histogram` into label-free quantile
   (``name.p50``) and cumulative bucket (``name.bucket.le_2em03``)
   samples that ride the same :func:`to_openmetrics` path — the strict
   ``name value`` line format stays label-free by design, so quantiles
-  and buckets are encoded in the metric name;
-- :func:`trace_waterfall_html` — spans from
-  :class:`~repro.obs.spans.SpanTracer` as a self-contained HTML trace
-  waterfall (inline SVG, one lane per span, grouped by trace), in the
-  same single-file style as :func:`html_report`.
+  and buckets are encoded in the metric name.
 """
 
 from __future__ import annotations
 
-import html as _html
 import math
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
-from .analyze import RunAnalysis
-from .detect import Violation
 from .metrics import Histogram
-from .spans import SpanRecord
-from .trace import TraceRecorder
 
 PathLike = Union[str, Path]
 
@@ -189,459 +174,3 @@ def histogram_exposition(
         cumulative += bucket_count
         flat[f"{name}.bucket.le_{bucket_label(bound)}"] = float(cumulative)
     return flat
-
-
-# -- HTML report ---------------------------------------------------------------
-
-_CSS = """
-body { font-family: system-ui, sans-serif; margin: 2em auto; max-width: 64em;
-       color: #1a1a2e; }
-h1, h2 { font-weight: 600; }
-table { border-collapse: collapse; margin: 1em 0; }
-th, td { border: 1px solid #c8c8d0; padding: 0.3em 0.8em; text-align: right; }
-th { background: #eef0f4; }
-td:first-child, th:first-child { text-align: left; }
-.violation-critical { color: #b00020; font-weight: 600; }
-.violation-warning { color: #a05a00; font-weight: 600; }
-.ok { color: #1a7a3c; font-weight: 600; }
-svg { background: #fafbfc; border: 1px solid #c8c8d0; }
-figcaption { font-size: 0.85em; color: #555; }
-"""
-
-#: Cycled polyline colors for the per-core timelines.
-_PALETTE = (
-    "#4363d8", "#e6194b", "#3cb44b", "#f58231", "#911eb4",
-    "#4699c9", "#808000", "#f032e6", "#9a6324", "#2f4f4f",
-)
-
-
-def _svg_timeline(
-    trace: TraceRecorder,
-    limit_c: Optional[float],
-    bound_c: Optional[float],
-    width: int = 860,
-    height: int = 300,
-) -> str:
-    """Inline SVG: one temperature polyline per core over simulated time."""
-    intervals = trace.intervals()
-    if not intervals:
-        return "<p>(no interval records)</p>"
-    n_cores = len(intervals[0].temps_c)
-    times = [r.time_s + r.dt_s for r in intervals]
-    t_min, t_max = intervals[0].time_s, times[-1]
-    lows = [min(r.temps_c) for r in intervals]
-    highs = [max(r.temps_c) for r in intervals]
-    y_min = min(lows)
-    y_max = max(highs)
-    for level in (limit_c, bound_c):
-        if level is not None:
-            y_min = min(y_min, level)
-            y_max = max(y_max, level)
-    y_pad = max(0.5, 0.05 * (y_max - y_min))
-    y_min -= y_pad
-    y_max += y_pad
-    margin_l, margin_b, margin_t = 54, 30, 10
-    plot_w = width - margin_l - 10
-    plot_h = height - margin_b - margin_t
-
-    def x_of(t: float) -> float:
-        span = (t_max - t_min) or 1.0
-        return margin_l + (t - t_min) / span * plot_w
-
-    def y_of(temp: float) -> float:
-        span = (y_max - y_min) or 1.0
-        return margin_t + (y_max - temp) / span * plot_h
-
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" '
-        f'aria-label="per-core temperature timelines">'
-    ]
-    # axes and gridlines
-    n_ticks = 5
-    for i in range(n_ticks + 1):
-        temp = y_min + (y_max - y_min) * i / n_ticks
-        y = y_of(temp)
-        parts.append(
-            f'<line x1="{margin_l}" y1="{y:.1f}" x2="{width - 10}" '
-            f'y2="{y:.1f}" stroke="#e0e2e8" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{margin_l - 6}" y="{y + 4:.1f}" font-size="11" '
-            f'text-anchor="end">{temp:.1f}</text>'
-        )
-    for i in range(n_ticks + 1):
-        t = t_min + (t_max - t_min) * i / n_ticks
-        x = x_of(t)
-        parts.append(
-            f'<text x="{x:.1f}" y="{height - 8}" font-size="11" '
-            f'text-anchor="middle">{t * 1e3:.1f} ms</text>'
-        )
-    # reference levels
-    for level, color, label in (
-        (limit_c, "#b00020", "T_DTM"),
-        (bound_c, "#6a1fb0", "analytic T_peak"),
-    ):
-        if level is None:
-            continue
-        y = y_of(level)
-        parts.append(
-            f'<line x1="{margin_l}" y1="{y:.1f}" x2="{width - 10}" '
-            f'y2="{y:.1f}" stroke="{color}" stroke-width="1.5" '
-            f'stroke-dasharray="6 4"/>'
-        )
-        parts.append(
-            f'<text x="{width - 14}" y="{y - 4:.1f}" font-size="11" '
-            f'text-anchor="end" fill="{color}">{label} = {level:.1f} C</text>'
-        )
-    # per-core polylines
-    for core in range(n_cores):
-        points = " ".join(
-            f"{x_of(t):.1f},{y_of(r.temps_c[core]):.1f}"
-            for t, r in zip(times, intervals)
-        )
-        color = _PALETTE[core % len(_PALETTE)]
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="1.2"><title>core {core}</title></polyline>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    head = "".join(f"<th>{_html.escape(str(h))}</th>" for h in headers)
-    body = "".join(
-        "<tr>" + "".join(f"<td>{_html.escape(str(c))}</td>" for c in row) + "</tr>"
-        for row in rows
-    )
-    return f"<table><tr>{head}</tr>{body}</table>"
-
-
-def html_report(
-    trace: TraceRecorder,
-    analysis: Optional[RunAnalysis] = None,
-    violations: Sequence[Violation] = (),
-    title: str = "Simulation run report",
-) -> str:
-    """One run as a single self-contained HTML document (string).
-
-    Sections: the per-core temperature timeline (inline SVG, with the DTM
-    threshold and — when the analysis carries one — the analytic ``T_peak``
-    bound drawn as reference levels), per-core thermal stress, the
-    ring-migration table and the violation list.
-    """
-    limit_c = analysis.thermal.limit_c if analysis is not None else None
-    bound_c = (
-        analysis.bound.analytic_peak_c
-        if analysis is not None and analysis.bound is not None
-        else None
-    )
-    sections: List[str] = [
-        f"<h1>{_html.escape(title)}</h1>",
-        "<h2>Temperature timeline</h2>",
-        "<figure>",
-        _svg_timeline(trace, limit_c, bound_c),
-        "<figcaption>One polyline per core; end-of-interval temperatures."
-        "</figcaption>",
-        "</figure>",
-    ]
-    if analysis is not None:
-        thermal = analysis.thermal
-        sections.append("<h2>Run summary</h2>")
-        summary_rows = [
-            ("simulated time", f"{thermal.duration_s * 1e3:.2f} ms"),
-            (
-                "observed peak",
-                f"{thermal.peak_c:.2f} C on core {thermal.peak_core} "
-                f"at {thermal.peak_time_s * 1e3:.2f} ms",
-            ),
-            ("DTM duty cycle", f"{analysis.dtm.duty_cycle:.2%}"),
-            (
-                "DTM thrash rate",
-                f"{analysis.dtm.thrash_rate_hz:.1f} transitions/s",
-            ),
-            ("migrations", f"{analysis.migration.count}"),
-            (
-                "migration penalty",
-                f"{analysis.migration.total_penalty_s * 1e3:.2f} ms",
-            ),
-        ]
-        if analysis.rotation is not None:
-            summary_rows.append(
-                (
-                    "rotation",
-                    f"{analysis.rotation.epochs} epoch boundaries, final "
-                    f"tau {analysis.rotation.final_tau_s * 1e3:.2f} ms, "
-                    f"max deviation {analysis.rotation.max_deviation:.1%}",
-                )
-            )
-        if analysis.bound is not None:
-            bound = analysis.bound
-            verdict = (
-                "EXCEEDED" if bound.exceeded else "held"
-            )
-            summary_rows.append(
-                (
-                    "analytic T_peak bound",
-                    f"{bound.analytic_peak_c:.2f} C ({verdict}; margin "
-                    f"{bound.margin_c:+.2f} C, delta={bound.delta}, "
-                    f"tau {bound.tau_s * 1e3:.2f} ms)",
-                )
-            )
-        sections.append(_table(("quantity", "value"), summary_rows))
-        sections.append("<h2>Per-core thermal stress</h2>")
-        sections.append(
-            _table(
-                (
-                    "core",
-                    "mean [C]",
-                    "peak [C]",
-                    "peak at [ms]",
-                    f"time > {thermal.limit_c:.0f} C [ms]",
-                    "stress [C*ms]",
-                ),
-                [
-                    (
-                        stats.core,
-                        f"{stats.mean_c:.2f}",
-                        f"{stats.peak_c:.2f}",
-                        f"{stats.peak_time_s * 1e3:.2f}",
-                        f"{stats.time_above_limit_s * 1e3:.2f}",
-                        f"{stats.stress_cs * 1e3:.2f}",
-                    )
-                    for stats in thermal.cores
-                ],
-            )
-        )
-        if analysis.migration.per_dst_ring:
-            sections.append("<h2>Migrations by destination AMD ring</h2>")
-            sections.append(
-                _table(
-                    ("ring", "migrations", "rate [1/s]"),
-                    [
-                        (
-                            ring,
-                            count,
-                            f"{analysis.migration.per_dst_ring_rate_hz[ring]:.1f}",
-                        )
-                        for ring, count in analysis.migration.per_dst_ring.items()
-                    ],
-                )
-            )
-    sections.append("<h2>Violations</h2>")
-    if violations:
-        sections.append(
-            _table(
-                ("time [ms]", "detector", "severity", "core", "message"),
-                [
-                    (
-                        f"{v.time_s * 1e3:.3f}",
-                        v.detector,
-                        v.severity,
-                        "-" if v.core is None else v.core,
-                        v.message,
-                    )
-                    for v in violations
-                ],
-            )
-        )
-    else:
-        sections.append('<p class="ok">No violations detected.</p>')
-    return (
-        "<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
-        f"<title>{_html.escape(title)}</title>"
-        f"<style>{_CSS}</style></head><body>"
-        + "".join(sections)
-        + "</body></html>\n"
-    )
-
-
-def write_html_report(
-    path: PathLike,
-    trace: TraceRecorder,
-    analysis: Optional[RunAnalysis] = None,
-    violations: Sequence[Violation] = (),
-    title: str = "Simulation run report",
-) -> None:
-    """Write :func:`html_report` output to ``path``."""
-    Path(path).write_text(html_report(trace, analysis, violations, title))
-
-
-# -- trace waterfall -----------------------------------------------------------
-
-
-def _waterfall_rows(spans: Sequence[SpanRecord]) -> List[Tuple[SpanRecord, int]]:
-    """Spans of one trace in parent-first order with their nesting depth.
-
-    Children sort under their parent by start time; spans whose parent is
-    missing (evicted from the ring buffer) render as extra roots at depth
-    0 — visually flagging the orphan the
-    :class:`~repro.obs.detect.SpanOrphanDetector` would report.
-    """
-    ids = {span.span_id for span in spans}
-    children: Dict[Optional[int], List[SpanRecord]] = {}
-    for span in spans:
-        parent = span.parent_id if span.parent_id in ids else None
-        children.setdefault(parent, []).append(span)
-    for siblings in children.values():
-        siblings.sort(key=lambda s: (s.start_s, s.span_id))
-    rows: List[Tuple[SpanRecord, int]] = []
-
-    def _walk(parent: Optional[int], depth: int) -> None:
-        for span in children.get(parent, []):
-            rows.append((span, depth))
-            _walk(span.span_id, depth + 1)
-
-    _walk(None, 0)
-    return rows
-
-
-def _svg_waterfall(
-    spans: Sequence[SpanRecord], width: int = 860
-) -> str:
-    """Inline SVG: one horizontal bar per span, indented by depth."""
-    rows = _waterfall_rows(spans)
-    if not rows:
-        return "<p>(no spans)</p>"
-    t0 = min(span.start_s for span, _ in rows)
-    t1 = max(span.end_s for span, _ in rows)
-    span_names = sorted({span.name for span, _ in rows})
-    color_of = {
-        name: _PALETTE[index % len(_PALETTE)]
-        for index, name in enumerate(span_names)
-    }
-    row_h, margin_l, margin_t = 22, 10, 8
-    label_w = 280
-    plot_w = width - margin_l - label_w - 10
-    height = margin_t * 2 + row_h * len(rows) + 18
-
-    def x_of(t: float) -> float:
-        total = (t1 - t0) or 1.0
-        return margin_l + label_w + (t - t0) / total * plot_w
-
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="trace waterfall">'
-    ]
-    for index, (span, depth) in enumerate(rows):
-        y = margin_t + index * row_h
-        x0, x1 = x_of(span.start_s), x_of(span.end_s)
-        bar_w = max(x1 - x0, 1.5)
-        color = color_of[span.name]
-        error = not span.status.startswith("ok")
-        stroke = ' stroke="#b00020" stroke-width="1.5"' if error else ""
-        label = f"{'&#160;' * 2 * depth}{_html.escape(span.name)}"
-        duration_ms = span.duration_s * 1e3
-        title = (
-            f"{span.name} #{span.span_id} "
-            f"({duration_ms:.3f} ms, {span.status})"
-        )
-        parts.append(
-            f'<text x="{margin_l}" y="{y + row_h - 7}" font-size="12">'
-            f"{label}</text>"
-        )
-        parts.append(
-            f'<rect x="{x0:.1f}" y="{y + 3}" width="{bar_w:.1f}" '
-            f'height="{row_h - 8}" rx="2" fill="{color}" '
-            f'fill-opacity="0.8"{stroke}>'
-            f"<title>{_html.escape(title)}</title></rect>"
-        )
-        parts.append(
-            f'<text x="{min(x1 + 4, width - 60):.1f}" '
-            f'y="{y + row_h - 7}" font-size="10" fill="#555">'
-            f"{duration_ms:.2f} ms</text>"
-        )
-    duration_label = f"trace duration {(t1 - t0) * 1e3:.2f} ms"
-    parts.append(
-        f'<text x="{margin_l + label_w}" y="{height - 4}" font-size="11" '
-        f'fill="#555">{duration_label}</text>'
-    )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def trace_waterfall_html(
-    spans: Sequence[SpanRecord],
-    title: str = "Trace waterfall",
-    max_traces: int = 20,
-) -> str:
-    """Spans as a single self-contained HTML trace-waterfall document.
-
-    Sections: a per-span-name summary table (count, total/mean/max
-    duration) over *all* spans, then one inline-SVG waterfall per trace —
-    slowest traces first, capped at ``max_traces`` (stated in the output
-    when the cap truncates).  Same conventions as :func:`html_report`:
-    no external assets, one file tells the whole story.
-    """
-    sections: List[str] = [f"<h1>{_html.escape(title)}</h1>"]
-    by_trace: Dict[int, List[SpanRecord]] = {}
-    for span in spans:
-        by_trace.setdefault(span.trace_id, []).append(span)
-    totals: Dict[str, List[float]] = {}
-    for span in spans:
-        totals.setdefault(span.name, []).append(span.duration_s)
-    sections.append("<h2>Span summary</h2>")
-    if totals:
-        sections.append(
-            _table(
-                ("span", "count", "total [ms]", "mean [ms]", "max [ms]"),
-                [
-                    (
-                        name,
-                        len(durations),
-                        f"{sum(durations) * 1e3:.2f}",
-                        f"{sum(durations) / len(durations) * 1e3:.3f}",
-                        f"{max(durations) * 1e3:.3f}",
-                    )
-                    for name, durations in sorted(
-                        totals.items(), key=lambda kv: -sum(kv[1])
-                    )
-                ],
-            )
-        )
-    else:
-        sections.append("<p>(no spans recorded)</p>")
-    ordered = sorted(
-        by_trace.items(),
-        key=lambda kv: -(
-            max(s.end_s for s in kv[1]) - min(s.start_s for s in kv[1])
-        ),
-    )
-    shown = ordered[:max_traces]
-    sections.append(
-        f"<h2>Traces ({len(shown)} of {len(ordered)}, slowest first)</h2>"
-    )
-    for trace_id, trace_spans in shown:
-        duration_ms = (
-            max(s.end_s for s in trace_spans)
-            - min(s.start_s for s in trace_spans)
-        ) * 1e3
-        sections.append(
-            f"<h3>trace {trace_id} — {len(trace_spans)} spans, "
-            f"{duration_ms:.2f} ms</h3>"
-        )
-        sections.append("<figure>")
-        sections.append(_svg_waterfall(trace_spans))
-        sections.append("</figure>")
-    if len(ordered) > max_traces:
-        sections.append(
-            f"<p>({len(ordered) - max_traces} faster traces omitted)</p>"
-        )
-    return (
-        "<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
-        f"<title>{_html.escape(title)}</title>"
-        f"<style>{_CSS}</style></head><body>"
-        + "".join(sections)
-        + "</body></html>\n"
-    )
-
-
-def write_trace_waterfall(
-    path: PathLike,
-    spans: Sequence[SpanRecord],
-    title: str = "Trace waterfall",
-    max_traces: int = 20,
-) -> None:
-    """Write :func:`trace_waterfall_html` output to ``path``."""
-    Path(path).write_text(trace_waterfall_html(spans, title, max_traces))

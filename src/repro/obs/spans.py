@@ -29,9 +29,8 @@ Design constraints, in the spirit of the rest of ``repro.obs``:
 
 The matching analytics live next door: quantiles come from
 :meth:`repro.obs.metrics.Histogram.quantile`, orphan detection from
-:class:`repro.obs.detect.SpanOrphanDetector`, the waterfall renderer is
-:func:`repro.obs.export.trace_waterfall_html`, and ``python -m repro.obs
-spans`` summarizes saved span files.
+:class:`repro.obs.detect.SpanOrphanDetector`, and ``python -m repro.obs
+spans`` summarizes saved span files and ranks their slowest traces.
 """
 
 from __future__ import annotations

@@ -242,9 +242,9 @@ def run_cells(
         else:
             try:
                 computed = _run_pool(pending, jobs, on_done=_record)
-            except (OSError, NotImplementedError, pickle.PicklingError):
-                # cells recorded before the pool died are re-run serially
-                # but re-recorded idempotently (the last write wins)
+            except _NoPool:
+                # cells recorded before the pool gave up are re-run
+                # serially but re-recorded idempotently (the last write wins)
                 computed = _run_serial(pending, on_done=_record)
     finally:
         if checkpoint is not None:
@@ -264,6 +264,15 @@ def run_cells(
     return {cell.key: by_key[canonical_key(cell.key)] for cell in cells}
 
 
+class _NoPool(Exception):
+    """No process pool could start, or a cell could not be pickled."""
+
+
+def _execute_pickled(payload: bytes) -> Any:
+    """Worker entry point: run a cell the parent has already pickled."""
+    return pickle.loads(payload).execute()
+
+
 def _run_pool(
     cells: List[Cell], jobs: int, on_done: Callable[[Cell, Any], Any]
 ) -> List[Any]:
@@ -275,8 +284,17 @@ def _run_pool(
     Results are collated in submission order.  A ``BrokenProcessPool``
     (a worker died — OOM kill, SIGKILL, segfault) rebuilds the pool and
     resubmits the unfinished cells, up to ``_MAX_POOL_RESTARTS`` times;
-    beyond that the remaining cells run serially.
+    beyond that the remaining cells run serially.  :class:`_NoPool` is
+    raised when the pool or its workers cannot start (``OSError``,
+    ``NotImplementedError``) or a cell cannot be pickled; an exception
+    raised by a cell itself propagates unchanged.
     """
+    try:
+        # pickled here, not in the pool's feeder thread, so an unpicklable
+        # cell is told apart from a raising one and cannot stall shutdown
+        payloads = [pickle.dumps(cell) for cell in cells]
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise _NoPool() from exc
     results: Dict[int, Any] = {}
     restarts = 0
     while len(results) < len(cells):
@@ -286,14 +304,21 @@ def _run_pool(
             for i in outstanding:
                 results[i] = on_done(cells[i], cells[i].execute())
             break
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(outstanding)))
+        pool = None
         try:
-            futures = {i: pool.submit(cells[i].execute) for i in outstanding}
+            try:
+                pool = ProcessPoolExecutor(max_workers=min(jobs, len(outstanding)))
+                futures = {
+                    i: pool.submit(_execute_pickled, payloads[i]) for i in outstanding
+                }
+            except (OSError, NotImplementedError) as exc:
+                raise _NoPool() from exc
             for i in outstanding:
                 results[i] = on_done(cells[i], futures[i].result())
         except BrokenProcessPool:
             restarts += 1
         finally:
             # a raising cell cancels the cells not yet started
-            pool.shutdown(wait=True, cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
     return [results[i] for i in range(len(cells))]

@@ -15,8 +15,8 @@ method      path                     purpose
 GET         ``/``                    service discovery document
 GET         ``/metrics``             OpenMetrics exposition (live counters,
                                      latency quantiles and buckets)
-GET         ``/debug/traces``        recent request spans (JSON or waterfall
-                                     HTML; empty unless tracing is enabled)
+GET         ``/debug/traces``        recent request spans as JSON (empty
+                                     unless tracing is enabled)
 GET         ``/v1/tenants``          list tenants
 POST        ``/v1/tenants``          create a tenant
 DELETE      ``/v1/tenants/<name>``   remove a tenant
@@ -60,11 +60,7 @@ from urllib.parse import parse_qs
 
 from .. import records
 from ..obs import MetricsRegistry
-from ..obs.export import (
-    histogram_exposition,
-    to_openmetrics,
-    trace_waterfall_html,
-)
+from ..obs.export import histogram_exposition, to_openmetrics
 from ..obs.profiling import PhaseProfiler
 from ..obs.spans import SpanTracer
 from .batch import MicroBatcher, SimulateBatcher
@@ -591,11 +587,10 @@ class ThermalServer:
         return 200, text.encode("utf-8"), {"Content-Type": _OPENMETRICS}
 
     def _debug_traces(self, query: str) -> Tuple[int, bytes, Dict[str, str]]:
-        """Recent request spans: JSON by default, waterfall HTML on demand.
+        """Recent request spans as JSON.
 
         ``?limit=N`` caps the span count (most recent first in time, 100
-        by default); ``?format=html`` renders the self-contained
-        trace-waterfall document instead.
+        by default); ``?format=`` accepts only ``json``.
         """
         params = parse_qs(query)
         try:
@@ -605,12 +600,9 @@ class ThermalServer:
         if limit < 1:
             raise _HttpError(400, "limit must be a positive integer")
         fmt = params.get("format", ["json"])[0]
-        spans = list(self.tracer)[-limit:]
-        if fmt == "html":
-            html = trace_waterfall_html(spans, title="repro.serve traces")
-            return 200, html.encode("utf-8"), {"Content-Type": "text/html"}
         if fmt != "json":
-            raise _HttpError(400, f"unknown format {fmt!r}; 'json' or 'html'")
+            raise _HttpError(400, f"unknown format {fmt!r}; only 'json'")
+        spans = list(self.tracer)[-limit:]
         payload = _json_bytes(
             {
                 "enabled": self.tracer.enabled,

@@ -7,7 +7,6 @@ import pytest
 from repro.lint import (
     Finding,
     default_rules,
-    has_project_pass,
     load_baseline,
     partition,
     rule_families,
@@ -67,15 +66,6 @@ class TestRegistry:
     def test_every_rule_has_description(self):
         for rule in default_rules():
             assert rule.id and rule.family and rule.description
-
-    def test_project_pass_rules_are_detected(self):
-        project_rules = {
-            r.id for r in default_rules() if has_project_pass(r)
-        }
-        assert "sched-export" in project_rules
-        assert "async-blocking-call" in project_rules
-        assert "async-contextvar-leak" in project_rules
-        assert "unit-raw-literal" not in project_rules
 
 
 class TestEngine:

@@ -129,8 +129,6 @@ class TestExport:
         proc = run_cli(
             "export",
             str(artifacts / "run_a.json"),
-            "--format",
-            "openmetrics",
             "-o",
             str(out),
         )
@@ -138,29 +136,10 @@ class TestExport:
         parsed = parse_openmetrics(out.read_text())
         assert parsed  # non-empty, strictly valid exposition
 
-    def test_html_from_trace(self, artifacts, tmp_path):
-        out = tmp_path / "report.html"
-        proc = run_cli(
-            "export",
-            str(artifacts / "run_a.jsonl"),
-            "--format",
-            "html",
-            "-o",
-            str(out),
-            "--config",
-            "small_test",
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = out.read_text()
-        assert report.startswith("<!DOCTYPE html>")
-        assert "<svg" in report
-
     def test_bad_input_reports_error(self, tmp_path):
         proc = run_cli(
             "export",
             str(tmp_path / "missing.json"),
-            "--format",
-            "openmetrics",
             "-o",
             str(tmp_path / "out.prom"),
         )
@@ -203,12 +182,6 @@ class TestSpansSubcommand:
         durations = [entry["duration_s"] for entry in ranked]
         assert durations == sorted(durations, reverse=True)
         assert all(entry["root"] == "http.peak" for entry in ranked)
-
-    def test_export_waterfall(self, span_file, tmp_path):
-        out = tmp_path / "waterfall.html"
-        proc = run_cli("spans", "export", str(span_file), "-o", str(out))
-        assert proc.returncode == 0, proc.stderr
-        assert out.read_text().startswith("<!DOCTYPE html>")
 
     def test_wrong_kind_file_names_what_it_holds(self, span_file):
         proc = run_cli("summarize", str(span_file))

@@ -39,24 +39,15 @@ CASES = (
     ("check.txt", ("check", "mini.jsonl", "--bound-c", "71"), 1),
     ("spans_summarize.txt", ("spans", "summarize", "spans.jsonl"), 0),
     ("spans_slowest.txt", ("spans", "slowest", "spans.jsonl", "--limit", "3"), 0),
-    (
-        "export.txt",
-        ("export", "mini.jsonl", "--format", "openmetrics", "-o", "mini.prom"),
-        0,
-    ),
+    ("export.txt", ("export", "mini.jsonl", "-o", "mini.prom"), 0),
 )
-
-
-def write_inputs(directory: Path) -> None:
-    """Write the deterministic trace and span files into ``directory``."""
-    build_mini_trace().write_jsonl(directory / "mini.jsonl")
-    atomic_write(directory / "spans.jsonl", spans_to_jsonl(FIXED_SPANS))
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("cli_text")
-    write_inputs(directory)
+    build_mini_trace().write_jsonl(directory / "mini.jsonl")
+    atomic_write(directory / "spans.jsonl", spans_to_jsonl(FIXED_SPANS))
     return directory
 
 
@@ -70,10 +61,7 @@ def test_stdout_is_byte_identical(workdir, golden, args, status):
 
 
 def test_openmetrics_file_is_byte_identical(workdir):
-    proc = run_cli(
-        "export", "mini.jsonl", "--format", "openmetrics", "-o", "pinned.prom",
-        cwd=workdir,
-    )
+    proc = run_cli("export", "mini.jsonl", "-o", "pinned.prom", cwd=workdir)
     assert proc.returncode == 0, proc.stderr
     assert (workdir / "pinned.prom").read_bytes() == (
         GOLDEN / "export.prom"

@@ -1,4 +1,4 @@
-"""Exporters: OpenMetrics line-format validation and HTML self-containedness."""
+"""OpenMetrics exporter: name sanitization, line-format validation, histograms."""
 
 import math
 import re
@@ -6,14 +6,9 @@ import re
 import pytest
 
 from repro.obs import (
-    ThresholdDetector,
-    analyze,
-    html_report,
     openmetrics_name,
     parse_openmetrics,
-    run_detectors,
     to_openmetrics,
-    write_html_report,
     write_openmetrics,
 )
 
@@ -98,50 +93,6 @@ class TestOpenMetricsParserStrictness:
             parse_openmetrics("repro_a one\n# EOF")
 
 
-class TestHtmlReport:
-    @pytest.fixture
-    def report(self, mini_trace):
-        analysis = analyze(
-            mini_trace,
-            limit_c=70.0,
-            ring_of=lambda core: core,
-            peak_fn=lambda seq, tau: 71.0,
-        )
-        violations = run_detectors(mini_trace, [ThresholdDetector(70.0)])
-        return html_report(mini_trace, analysis, violations, title="mini run")
-
-    def test_self_contained(self, report):
-        assert report.startswith("<!DOCTYPE html>")
-        # no external fetches of any kind
-        assert not re.search(r"(src|href)\s*=", report)
-        assert "http://" not in report and "https://" not in report
-
-    def test_svg_timeline_present(self, report):
-        assert "<svg" in report
-        # one polyline per core plus dashed reference levels
-        assert report.count("<polyline") == 2
-        assert "T_DTM" in report and "analytic T_peak" in report
-
-    def test_sections_render(self, report):
-        for fragment in (
-            "mini run",
-            "Per-core thermal stress",
-            "Migrations by destination AMD ring",
-            "Violations",
-            "thermal-threshold",
-        ):
-            assert fragment in report
-
-    def test_all_clear_without_violations(self, mini_trace):
-        report = html_report(mini_trace)
-        assert "No violations detected." in report
-
-    def test_file_write(self, tmp_path, mini_trace):
-        path = tmp_path / "report.html"
-        write_html_report(path, mini_trace)
-        assert path.read_text().startswith("<!DOCTYPE html>")
-
-
 class TestHistogramExposition:
     def _histogram(self):
         from repro.obs import Histogram
@@ -186,54 +137,3 @@ class TestHistogramExposition:
             f"h.bucket.le_{bucket_label(0.1)}"
         ) != openmetrics_name(f"h.bucket.le_{bucket_label(10.0)}")
 
-
-class TestTraceWaterfall:
-    def _spans(self):
-        from repro.obs.spans import SpanTracer
-
-        tracer = SpanTracer(enabled=True)
-        for _ in range(2):
-            with tracer.span("http.peak", endpoint="peak"):
-                with tracer.span("batch.wait"):
-                    pass
-        return list(tracer)
-
-    def test_waterfall_is_self_contained_html(self):
-        from repro.obs import trace_waterfall_html
-
-        html = trace_waterfall_html(self._spans(), title="test run")
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<svg" in html and "test run" in html
-        assert "http://" not in html and "https://" not in html
-        assert "<script" not in html
-
-    def test_every_span_renders_a_bar(self):
-        from repro.obs import trace_waterfall_html
-
-        spans = self._spans()
-        html = trace_waterfall_html(spans)
-        assert html.count("<rect") == len(spans)
-
-    def test_max_traces_cap_is_stated(self):
-        from repro.obs import trace_waterfall_html
-        from repro.obs.spans import SpanTracer
-
-        tracer = SpanTracer(enabled=True)
-        for index in range(5):
-            with tracer.span(f"r{index}"):
-                pass
-        html = trace_waterfall_html(list(tracer), max_traces=2)
-        assert "3 faster traces omitted" in html
-
-    def test_write_trace_waterfall(self, tmp_path):
-        from repro.obs import write_trace_waterfall
-
-        path = tmp_path / "waterfall.html"
-        write_trace_waterfall(path, self._spans())
-        assert path.read_text().startswith("<!DOCTYPE html>")
-
-    def test_empty_span_set_renders(self):
-        from repro.obs import trace_waterfall_html
-
-        html = trace_waterfall_html([])
-        assert "no spans recorded" in html

@@ -21,6 +21,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
         "anatomy_of_a_run",
         "thermal_trace_comparison",
         "open_system_poisson",
+        "observability_tour",
     ],
 )
 def test_example_exits_cleanly(example, tmp_path):

@@ -100,6 +100,13 @@ class TestRunCells:
         results = run_cells([Cell(key="only", fn=_square, kwargs={"x": 9})], jobs=8)
         assert results == {"only": 81}
 
+    def test_unpicklable_cell_runs_serially(self):
+        def local_square(x):  # a local function cannot be pickled
+            return x * x
+
+        cells = [Cell(key=i, fn=local_square, kwargs={"x": i}) for i in range(3)]
+        assert run_cells(cells, jobs=2) == {0: 0, 1: 1, 2: 4}
+
     def test_pool_sweep_with_large_array_kwarg(self):
         big = np.arange(200_000, dtype=np.float64)  # 1.6 MB, pickled per task
         cells = [
@@ -162,6 +169,15 @@ def _die_once(marker_path, parent_pid, x):
     if os.getpid() != parent_pid and not marker.exists():
         marker.write_text("died")
         os._exit(1)
+    return x * x
+
+
+def _log_pid_and_square(log_path, x):
+    """Append ``<pid> <x>`` to the log; cell 1 raises ``FileNotFoundError``."""
+    with open(log_path, "a") as log:
+        log.write(f"{os.getpid()} {x}\n")
+    if x == 1:
+        raise FileNotFoundError("cell 1 has no input file")
     return x * x
 
 
@@ -353,6 +369,20 @@ class TestRunCellsCheckpointing:
         assert marker.exists()  # a worker really died mid-sweep
         assert pooled == serial == {0: 0, 1: 1, 2: 4, 3: 9}
         assert pool_path.read_bytes() == serial_path.read_bytes()
+
+    def test_cell_oserror_propagates_without_rerunning_in_parent(self, tmp_path):
+        # an OSError raised *by a cell* is the cell's failure, not a pool
+        # that cannot start: no cell may run again in the parent process
+        log = tmp_path / "calls.log"
+        cells = [
+            Cell(key=x, fn=_log_pid_and_square, kwargs={"log_path": str(log), "x": x})
+            for x in range(3)
+        ]
+        with pytest.raises(FileNotFoundError, match="cell 1 has no input file"):
+            run_cells(cells, jobs=2)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert [x for _, x in calls].count("1") == 1
+        assert all(int(pid) != os.getpid() for pid, _ in calls)
 
 
 class TestResolvePolicy:

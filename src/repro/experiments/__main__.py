@@ -52,16 +52,10 @@ def main(argv=None) -> int:
         "resumed sweep is byte-identical to an uninterrupted one",
     )
     parser.add_argument(
-        "--traffic",
-        choices=fig4b.MATRIX_TRAFFICS,
-        default="poisson",
-        help="arrival process for fig4b (docs/traffic.md); the default "
-        "reproduces the paper's Poisson schedule byte-for-byte",
-    )
-    parser.add_argument(
         "--trace-path",
         metavar="PATH",
-        help="JSONL arrival trace replayed by --traffic trace",
+        help="JSONL arrival trace (docs/traffic.md) replayed by fig4b in "
+        "place of the paper's Poisson schedule",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -70,12 +64,8 @@ def main(argv=None) -> int:
         parser.error("--resume requires --checkpoint")
     if args.checkpoint and args.experiment not in ("fig4a", "fig4b"):
         parser.error("--checkpoint only applies to fig4a / fig4b")
-    if args.traffic != "poisson" and args.experiment != "fig4b":
-        parser.error("--traffic only applies to fig4b")
-    if args.trace_path and args.traffic != "trace":
-        parser.error("--trace-path requires --traffic trace")
-    if args.traffic == "trace" and not args.trace_path:
-        parser.error("--traffic trace requires --trace-path")
+    if args.trace_path and args.experiment != "fig4b":
+        parser.error("--trace-path only applies to fig4b")
 
     selected = _EXPERIMENTS[:-1] if args.experiment == "all" else (args.experiment,)
     for name in selected:
@@ -86,7 +76,6 @@ def main(argv=None) -> int:
             args.jobs,
             args.checkpoint,
             args.resume,
-            args.traffic,
             args.trace_path,
         )
         print(result.render())
@@ -99,7 +88,6 @@ def _run_one(
     jobs: int = 1,
     checkpoint: str = None,
     resume: bool = False,
-    traffic: str = "poisson",
     trace_path: str = None,
 ):
     if name == "table1":
@@ -127,7 +115,6 @@ def _run_one(
             jobs=jobs,
             checkpoint_path=checkpoint,
             resume=resume,
-            traffic=traffic,
             trace_path=trace_path,
         )
     if name == "overhead":

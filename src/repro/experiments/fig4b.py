@@ -10,7 +10,7 @@ under medium load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,36 +20,23 @@ from ..io import result_from_dict, result_to_dict
 from ..parallel import Cell, run_cells
 from ..sched.hotpotato_runtime import HotPotatoScheduler
 from ..sched.pcmig import PCMigScheduler
-from ..sched.qos_aware import QoSAwareScheduler
 from ..sim.context import SimContext
 from ..sim.engine import IntervalSimulator
 from ..sim.metrics import SimulationResult
 from ..thermal.rc_model import RCThermalModel
-from ..traffic import TRAFFIC_PATTERNS, assign_arrivals, build_process
+from ..traffic import PoissonProcess, assign_arrivals
 from ..traffic.trace import load_arrival_trace
 from ..workload.generator import (
     TaskSpec,
     materialize,
     random_mixed_workload,
 )
-from ..workload.qos import (
-    PRIORITY_BEST_EFFORT,
-    PRIORITY_CRITICAL,
-    PRIORITY_NORMAL,
-    QosSpec,
-)
 from .reporting import render_bar_chart, render_table
 
 _SCHEDULERS = {
     "pcmig": PCMigScheduler,
     "hotpotato": HotPotatoScheduler,
-    "qos": QoSAwareScheduler,
 }
-
-#: Scenario-matrix axes (EXPERIMENTS.md): every traffic pattern crossed
-#: with every scheduler under comparison.
-MATRIX_TRAFFICS = TRAFFIC_PATTERNS
-MATRIX_SCHEDULERS = ("hotpotato", "pcmig", "qos")
 
 #: Paper's headline number for the medium-load regime.
 PAPER_PEAK_SPEEDUP_PCT = 12.27
@@ -135,54 +122,24 @@ class Fig4bResult:
         return f"{table}\n{chart}\npeak speedup: +{self.peak_speedup_pct:.2f} %"
 
 
-def annotate_qos(
-    specs: List[TaskSpec], deadline_s: Optional[float]
-) -> List[TaskSpec]:
-    """Stamp a deterministic QoS mix onto a spec list.
-
-    Priorities cycle best-effort / normal / critical by position (so every
-    class is populated regardless of list length) and every task gets the
-    same relative ``deadline_s``; ``None`` leaves the specs untouched.
-    """
-    if deadline_s is None:
-        return list(specs)
-    cycle = (PRIORITY_BEST_EFFORT, PRIORITY_NORMAL, PRIORITY_CRITICAL)
-    return [
-        replace(
-            spec,
-            qos=QosSpec(deadline_s=deadline_s, priority=cycle[i % len(cycle)]),
-        )
-        for i, spec in enumerate(specs)
-    ]
-
-
 def _cell_specs(
     arrival_rate_per_s: float,
     n_tasks: int,
     seed: int,
     work_scale: float,
-    max_time_s: float,
-    traffic: str,
-    trace_path,
-    deadline_s: Optional[float],
+    trace_path=None,
 ) -> List[TaskSpec]:
-    """The task specs of one sweep cell under the chosen traffic pattern.
+    """The task specs of one sweep cell.
 
-    ``traffic="poisson"`` is a homogeneous Poisson schedule
-    (:class:`repro.traffic.PoissonProcess`); ``"trace"`` replays a
-    recorded JSONL schedule wholesale (benchmarks, thread counts and QoS
+    Without ``trace_path`` this is the paper's homogeneous Poisson
+    schedule over a random mixed workload; with it, the recorded JSONL
+    schedule is replayed wholesale (benchmarks, thread counts and QoS
     annotations included), ignoring the synthetic-workload knobs.
     """
-    if traffic == "trace":
-        if trace_path is None:
-            raise ValueError("traffic='trace' requires trace_path")
+    if trace_path is not None:
         return load_arrival_trace(trace_path)
-    base = annotate_qos(
-        random_mixed_workload(n_tasks, seed=seed, work_scale=work_scale),
-        deadline_s,
-    )
-    process = build_process(traffic, arrival_rate_per_s, horizon_s=max_time_s)
-    return assign_arrivals(base, process, seed=seed + 1)
+    base = random_mixed_workload(n_tasks, seed=seed, work_scale=work_scale)
+    return assign_arrivals(base, PoissonProcess(arrival_rate_per_s), seed=seed + 1)
 
 
 def _simulate_cell(
@@ -194,25 +151,14 @@ def _simulate_cell(
     seed: int,
     work_scale: float,
     max_time_s: float,
-    traffic: str = "poisson",
     trace_path=None,
-    deadline_s: Optional[float] = None,
 ) -> SimulationResult:
     """One (arrival rate, scheduler) cell — module-level for pool pickling.
 
     Builds its own :class:`SimContext` from the shared thermal model, as
     the serial sweep always did, so serial and parallel runs agree exactly.
     """
-    specs = _cell_specs(
-        arrival_rate_per_s,
-        n_tasks,
-        seed,
-        work_scale,
-        max_time_s,
-        traffic,
-        trace_path,
-        deadline_s,
-    )
+    specs = _cell_specs(arrival_rate_per_s, n_tasks, seed, work_scale, trace_path)
     sim = IntervalSimulator(
         config,
         _SCHEDULERS[scheduler](),
@@ -233,9 +179,7 @@ def run(
     jobs: int = 1,
     checkpoint_path=None,
     resume: bool = False,
-    traffic: str = "poisson",
     trace_path=None,
-    deadline_s: Optional[float] = None,
 ) -> Fig4bResult:
     """Regenerate Fig. 4(b) over the given arrival-rate sweep.
 
@@ -245,10 +189,9 @@ def run(
     ``checkpoint_path``/``resume`` enable crash-tolerant sweeps exactly
     as in :func:`repro.experiments.fig4a.run` (``docs/faults.md``).
 
-    ``traffic`` selects the arrival process (``docs/traffic.md``); the
-    default reproduces the paper's Poisson schedule byte-for-byte.
-    ``traffic="trace"`` replays the JSONL schedule at ``trace_path`` in
-    every cell (the rate axis then only labels the sweep).
+    ``trace_path`` replays a recorded JSONL schedule (``docs/traffic.md``)
+    in every cell instead of the paper's Poisson schedule; the rate axis
+    then only labels the sweep.
     """
     cfg = config if config is not None else table1()
     shared = SimContext(cfg, model)
@@ -266,9 +209,7 @@ def run(
                 seed=seed,
                 work_scale=work_scale,
                 max_time_s=max_time_s,
-                traffic=traffic,
                 trace_path=trace_path,
-                deadline_s=deadline_s,
             ),
         )
         for rate in arrival_rates_per_s
@@ -291,89 +232,3 @@ def run(
         for rate in arrival_rates_per_s
     )
     return Fig4bResult(points=points)
-
-
-@dataclass
-class MatrixResult:
-    """The {traffic pattern} x {scheduler} scenario matrix (EXPERIMENTS.md)."""
-
-    #: (traffic, scheduler) -> simulation outcome
-    cells: Dict[Tuple[str, str], SimulationResult]
-    arrival_rate_per_s: float
-
-    def cell(self, traffic: str, scheduler: str) -> SimulationResult:
-        """One cell's outcome."""
-        return self.cells[(traffic, scheduler)]
-
-    def render(self) -> str:
-        traffics = sorted({t for t, _ in self.cells})
-        schedulers = sorted({s for _, s in self.cells})
-        rows = []
-        for traffic in traffics:
-            row = [traffic]
-            for scheduler in schedulers:
-                result = self.cells[(traffic, scheduler)]
-                mean = (
-                    f"{result.mean_response_time_s * 1e3:.1f}"
-                    if result.tasks
-                    else "-"
-                )
-                row.append(f"{mean} ({len(result.tasks)} done)")
-            rows.append(tuple(row))
-        return render_table(
-            ["traffic \\ scheduler [mean resp ms]"] + schedulers,
-            rows,
-            title="Fig. 4(b) scenario matrix at "
-            f"{self.arrival_rate_per_s:.0f} tasks/s",
-        )
-
-
-def run_matrix(
-    config: SystemConfig = None,
-    model: Optional[RCThermalModel] = None,
-    traffics: Sequence[str] = MATRIX_TRAFFICS,
-    schedulers: Sequence[str] = MATRIX_SCHEDULERS,
-    arrival_rate_per_s: float = 30.0,
-    n_tasks: int = 40,
-    seed: int = 7,
-    work_scale: float = 2.0,
-    max_time_s: float = 60.0,
-    trace_path=None,
-    deadline_s: Optional[float] = None,
-) -> MatrixResult:
-    """Run the {traffic} x {scheduler} scenario matrix at one load level.
-
-    All cells share one thermal model (calibration amortized) and are
-    fully deterministic in ``seed``.  Including ``"trace"`` in
-    ``traffics`` requires ``trace_path``; ``deadline_s`` stamps the
-    synthetic workload with the deterministic QoS mix of
-    :func:`annotate_qos` so the QoS scheduler's priority classes are
-    populated.
-    """
-    if "trace" in traffics and trace_path is None:
-        raise ValueError(
-            "the scenario matrix includes 'trace' cells: pass trace_path "
-            "(write one with repro.traffic.write_arrival_trace)"
-        )
-    unknown = [s for s in schedulers if s not in _SCHEDULERS]
-    if unknown:
-        raise ValueError(f"unknown schedulers {unknown}")
-    cfg = config if config is not None else table1()
-    shared = SimContext(cfg, model)
-    cells: Dict[Tuple[str, str], SimulationResult] = {}
-    for traffic in traffics:
-        for scheduler in schedulers:
-            cells[(traffic, scheduler)] = _simulate_cell(
-                arrival_rate_per_s,
-                scheduler,
-                cfg,
-                shared.thermal_model,
-                n_tasks,
-                seed,
-                work_scale,
-                max_time_s,
-                traffic=traffic,
-                trace_path=trace_path,
-                deadline_s=deadline_s,
-            )
-    return MatrixResult(cells=cells, arrival_rate_per_s=arrival_rate_per_s)

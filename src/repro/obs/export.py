@@ -160,9 +160,9 @@ def histogram_exposition(
     "<= 2 ms") and the terminal
     ``<name>.bucket.le_inf`` (== count).  Everything is encoded in the
     metric *name* — the exposition (and its strict parser,
-    :func:`parse_openmetrics`) is label-free, which is what lets the
-    load generator round-trip ``/metrics`` without an OpenMetrics
-    label grammar.
+    :func:`parse_openmetrics`) is label-free, which is what lets a
+    client round-trip ``/metrics`` without an OpenMetrics label
+    grammar.
     """
     flat: Dict[str, float] = {}
     for q in quantiles:

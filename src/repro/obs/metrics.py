@@ -11,8 +11,9 @@ the engine, the schedulers and the thermal solver publish into:
 - :class:`Histogram` — streaming count/sum/min/max of observations (e.g.
   ``scheduler.decision_latency_s``), plus log-bucketed counts
   (1-2-5 decades, :data:`DEFAULT_BUCKET_BOUNDS`) powering
-  :meth:`Histogram.quantile` — the p50/p95/p99 estimator shared by the
-  serve layer's ``/metrics`` exposition and the load generator.
+  :meth:`Histogram.quantile` — the p50/p95/p99 estimator behind the
+  serve layer's ``/metrics`` exposition and the engine's response-time
+  percentiles.
 
 Instruments measuring *wall-clock* quantities are created with
 ``timing=True``; :meth:`MetricsRegistry.snapshot` can exclude them so that

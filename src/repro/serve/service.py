@@ -661,9 +661,7 @@ class ThermalService:
 
     def _workload_specs(self, tenant: TenantState, spec: Dict[str, Any]):
         kind = spec.get("kind", "homogeneous")
-        seed = spec.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ValueError("workload seed must be an integer")
+        seed = _integer_at_least("workload seed", spec.get("seed", 0), 0)
         work_scale = _positive_float(
             "work_scale", spec.get("work_scale", 1.0)
         )
@@ -680,9 +678,7 @@ class ThermalService:
                 work_scale=work_scale,
             )
         elif kind == "mixed":
-            n_tasks = spec.get("n_tasks", 4)
-            if not isinstance(n_tasks, int) or n_tasks < 1:
-                raise ValueError("n_tasks must be a positive integer")
+            n_tasks = _integer_at_least("n_tasks", spec.get("n_tasks", 4), 1)
             specs = random_mixed_workload(
                 n_tasks=n_tasks, seed=seed, work_scale=work_scale
             )
@@ -757,3 +753,9 @@ def _positive_float(key: str, value: Any) -> float:
     return result
 
 
+def _integer_at_least(key: str, value: Any, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{key} must be at least {minimum}")
+    return value

@@ -66,12 +66,18 @@ def _arrival_decoder() -> Callable[[Dict[str, Any]], TaskSpec]:
             profile = parsec_profile(name)
         except KeyError:
             raise ValueError(f"unknown benchmark {name!r}") from None
+        seed = typed(fields.get("seed", 0), int)
+        if seed < 0:
+            raise ValueError(f"negative seed {seed}")
+        work_scale = typed(fields.get("work_scale", 1.0), float)
+        if work_scale <= 0:
+            raise ValueError(f"non-positive work scale {work_scale!r}")
         return TaskSpec(
             profile=profile,
             n_threads=n_threads,
             arrival_time_s=time_s,
-            seed=typed(fields.get("seed", 0), int),
-            work_scale=typed(fields.get("work_scale", 1.0), float),
+            seed=seed,
+            work_scale=work_scale,
             qos=qos,
         )
 

@@ -102,3 +102,19 @@ class TestCli:
             main(["fig4a", "--quick", "--jobs", value])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_traffic_option_is_gone(self, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4b", "--traffic", "diurnal"])
+        assert exc.value.code == 2
+        assert "--traffic" in capsys.readouterr().err
+
+    def test_trace_path_only_applies_to_fig4b(self, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--trace-path", "x.jsonl"])
+        assert exc.value.code == 2
+        assert "--trace-path only applies to fig4b" in capsys.readouterr().err

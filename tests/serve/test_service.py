@@ -209,3 +209,18 @@ class TestSimulate:
     def test_unknown_workload_kind_rejected(self, service, tenant):
         with pytest.raises(ValueError, match="workload kind"):
             service.simulate(tenant, {"workload": {"kind": "adversarial"}})
+
+    @pytest.mark.parametrize(
+        "workload, message",
+        [
+            ({"seed": True}, "workload seed must be an integer"),
+            ({"seed": -1}, "workload seed must be at least 0"),
+            ({"kind": "mixed", "n_tasks": True}, "n_tasks must be an integer"),
+            ({"kind": "mixed", "n_tasks": 0}, "n_tasks must be at least 1"),
+        ],
+    )
+    def test_workload_integers_rejected_by_field(
+        self, service, tenant, workload, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            service._workload_specs(tenant, workload)

@@ -13,17 +13,25 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+EXAMPLES = [
+    "amd_ring_explorer",
+    "anatomy_of_a_run",
+    "homogeneous_campaign",
+    "observability_tour",
+    "open_system_poisson",
+    "peak_temperature_analysis",
+    "quickstart",
+    "stacked_3d_rotation",
+    "thermal_trace_comparison",
+]
 
-@pytest.mark.parametrize(
-    "example",
-    [
-        "quickstart",
-        "anatomy_of_a_run",
-        "thermal_trace_comparison",
-        "open_system_poisson",
-        "observability_tour",
-    ],
-)
+
+def test_every_example_is_smoke_run():
+    scripts = sorted(path.stem for path in (REPO_ROOT / "examples").glob("*.py"))
+    assert EXAMPLES == scripts
+
+
+@pytest.mark.parametrize("example", EXAMPLES)
 def test_example_exits_cleanly(example, tmp_path):
     env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")

@@ -1,7 +1,7 @@
-"""The {traffic} x {scheduler} scenario matrix, end to end (tier-1-fast).
+"""The {arrivals} x {scheduler} scenario matrix, end to end (tier-1-fast).
 
-All 12 cells of {poisson, diurnal, flash-crowd, trace} x {hotpotato,
-pcmig, qos} run on the 4x4 motivational platform (the smallest one whose
+All 6 cells of {poisson, trace} x {hotpotato, pcmig, qos} run fig4b's
+cell workload on the 4x4 motivational platform (the smallest one whose
 core count fits every thread-count the synthetic mix can draw) with
 light load.  Every cell must stay thermally safe (peak at most ``T_DTM``
 plus the DTM hysteresis slack), raise no QoS deadline violations, and —
@@ -10,6 +10,8 @@ the QoS scheduler *does* shed (parked peak > 0) exactly when queue
 pressure crosses the overload threshold, and that the shed tasks
 surface as deadline violations.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -22,32 +24,34 @@ from repro.obs import (
     default_detectors,
     run_detectors,
 )
+from repro.sched import HotPotatoScheduler, PCMigScheduler, QoSAwareScheduler
 from repro.sim.context import SimContext
 from repro.sim.engine import IntervalSimulator
-from repro.traffic import write_arrival_trace
+from repro.traffic import PoissonProcess, assign_arrivals, write_arrival_trace
 from repro.workload.generator import TaskSpec, materialize
 from repro.workload.benchmarks import parsec_profile
 from repro.workload.qos import (
     PRIORITY_BEST_EFFORT,
     PRIORITY_CRITICAL,
+    PRIORITY_NORMAL,
     QosSpec,
 )
+
+SCHEDULERS = {
+    "hotpotato": HotPotatoScheduler,
+    "pcmig": PCMigScheduler,
+    "qos": QoSAwareScheduler,
+}
 
 #: generous relative deadline under light load — nothing should miss it
 LIGHT_DEADLINE_S = 30.0
 
-#: (traffic, scheduler) -> peak_temperature_c as ``float.hex()``, recorded
+#: (arrivals, scheduler) -> peak_temperature_c as ``float.hex()``, recorded
 #: from a per-core trace of every sample; no cell crosses T_DTM
 MATRIX_PEAKS = {
     ("poisson", "hotpotato"): "0x1.c19eab83b2caep+5",
     ("poisson", "pcmig"): "0x1.b281c3d033f9ep+5",
     ("poisson", "qos"): "0x1.c19eab83b2caep+5",
-    ("diurnal", "hotpotato"): "0x1.c89e1a541dee1p+5",
-    ("diurnal", "pcmig"): "0x1.b71234c35fb06p+5",
-    ("diurnal", "qos"): "0x1.c30d844d4eae0p+5",
-    ("flash-crowd", "hotpotato"): "0x1.d5933e9c1bd8dp+5",
-    ("flash-crowd", "pcmig"): "0x1.b36a2918a7445p+5",
-    ("flash-crowd", "qos"): "0x1.d42b1d42edcc8p+5",
     ("trace", "hotpotato"): "0x1.b6e5cffbfcfe7p+5",
     ("trace", "pcmig"): "0x1.b89003437ac13p+5",
     ("trace", "qos"): "0x1.b6e5ce935b233p+5",
@@ -76,56 +80,71 @@ def _light_specs():
     return specs
 
 
+def _poisson_cell_specs():
+    """fig4b's Poisson cell, its tasks stamped with a QoS mix by position.
+
+    Poisson arrivals are already sorted, so position is also arrival
+    order: priorities cycle best-effort / normal / critical and every
+    task gets the light deadline, populating each QoS class.
+    """
+    specs = fig4b._cell_specs(
+        arrival_rate_per_s=8.0, n_tasks=6, seed=5, work_scale=0.25
+    )
+    cycle = (PRIORITY_BEST_EFFORT, PRIORITY_NORMAL, PRIORITY_CRITICAL)
+    return [
+        replace(
+            spec,
+            qos=QosSpec(
+                deadline_s=LIGHT_DEADLINE_S, priority=cycle[i % len(cycle)]
+            ),
+        )
+        for i, spec in enumerate(specs)
+    ]
+
+
 @pytest.fixture(scope="module")
 def matrix_runs(tmp_path_factory, cfg16, model16):
-    """All 12 cells, each with a full observability bundle attached."""
+    """All 6 cells, each with a full observability bundle attached."""
     cfg = cfg16
     trace_path = tmp_path_factory.mktemp("traffic") / "light.jsonl"
-    from repro.traffic import PoissonProcess, assign_arrivals
-
     write_arrival_trace(
         trace_path,
         assign_arrivals(_light_specs(), PoissonProcess(8.0), seed=3),
     )
+    cell_specs = {
+        "poisson": _poisson_cell_specs(),
+        "trace": fig4b._cell_specs(
+            arrival_rate_per_s=8.0,
+            n_tasks=6,
+            seed=5,
+            work_scale=0.25,
+            trace_path=trace_path,
+        ),
+    }
     runs = {}
-    for traffic in fig4b.MATRIX_TRAFFICS:
-        for scheduler in fig4b.MATRIX_SCHEDULERS:
-            specs = fig4b._cell_specs(
-                arrival_rate_per_s=8.0,
-                n_tasks=6,
-                seed=5,
-                work_scale=0.25,
-                max_time_s=4.0,
-                traffic=traffic,
-                trace_path=trace_path,
-                deadline_s=LIGHT_DEADLINE_S,
-            )
+    for arrivals, specs in cell_specs.items():
+        for scheduler in SCHEDULERS:
             observer = Observer(
                 trace=TraceRecorder(), metrics=MetricsRegistry()
             )
             sim = IntervalSimulator(
                 cfg,
-                fig4b._SCHEDULERS[scheduler](),
+                SCHEDULERS[scheduler](),
                 materialize(specs),
                 ctx=SimContext(cfg, model16),
                 observer=observer,
             )
             result = sim.run(max_time_s=4.0)
-            runs[(traffic, scheduler)] = (result, observer.trace)
+            runs[(arrivals, scheduler)] = (result, observer.trace)
     return cfg, runs
 
 
 class TestScenarioMatrix:
-    def test_all_twelve_cells_ran(self, matrix_runs):
+    def test_all_six_cells_ran(self, matrix_runs):
         _, runs = matrix_runs
-        assert len(runs) == 12
-        assert set(runs) == {
-            (t, s)
-            for t in ("poisson", "diurnal", "flash-crowd", "trace")
-            for s in ("hotpotato", "pcmig", "qos")
-        }
-        for (traffic, scheduler), (result, _) in runs.items():
-            assert result.tasks, f"cell {(traffic, scheduler)} completed nothing"
+        assert set(runs) == set(MATRIX_PEAKS)
+        for key, (result, _) in runs.items():
+            assert result.tasks, f"cell {key} completed nothing"
 
     def test_thermal_summary_pinned(self, matrix_runs):
         """Peak and time above T_DTM, bit for bit (``float.hex()``)."""
@@ -159,32 +178,21 @@ class TestScenarioMatrix:
 
     def test_qos_cells_park_nothing_under_light_load(self, matrix_runs):
         _, runs = matrix_runs
-        for traffic in fig4b.MATRIX_TRAFFICS:
-            result, _ = runs[(traffic, "qos")]
+        for arrivals in ("poisson", "trace"):
+            result, _ = runs[(arrivals, "qos")]
             snapshot = result.metrics_snapshot
-            assert snapshot["sched.qos_parked_peak"] == 0.0, traffic
-            assert snapshot["sched.qos_shed_decisions"] == 0.0, traffic
+            assert snapshot["sched.qos_parked_peak"] == 0.0, arrivals
+            assert snapshot["sched.qos_shed_decisions"] == 0.0, arrivals
 
     def test_cells_are_deterministic(self, matrix_runs, model16):
         """Re-running one cell reproduces its response times exactly."""
         cfg, runs = matrix_runs
-        reference, _ = runs[("diurnal", "qos")]
-        ctx = SimContext(cfg, model16)
-        specs = fig4b._cell_specs(
-            arrival_rate_per_s=8.0,
-            n_tasks=6,
-            seed=5,
-            work_scale=0.25,
-            max_time_s=4.0,
-            traffic="diurnal",
-            trace_path=None,
-            deadline_s=LIGHT_DEADLINE_S,
-        )
+        reference, _ = runs[("poisson", "qos")]
         sim = IntervalSimulator(
             cfg,
-            fig4b._SCHEDULERS["qos"](),
-            materialize(specs),
-            ctx=ctx,
+            QoSAwareScheduler(),
+            materialize(_poisson_cell_specs()),
+            ctx=SimContext(cfg, model16),
         )
         again = sim.run(max_time_s=4.0)
         assert [t.response_time_s for t in again.tasks] == [
@@ -218,7 +226,7 @@ class TestOverloadSheds:
         observer = Observer(trace=TraceRecorder(), metrics=MetricsRegistry())
         sim = IntervalSimulator(
             cfg,
-            fig4b._SCHEDULERS["qos"](),
+            QoSAwareScheduler(),
             materialize(specs),
             ctx=SimContext(cfg),
             observer=observer,
@@ -262,7 +270,7 @@ class TestOverloadSheds:
         observer = Observer(metrics=MetricsRegistry())
         sim = IntervalSimulator(
             cfg,
-            fig4b._SCHEDULERS["qos"](
+            QoSAwareScheduler(
                 overload_queue_threads=10_000,
                 park_queue_threads=20_000,
             ),

@@ -1,7 +1,7 @@
 """JSONL arrival traces: exact round-trips, torn-tail rejection, replay.
 
 The golden test pins the end-to-end contract: a hand-built trace replayed
-through fig4b's ``traffic="trace"`` path yields exactly the response
+through fig4b's ``trace_path=`` cell yields exactly the response
 times of simulating the same specs directly — ids, arrivals and
 completions all bit-for-bit.
 """
@@ -167,6 +167,25 @@ class TestLoaderRejections:
         with pytest.raises(ValueError, match="invalid QoS annotation"):
             load_arrival_trace(trace_path)
 
+    def test_negative_seed(self, trace_path):
+        lines = trace_path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["seed"] = -1
+        lines[2] = json.dumps(record, sort_keys=True)
+        trace_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r":3: .*negative seed -1"):
+            load_arrival_trace(trace_path)
+
+    @pytest.mark.parametrize("work_scale", [0.0, -0.5])
+    def test_non_positive_work_scale(self, trace_path, work_scale):
+        lines = trace_path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["work_scale"] = work_scale
+        lines[1] = json.dumps(record, sort_keys=True)
+        trace_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r":2: .*non-positive work scale"):
+            load_arrival_trace(trace_path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -230,7 +249,6 @@ class TestGoldenReplay:
             seed=42,  # ignored by trace replay
             work_scale=3.0,  # ignored by trace replay
             max_time_s=3.0,
-            traffic="trace",
             trace_path=trace_path,
         )
         direct = self._direct_result(cfg, ctx.thermal_model)
@@ -254,14 +272,13 @@ class TestGoldenReplay:
         ctx = SimContext(cfg4)
         kwargs = dict(
             arrival_rate_per_s=1.0,
-            scheduler="qos",
+            scheduler="pcmig",
             config=cfg4,
             model=ctx.thermal_model,
             n_tasks=1,
             seed=0,
             work_scale=1.0,
             max_time_s=3.0,
-            traffic="trace",
             trace_path=trace_path,
         )
         first = fig4b._simulate_cell(**kwargs)
@@ -269,18 +286,3 @@ class TestGoldenReplay:
         assert [t.response_time_s for t in first.tasks] == [
             t.response_time_s for t in again.tasks
         ]
-
-    def test_trace_traffic_requires_path(self, cfg4):
-        ctx = SimContext(cfg4)
-        with pytest.raises(ValueError, match="requires trace_path"):
-            fig4b._simulate_cell(
-                arrival_rate_per_s=1.0,
-                scheduler="hotpotato",
-                config=cfg4,
-                model=ctx.thermal_model,
-                n_tasks=1,
-                seed=0,
-                work_scale=1.0,
-                max_time_s=1.0,
-                traffic="trace",
-            )

@@ -138,21 +138,3 @@ class TestArrivalOrderingContract:
             assert task.arrival_time_s == spec.arrival_time_s
             assert task.profile.name == spec.profile.name
             assert task.n_threads == spec.n_threads
-
-    def test_composed_process_keeps_the_contract(self):
-        """assign_arrivals sorts even when the raw draw order is not the
-        time order (flash-crowd burst arrivals interleave the base)."""
-        from repro.traffic import Burst, FlashCrowd
-
-        process = FlashCrowd(
-            PoissonProcess(10.0),
-            (Burst(start_s=0.01, duration_s=0.05, rate_per_s=500.0),),
-        )
-        specs = assign_arrivals(
-            random_mixed_workload(12, seed=8), process, seed=9
-        )
-        tasks = materialize(specs)
-        assert [t.task_id for t in tasks] == list(range(12))
-        assert [t.arrival_time_s for t in tasks] == [
-            s.arrival_time_s for s in specs
-        ]

@@ -5,12 +5,16 @@ give byte-identical schedules; and the draw is, bit for bit, the one raw
 exponential draw the paper's Fig. 4b sweep has always used.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.traffic import PoissonProcess, assign_arrivals
+from repro.config import small_test
+from repro.experiments import fig4b
+from repro.traffic import PoissonProcess, assign_arrivals, write_arrival_trace
 from repro.workload.generator import random_mixed_workload
 
 _SETTINGS = settings(
@@ -75,6 +79,32 @@ class TestContractValidation:
         for rate in (0.0, -1.0):
             with pytest.raises(ValueError, match="rate must be positive"):
                 PoissonProcess(rate)
+
+
+def _trace_with_times(path, times):
+    """A valid arrival trace whose records carry ``times``, in file order."""
+    write_arrival_trace(path, random_mixed_workload(len(times), seed=5))
+    lines = path.read_text().splitlines()
+    for i, time_s in enumerate(times, start=1):
+        record = json.loads(lines[i])
+        record["time_s"] = time_s
+        lines[i] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestTraceReplay:
+    """fig4b refuses to replay a trace whose schedule breaks the contract."""
+
+    def test_non_monotonic_trace_rejected(self, tmp_path):
+        path = _trace_with_times(tmp_path / "t.jsonl", [0.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="non-monotonic"):
+            fig4b.run(small_test(), arrival_rates_per_s=(1.0,), trace_path=path)
+
+    def test_negative_trace_rejected(self, tmp_path):
+        path = _trace_with_times(tmp_path / "t.jsonl", [-1.0, 2.0])
+        with pytest.raises(ValueError, match="negative"):
+            fig4b.run(small_test(), arrival_rates_per_s=(1.0,), trace_path=path)
 
 
 # -- spec assignment and the id/arrival ordering contract ---------------------

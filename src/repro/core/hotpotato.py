@@ -91,12 +91,6 @@ class HotPotato:
         #: index 0 = no rotation; larger index = faster rotation
         self._tau_ladder: List[Optional[float]] = [None] + ladder
         self._tau_index = self._tau_ladder.index(initial_tau_s)
-        #: energy-relaxation bias: :meth:`_select_tau` backs off this many
-        #: ladder rungs toward slower rotation (fewer migrations, less
-        #: energy) from the rung it would otherwise pick.  QoS-aware
-        #: callers raise it when sustained thermal headroom is observed;
-        #: 0 reproduces the paper's selection exactly.
-        self.tau_bias = 0
         self.max_mitigation_steps = max_mitigation_steps
         self._slots: List[List[Optional[ThreadId]]] = [
             [None] * rings.capacity(i) for i in range(rings.n_rings)
@@ -339,11 +333,7 @@ class HotPotato:
         )
         for index, peak_c in enumerate(peaks):
             if peak_c <= target:
-                # the energy-relaxation bias backs off toward slower
-                # rungs; it never pushes *past* the slowest choice (index
-                # 0 = rotation off), and with bias 0 this is exactly the
-                # paper's slowest-sustainable selection
-                self._tau_index = max(0, index - max(0, int(self.tau_bias)))
+                self._tau_index = index
                 return
 
     def _migrate_coolest_knob_outward(self) -> bool:

@@ -70,14 +70,21 @@ def main(argv=None) -> int:
     selected = _EXPERIMENTS[:-1] if args.experiment == "all" else (args.experiment,)
     for name in selected:
         print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-        result = _run_one(
-            name,
-            args.quick,
-            args.jobs,
-            args.checkpoint,
-            args.resume,
-            args.trace_path,
-        )
+        try:
+            result = _run_one(
+                name,
+                args.quick,
+                args.jobs,
+                args.checkpoint,
+                args.resume,
+                args.trace_path,
+            )
+        except ValueError as exc:
+            if not args.trace_path:
+                raise
+            # a malformed replayed trace is a usage error, not a crash
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return 2
         print(result.render())
     return 0
 

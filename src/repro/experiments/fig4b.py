@@ -127,17 +127,17 @@ def _cell_specs(
     n_tasks: int,
     seed: int,
     work_scale: float,
-    trace_path=None,
+    trace: Optional[List[TaskSpec]] = None,
 ) -> List[TaskSpec]:
     """The task specs of one sweep cell.
 
-    Without ``trace_path`` this is the paper's homogeneous Poisson
-    schedule over a random mixed workload; with it, the recorded JSONL
-    schedule is replayed wholesale (benchmarks, thread counts and QoS
-    annotations included), ignoring the synthetic-workload knobs.
+    Without ``trace`` this is the paper's homogeneous Poisson schedule
+    over a random mixed workload; with it (a loaded arrival trace), the
+    recorded schedule is replayed wholesale (benchmarks, thread counts and
+    work scales included), ignoring the synthetic-workload knobs.
     """
-    if trace_path is not None:
-        return load_arrival_trace(trace_path)
+    if trace is not None:
+        return trace
     base = random_mixed_workload(n_tasks, seed=seed, work_scale=work_scale)
     return assign_arrivals(base, PoissonProcess(arrival_rate_per_s), seed=seed + 1)
 
@@ -151,14 +151,14 @@ def _simulate_cell(
     seed: int,
     work_scale: float,
     max_time_s: float,
-    trace_path=None,
+    trace: Optional[List[TaskSpec]] = None,
 ) -> SimulationResult:
     """One (arrival rate, scheduler) cell — module-level for pool pickling.
 
     Builds its own :class:`SimContext` from the shared thermal model, as
     the serial sweep always did, so serial and parallel runs agree exactly.
     """
-    specs = _cell_specs(arrival_rate_per_s, n_tasks, seed, work_scale, trace_path)
+    specs = _cell_specs(arrival_rate_per_s, n_tasks, seed, work_scale, trace)
     sim = IntervalSimulator(
         config,
         _SCHEDULERS[scheduler](),
@@ -191,9 +191,15 @@ def run(
 
     ``trace_path`` replays a recorded JSONL schedule (``docs/traffic.md``)
     in every cell instead of the paper's Poisson schedule; the rate axis
-    then only labels the sweep.
+    then only labels the sweep.  The trace is loaded once, before any cell
+    runs; a malformed or empty one raises ``ValueError`` naming the file.
     """
     cfg = config if config is not None else table1()
+    trace = None
+    if trace_path is not None:
+        trace = load_arrival_trace(trace_path)
+        if not trace:
+            raise ValueError(f"{trace_path}: the arrival trace has no arrivals")
     shared = SimContext(cfg, model)
 
     cells = [
@@ -209,7 +215,7 @@ def run(
                 seed=seed,
                 work_scale=work_scale,
                 max_time_s=max_time_s,
-                trace_path=trace_path,
+                trace=trace,
             ),
         )
         for rate in arrival_rates_per_s

@@ -67,7 +67,6 @@ from .detect import (
     Detector,
     DtmThrashDetector,
     PowerMapDetector,
-    QosDeadlineViolationDetector,
     RotationStallDetector,
     SloLatencyViolationDetector,
     SpanOrphanDetector,
@@ -127,7 +126,6 @@ __all__ = [
     "PhaseProfiler",
     "PhaseStat",
     "PowerMapDetector",
-    "QosDeadlineViolationDetector",
     "RotationStallDetector",
     "RotationStats",
     "RunAnalysis",

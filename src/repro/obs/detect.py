@@ -31,10 +31,6 @@ Shipped detectors (create a standard set with :func:`default_detectors`):
 :class:`SloLatencyViolationDetector`  a tenant's request-latency error
                               budget ran out (serve layer; fed latencies,
                               not trace records)
-:class:`QosDeadlineViolationDetector`  a task with a QoS deadline
-                              (``docs/traffic.md``) completed past it, or
-                              was still unfinished — e.g. shed under
-                              overload — when its deadline passed
 :class:`SpanOrphanDetector`   a finished span references a parent that is
                               not in the span set — broken context
                               propagation or ring-buffer eviction
@@ -474,68 +470,6 @@ class SloLatencyViolationDetector(Detector):
             self._in_violation = False
 
 
-class QosDeadlineViolationDetector(Detector):
-    """A task with a QoS deadline missed it.
-
-    Deadlines are learned from the trace itself: ``TaskArrived`` events
-    carry the absolute deadline when the task has one
-    (``docs/traffic.md``), so the detector needs no out-of-band
-    configuration and :func:`default_detectors` includes it
-    unconditionally — on a trace without QoS annotations it is silent.
-
-    Two failure shapes are reported:
-
-    - **critical** — a ``TaskCompleted`` arrived after the task's
-      deadline: the response time exceeded the contract;
-    - **warning** — the trace ended (or the task was still running at
-      :meth:`finish`) past a deadline with no completion: the task was
-      parked/shed under overload, or simply never finished in time.
-    """
-
-    name = "qos-deadline-violation"
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: task id -> absolute deadline [s], for tasks not yet completed
-        self._deadlines: Dict[int, float] = {}
-
-    def on_event(self, record: EventRecord) -> None:
-        if record.event == "TaskArrived":
-            deadline = record.data.get("deadline_s")
-            if deadline is not None:
-                self._deadlines[int(record.data["task_id"])] = float(deadline)
-        elif record.event == "TaskCompleted":
-            task_id = int(record.data["task_id"])
-            deadline = self._deadlines.pop(task_id, None)
-            if deadline is None:
-                return
-            if record.time_s > deadline + _TIME_EPS:
-                self.emit(
-                    record.time_s,
-                    f"task {task_id} missed its deadline: completed at "
-                    f"{record.time_s * 1e3:.2f} ms, deadline "
-                    f"{deadline * 1e3:.2f} ms "
-                    f"(response {float(record.data['response_time_s']) * 1e3:.2f} ms)",
-                    value=float(record.time_s),
-                    limit=float(deadline),
-                )
-
-    def finish(self, end_time_s: float) -> None:
-        for task_id in sorted(self._deadlines):
-            deadline = self._deadlines[task_id]
-            if end_time_s > deadline + _TIME_EPS:
-                self.emit(
-                    deadline,
-                    f"task {task_id} never completed: its deadline "
-                    f"({deadline * 1e3:.2f} ms) passed before the trace "
-                    f"ended (shed under overload, or still queued)",
-                    severity="warning",
-                    value=float(end_time_s),
-                    limit=float(deadline),
-                )
-        self._deadlines.clear()
-
-
 class SpanOrphanDetector(Detector):
     """A span's parent is missing from the span set.
 
@@ -580,10 +514,8 @@ def default_detectors(
 ) -> List[Detector]:
     """The standard detector set; ``None`` parameters skip their detector.
 
-    :class:`UnsafeDegradationDetector` and
-    :class:`QosDeadlineViolationDetector` are always included — both are
-    silent on traces without faults / QoS deadlines, so they cost nothing
-    outside those runs.
+    :class:`UnsafeDegradationDetector` is always included — it is silent
+    on traces without faults, so it costs nothing outside those runs.
     """
     detectors: List[Detector] = [
         ThresholdDetector(dtm_threshold_c, threshold_tolerance_c),
@@ -592,7 +524,6 @@ def default_detectors(
         UnsafeDegradationDetector(
             dtm_threshold_c, degradation_tolerance_c, degradation_grace_s
         ),
-        QosDeadlineViolationDetector(),
     ]
     if bound_c is not None:
         detectors.append(BoundDetector(bound_c, bound_tolerance_c))

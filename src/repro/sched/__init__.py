@@ -8,7 +8,6 @@ from .hotpotato_runtime import HotPotatoScheduler
 from .naive import PeakFrequencyScheduler, StaticPlacer
 from .pcgov import PCGovScheduler
 from .pcmig import PCMigScheduler
-from .qos_aware import QoSAwareScheduler
 
 __all__ = [
     "AsyncMigrationScheduler",
@@ -18,7 +17,6 @@ __all__ = [
     "PCGovScheduler",
     "PCMigScheduler",
     "PeakFrequencyScheduler",
-    "QoSAwareScheduler",
     "Scheduler",
     "SchedulerDecision",
     "StaticPlacer",

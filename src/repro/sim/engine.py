@@ -298,6 +298,13 @@ class IntervalSimulator:
     ):
         self.config = config
         self.ctx = ctx if ctx is not None else SimContext(config)
+        for task in tasks:
+            if task.n_threads > self.ctx.n_cores:
+                raise ValueError(
+                    f"task {task.task_id} has {task.n_threads} threads, more "
+                    f"than the chip's {self.ctx.n_cores} cores: it could "
+                    "never be admitted"
+                )
         self.scheduler = scheduler
         self.dtm_enabled = dtm_enabled
         self._pending: Deque[Task] = deque(
@@ -691,7 +698,6 @@ class IntervalSimulator:
                         task.task_id,
                         task.profile.name,
                         task.n_threads,
-                        task.deadline_time_s,
                     )
                 )
 

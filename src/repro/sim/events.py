@@ -30,9 +30,6 @@ class TaskArrived(Event):
     task_id: int
     benchmark: str
     n_threads: int
-    #: absolute QoS deadline [s] (arrival + relative deadline), or None —
-    #: defaulted so traces recorded before QoS annotations still load.
-    deadline_s: Optional[float] = None
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ from .. import records
 from ..records import typed
 from ..workload.benchmarks import parsec_profile
 from ..workload.generator import TaskSpec
-from ..workload.qos import QosSpec
 
 PathLike = Union[str, Path]
+
+#: every field an ``arrival`` record may carry; any other is an error
+_ARRIVAL_FIELDS = {"benchmark", "n_threads", "seed", "time_s", "work_scale"}
 
 
 def write_arrival_trace(path: PathLike, specs: Sequence[TaskSpec]) -> None:
@@ -33,8 +35,6 @@ def write_arrival_trace(path: PathLike, specs: Sequence[TaskSpec]) -> None:
             "time_s": spec.arrival_time_s,
             "work_scale": spec.work_scale,
         }
-        if spec.qos is not None:
-            fields["qos"] = spec.qos.to_dict()
         lines.append(("arrival", fields))
     records.atomic_write(path, records.dumps(lines))
 
@@ -44,6 +44,9 @@ def _arrival_decoder() -> Callable[[Dict[str, Any]], TaskSpec]:
     previous = [0.0]
 
     def decode(fields: Dict[str, Any]) -> TaskSpec:
+        unknown = sorted(set(fields) - _ARRIVAL_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown field {', '.join(map(repr, unknown))}")
         time_s = typed(fields["time_s"], float)
         if time_s < 0:
             raise ValueError(f"negative timestamp {time_s!r}")
@@ -55,12 +58,6 @@ def _arrival_decoder() -> Callable[[Dict[str, Any]], TaskSpec]:
         n_threads = typed(fields["n_threads"], int)
         if n_threads < 1:
             raise ValueError(f"invalid thread count {n_threads}")
-        qos = None
-        if fields.get("qos") is not None:
-            try:
-                qos = QosSpec.from_dict(typed(fields["qos"], dict))
-            except (TypeError, ValueError) as error:
-                raise ValueError(f"invalid QoS annotation: {error}") from None
         name = typed(fields["benchmark"], str)
         try:
             profile = parsec_profile(name)
@@ -78,7 +75,6 @@ def _arrival_decoder() -> Callable[[Dict[str, Any]], TaskSpec]:
             arrival_time_s=time_s,
             seed=seed,
             work_scale=work_scale,
-            qos=qos,
         )
 
     return decode

@@ -15,27 +15,14 @@ from .generator import (
 )
 from .perf import PerformanceModel
 from .phases import data_parallel, master_slave, pipeline, streaming
-from .qos import (
-    PRIORITY_BEST_EFFORT,
-    PRIORITY_CRITICAL,
-    PRIORITY_NAMES,
-    PRIORITY_NORMAL,
-    QosSpec,
-    priority_of,
-)
 from .task import Task, Thread
 
 __all__ = [
     "BENCHMARK_NAMES",
     "PARSEC",
-    "PRIORITY_BEST_EFFORT",
-    "PRIORITY_CRITICAL",
-    "PRIORITY_NAMES",
-    "PRIORITY_NORMAL",
     "BenchmarkCharacter",
     "BenchmarkProfile",
     "PerformanceModel",
-    "QosSpec",
     "characterization_table",
     "characterize",
     "duty_cycle",
@@ -48,7 +35,6 @@ __all__ = [
     "materialize",
     "parsec_profile",
     "pipeline",
-    "priority_of",
     "random_mixed_workload",
     "streaming",
 ]

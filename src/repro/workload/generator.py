@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .benchmarks import PARSEC, BenchmarkProfile, parsec_profile
-from .qos import QosSpec
 from .task import Task
 
 
@@ -35,8 +34,6 @@ class TaskSpec:
     seed: int = 0
     #: multiplier on all phase instruction counts (longer inputs)
     work_scale: float = 1.0
-    #: optional QoS annotation (deadline / SLO / priority class)
-    qos: Optional[QosSpec] = None
 
     def materialize(self, task_id: int) -> Task:
         """Create the runnable :class:`Task`."""
@@ -47,7 +44,6 @@ class TaskSpec:
             arrival_time_s=self.arrival_time_s,
             seed=self.seed,
             work_scale=self.work_scale,
-            qos=self.qos,
         )
 
 

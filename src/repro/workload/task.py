@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .benchmarks import BenchmarkProfile
-from .qos import QosSpec
 
 
 class Thread:
@@ -57,7 +56,6 @@ class Task:
         arrival_time_s: float = 0.0,
         seed: int = 0,
         work_scale: float = 1.0,
-        qos: Optional[QosSpec] = None,
     ):
         if n_threads < 1:
             raise ValueError("need at least one thread")
@@ -68,8 +66,6 @@ class Task:
         self.n_threads = n_threads
         self.arrival_time_s = arrival_time_s
         self.work_scale = work_scale
-        #: optional QoS annotation (deadline / SLO / priority class)
-        self.qos = qos
         self.phases: List[np.ndarray] = [
             np.asarray(p, dtype=float) * work_scale
             for p in profile.build_phases(n_threads, seed)
@@ -180,13 +176,6 @@ class Task:
         if self.completion_time_s is None:
             return None
         return self.completion_time_s - self.arrival_time_s
-
-    @property
-    def deadline_time_s(self) -> Optional[float]:
-        """Absolute deadline (arrival + relative QoS deadline), if any."""
-        if self.qos is None or self.qos.deadline_s is None:
-            return None
-        return self.arrival_time_s + self.qos.deadline_s
 
     def __repr__(self) -> str:
         status = (

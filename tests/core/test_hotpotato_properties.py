@@ -147,7 +147,7 @@ def _assert_same_schedule(cached, fresh) -> None:
 
 _SCHEDULE_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["admit", "remove", "update", "refresh", "tau_bias"]),
+        st.sampled_from(["admit", "remove", "update", "refresh"]),
         st.integers(0, 8),
         st.floats(0.5, 8.0, allow_nan=False),
     ),
@@ -164,10 +164,10 @@ _SCHEDULE_OPS = st.lists(
 )
 @given(ops=_SCHEDULE_OPS)
 def test_cached_schedule_equals_fresh_build(ops):
-    """After every admit, remove, refresh or tau_bias change the cached
-    schedule is the one a fresh build of the current slots would give,
-    and candidate scoring's unvalidated power sequence is byte-identical
-    to the validated schedule's."""
+    """After every admit, remove or refresh the cached schedule is the one
+    a fresh build of the current slots would give, and candidate scoring's
+    unvalidated power sequence is byte-identical to the validated
+    schedule's."""
     hp = _fresh()
     live = set()
     for kind, number, power in ops:
@@ -181,9 +181,6 @@ def test_cached_schedule_equals_fresh_build(ops):
         elif kind == "update" and thread_id in live:
             hp.update_power(thread_id, power)
         elif kind == "refresh":
-            hp.refresh()
-        elif kind == "tau_bias":
-            hp.tau_bias = number % 3
             hp.refresh()
         fresh = hp._schedule_for(hp._slots, hp.tau_s)
         _assert_same_schedule(hp.schedule(), fresh)

@@ -118,3 +118,49 @@ class TestCli:
             main(["table1", "--trace-path", "x.jsonl"])
         assert exc.value.code == 2
         assert "--trace-path only applies to fig4b" in capsys.readouterr().err
+
+
+_ARRIVAL = {
+    "benchmark": "blackscholes",
+    "n_threads": 2,
+    "seed": 0,
+    "time_s": 0.0,
+    "work_scale": 1.0,
+}
+
+
+class TestCliTraceErrors:
+    """A malformed ``--trace-path`` ends the run with exit code 2 and a
+    one-line error, before any fig4b cell simulates."""
+
+    @pytest.mark.parametrize(
+        "arrivals, message",
+        [
+            ([], "{path}: the arrival trace has no arrivals"),
+            (
+                [dict(_ARRIVAL, bogus=3)],
+                "{path}:2: bad arrival record: unknown field 'bogus'",
+            ),
+            (
+                [dict(_ARRIVAL, n_threads=65)],
+                "task 0 has 65 threads, more than the chip's 64 cores",
+            ),
+        ],
+        ids=["empty", "unknown-field", "wider-than-the-chip"],
+    )
+    def test_exits_2(self, tmp_path, monkeypatch, capsys, arrivals, message):
+        from repro import records
+        from repro.experiments import fig4b
+        from repro.experiments.__main__ import main
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("a cell simulated")
+
+        monkeypatch.setattr(fig4b.IntervalSimulator, "run", never)
+        path = tmp_path / "arrivals.jsonl"
+        path.write_text(records.dumps(("arrival", a) for a in arrivals))
+        assert main(["fig4b", "--quick", "--trace-path", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("python -m repro.experiments: error: ")
+        assert err.count("\n") == 1
+        assert message.format(path=path) in err

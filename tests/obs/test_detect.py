@@ -159,7 +159,6 @@ class TestRegistryAndOrdering:
             "dtm-thrash",
             "rotation-stall",
             "faults-unsafe-degradation",
-            "qos-deadline-violation",
         }
         names = {
             d.name for d in default_detectors(idle_power_w=0.3, bound_c=70.0)
@@ -293,123 +292,3 @@ class TestSpanOrphanDetector:
             pass
         # a dangling *link* is fine; only parent_id edges count
         assert SpanOrphanDetector().check(list(tracer)) == []
-
-
-class TestQosDeadlineViolationDetector:
-    """Deadlines are learned from TaskArrived events in the trace itself."""
-
-    def _trace(self, events):
-        trace = TraceRecorder()
-        for event in events:
-            trace.record_event(event)
-        return trace
-
-    def test_late_completion_is_critical(self):
-        from repro.obs import QosDeadlineViolationDetector
-        from repro.sim.events import TaskArrived, TaskCompleted
-
-        trace = self._trace(
-            [
-                TaskArrived(
-                    time_s=0.0,
-                    task_id=0,
-                    benchmark="blackscholes",
-                    n_threads=2,
-                    deadline_s=0.010,
-                ),
-                TaskCompleted(
-                    time_s=0.050,
-                    task_id=0,
-                    benchmark="blackscholes",
-                    response_time_s=0.050,
-                ),
-            ]
-        )
-        violations = run_detectors(trace, [QosDeadlineViolationDetector()])
-        assert len(violations) == 1
-        violation = violations[0]
-        assert violation.detector == "qos-deadline-violation"
-        assert violation.severity == "critical"
-        assert violation.time_s == pytest.approx(0.050)
-        assert violation.limit == pytest.approx(0.010)
-        assert "task 0" in violation.message
-
-    def test_on_time_completion_is_silent(self):
-        from repro.obs import QosDeadlineViolationDetector
-        from repro.sim.events import TaskArrived, TaskCompleted
-
-        trace = self._trace(
-            [
-                TaskArrived(
-                    time_s=0.0,
-                    task_id=0,
-                    benchmark="blackscholes",
-                    n_threads=2,
-                    deadline_s=1.0,
-                ),
-                TaskCompleted(
-                    time_s=0.5,
-                    task_id=0,
-                    benchmark="blackscholes",
-                    response_time_s=0.5,
-                ),
-            ]
-        )
-        assert run_detectors(trace, [QosDeadlineViolationDetector()]) == []
-
-    def test_shed_task_warns_at_finish(self):
-        """A task whose deadline passes with no completion (parked under
-        overload, or still queued when the trace ends) is a warning."""
-        from repro.obs import QosDeadlineViolationDetector
-        from repro.sim.events import TaskArrived
-
-        trace = self._trace(
-            [
-                TaskArrived(
-                    time_s=0.0,
-                    task_id=7,
-                    benchmark="canneal",
-                    n_threads=1,
-                    deadline_s=0.010,
-                )
-            ]
-        )
-        # push the trace end past the deadline
-        trace.record_interval(0.1, 1e-3, {}, (IDLE_W,), (50.0,), (4e9,))
-        violations = run_detectors(trace, [QosDeadlineViolationDetector()])
-        assert len(violations) == 1
-        violation = violations[0]
-        assert violation.severity == "warning"
-        assert violation.time_s == pytest.approx(0.010)
-        assert "never completed" in violation.message
-
-    def test_still_running_before_its_deadline_is_silent(self):
-        from repro.obs import QosDeadlineViolationDetector
-        from repro.sim.events import TaskArrived
-
-        trace = self._trace(
-            [
-                TaskArrived(
-                    time_s=0.0,
-                    task_id=7,
-                    benchmark="canneal",
-                    n_threads=1,
-                    deadline_s=10.0,
-                )
-            ]
-        )
-        trace.record_interval(0.1, 1e-3, {}, (IDLE_W,), (50.0,), (4e9,))
-        assert run_detectors(trace, [QosDeadlineViolationDetector()]) == []
-
-    def test_deadline_free_trace_is_silent(self, mini_trace):
-        from repro.obs import QosDeadlineViolationDetector
-
-        assert run_detectors(mini_trace, [QosDeadlineViolationDetector()]) == []
-
-    def test_included_in_default_detectors(self):
-        from repro.obs import QosDeadlineViolationDetector
-
-        detectors = default_detectors(dtm_threshold_c=70.0)
-        assert any(
-            isinstance(d, QosDeadlineViolationDetector) for d in detectors
-        )

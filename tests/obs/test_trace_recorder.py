@@ -63,7 +63,6 @@ class TestRecording:
             "task_id": 3,
             "benchmark": "x264",
             "n_threads": 4,
-            "deadline_s": None,
         }
 
     def test_record_event_rejects_non_dataclass(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import small_test
 from repro.obs import Observer, TraceRecorder
 from repro.sched import FixedRotationScheduler, PeakFrequencyScheduler
 from repro.sim import IntervalSimulator, SimContext
@@ -100,3 +101,14 @@ class TestEdgeCases:
         sim.run(max_time_s=1.0)
         times = [0.0] + [r.time_s + r.dt_s for r in recorder.intervals()]
         assert np.all(np.diff(times) > 0)
+
+    def test_task_wider_than_the_chip_rejected(self):
+        """A task with more threads than cores could never be admitted;
+        the engine refuses it up front instead of idling to the horizon."""
+        cfg = small_test()
+        tasks = [
+            Task(0, PARSEC["blackscholes"], 2, seed=1),
+            Task(1, PARSEC["blackscholes"], cfg.n_cores + 1, seed=2),
+        ]
+        with pytest.raises(ValueError, match=r"task 1 has 5 threads.* 4 cores"):
+            IntervalSimulator(cfg, PeakFrequencyScheduler(), tasks)

@@ -21,7 +21,6 @@ from repro.parallel import SweepCheckpoint, canonical_key
 from repro.traffic import load_arrival_trace, write_arrival_trace
 from repro.workload.benchmarks import parsec_profile
 from repro.workload.generator import TaskSpec
-from repro.workload.qos import PRIORITY_CRITICAL, QosSpec
 
 from .obs.conftest import build_mini_trace
 
@@ -36,13 +35,7 @@ def _located(path):
 def _specs():
     return [
         TaskSpec(parsec_profile("canneal"), 2, 0.0, seed=3, work_scale=0.5),
-        TaskSpec(
-            parsec_profile("x264"),
-            1,
-            1.0 / 3.0,
-            seed=4,
-            qos=QosSpec(deadline_s=2.0, priority=PRIORITY_CRITICAL),
-        ),
+        TaskSpec(parsec_profile("x264"), 1, 1.0 / 3.0, seed=4),
         TaskSpec(parsec_profile("swaptions"), 4, 0.1 + 0.2, seed=5),
     ]
 
@@ -64,7 +57,6 @@ def _spec_key(spec):
         spec.arrival_time_s,
         spec.seed,
         spec.work_scale,
-        spec.qos,
     )
 
 

@@ -1,7 +1,7 @@
 """JSONL arrival traces: exact round-trips, torn-tail rejection, replay.
 
 The golden test pins the end-to-end contract: a hand-built trace replayed
-through fig4b's ``trace_path=`` cell yields exactly the response
+through a fig4b cell yields exactly the response
 times of simulating the same specs directly — ids, arrivals and
 completions all bit-for-bit.
 """
@@ -22,11 +22,10 @@ from repro.traffic import (
 )
 from repro.workload.generator import TaskSpec, materialize
 from repro.workload.benchmarks import parsec_profile
-from repro.workload.qos import PRIORITY_CRITICAL, QosSpec
 
 
 def _hand_built_specs():
-    """Four small tasks with known arrivals, thread counts and QoS."""
+    """Four small tasks with known arrivals and thread counts."""
     return [
         TaskSpec(
             parsec_profile("blackscholes"),
@@ -34,7 +33,6 @@ def _hand_built_specs():
             arrival_time_s=0.0,
             seed=1,
             work_scale=0.25,
-            qos=QosSpec(deadline_s=5.0, priority=PRIORITY_CRITICAL),
         ),
         TaskSpec(
             parsec_profile("swaptions"),
@@ -49,7 +47,6 @@ def _hand_built_specs():
             arrival_time_s=0.025,
             seed=3,
             work_scale=0.25,
-            qos=QosSpec(latency_slo_s=0.5, deadline_s=5.0),
         ),
         TaskSpec(
             parsec_profile("bodytrack"),
@@ -79,7 +76,6 @@ class TestRoundTrip:
             assert back.arrival_time_s == original.arrival_time_s  # bitwise
             assert back.seed == original.seed
             assert back.work_scale == original.work_scale
-            assert back.qos == original.qos
 
     def test_writer_sorts_by_arrival(self, tmp_path):
         specs = list(reversed(_hand_built_specs()))
@@ -158,13 +154,16 @@ class TestLoaderRejections:
         with pytest.raises(ValueError, match="unknown benchmark 'doom'"):
             load_arrival_trace(trace_path)
 
-    def test_invalid_qos(self, trace_path):
+    @pytest.mark.parametrize("field", ["qos", "bogus"])
+    def test_unknown_field(self, trace_path, field):
+        """A field the format does not define is refused, not dropped:
+        an old trace's ``qos`` annotations would otherwise vanish silently."""
         lines = trace_path.read_text().splitlines()
-        record = json.loads(lines[1])
-        record["qos"] = {"priority": 99}
-        lines[1] = json.dumps(record, sort_keys=True)
+        record = json.loads(lines[2])
+        record[field] = {"priority": 3} if field == "qos" else 3
+        lines[2] = json.dumps(record, sort_keys=True)
         trace_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="invalid QoS annotation"):
+        with pytest.raises(ValueError, match=rf":3: .*unknown field '{field}'"):
             load_arrival_trace(trace_path)
 
     def test_negative_seed(self, trace_path):
@@ -249,7 +248,7 @@ class TestGoldenReplay:
             seed=42,  # ignored by trace replay
             work_scale=3.0,  # ignored by trace replay
             max_time_s=3.0,
-            trace_path=trace_path,
+            trace=load_arrival_trace(trace_path),
         )
         direct = self._direct_result(cfg, ctx.thermal_model)
         assert len(replayed.tasks) == len(_hand_built_specs())
@@ -279,7 +278,7 @@ class TestGoldenReplay:
             seed=0,
             work_scale=1.0,
             max_time_s=3.0,
-            trace_path=trace_path,
+            trace=load_arrival_trace(trace_path),
         )
         first = fig4b._simulate_cell(**kwargs)
         again = fig4b._simulate_cell(**kwargs)

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-2 gate: everything a PR must pass, in one command.
 #
-#   scripts/check.sh            # tier-1 pytest + perf gates + domain lint + mypy + ruff
-#   scripts/check.sh --fast     # skip the (slow) pytest and perf-gate runs
+#   scripts/check.sh            # tier-1 pytest + perf gates + golden + domain lint + mypy + ruff
+#   scripts/check.sh --fast     # skip the (slow) pytest, perf-gate and golden runs
 #
 # The first two stages are self-contained (stdlib + the repo itself).
 # mypy and ruff are optional extras (`pip install .[lint]`); when a tool
@@ -51,12 +51,32 @@ PERF_GATES=(
     benchmarks/test_parallel_sweep.py
 )
 
+# Golden cells of the two sweep workloads tier-1 does not pin (it pins
+# fig4b-light): one short `python -m bench measure` each, whose last line
+# must report the cells equal to bench/golden.json.
+GOLDEN_WORKLOADS=(fig4a-closed fig4b-saturated)
+
+golden() {
+    local workload last
+    for workload in "${GOLDEN_WORKLOADS[@]}"; do
+        last="$("$PYTHON" -m bench measure --workload "$workload" \
+            --seed 0 --seconds 1 --trace 0 | tail -n 1)"
+        echo "$workload: $last"
+        case "$last" in
+            *'"correct": true'*) ;;
+            *) return 1 ;;
+        esac
+    done
+}
+
 if [ "${1:-}" = "--fast" ]; then
     skip_stage pytest "--fast requested"
     skip_stage perf-gates "--fast requested"
+    skip_stage golden "--fast requested"
 else
     run_stage pytest "$PYTHON" -m pytest -q
     run_stage perf-gates "$PYTHON" -m pytest -q "${PERF_GATES[@]}"
+    run_stage golden golden
 fi
 
 run_stage lint "$PYTHON" -m repro.lint check src/repro \

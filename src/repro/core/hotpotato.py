@@ -34,7 +34,13 @@ import numpy as np
 from .. import units
 from ..arch.amd import AmdRings
 from .peak_temperature import PeakTemperatureCalculator
-from .rotation import RotationGroup, RotationSchedule, ThreadId, power_sequence
+from .rotation import (
+    RotationGroup,
+    RotationSchedule,
+    ThreadId,
+    power_sequence,
+    ring_tracks,
+)
 
 #: Rotation-interval ladder [s], slowest first.  ``None`` (appended
 #: implicitly at the slow end) means rotation off.  The paper starts at
@@ -99,6 +105,10 @@ class HotPotato:
         self._location: Dict[ThreadId, Tuple[int, int]] = {}  # ring, slot
         self._ring_cores: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(rings.ring(i)) for i in range(rings.n_rings)
+        )
+        #: track[offset + slot, epoch] = core of that ring slot at epoch
+        self._tracks, _, self._ring_offsets = ring_tracks(
+            self._ring_cores, rings.mesh.n_cores
         )
         #: a schedule rotates iff tau is set and some ring has two cores
         self._multi_core_ring = any(len(c) > 1 for c in self._ring_cores)
@@ -245,29 +255,25 @@ class HotPotato:
         # thread, so only the first needs a full schedule construction:
         # every other sequence is the first one with the thread's power
         # moved to the other slot's rotation track (pure assignment of the
-        # same floats the full construction writes — byte-identical).
+        # same floats the full construction writes — byte-identical).  A
+        # static candidate has a one-epoch period, whose track column is
+        # epoch 0 — the slot's own core.
         trial = self._copy_slots()
         trial[ring][free[0]] = thread_id
         first, effective_tau = self._power_seq_for(trial, self.tau_s)
-        trial[ring][free[0]] = None
         seqs: List[np.ndarray] = [first]
         taus: List[Optional[float]] = [effective_tau]
         if len(free) > 1:
-            cores_arr = np.asarray(self.rings.ring(ring))
-            size = cores_arr.shape[0]
             period = first.shape[0]
             epochs = np.arange(period)
-            # slots only move when the candidate schedule actually rotates
-            shift = epochs if effective_tau is not None else np.zeros(
-                period, dtype=int
-            )
+            rows = self._ring_offsets[ring] + np.asarray(free)
+            tracks = self._tracks[rows, :period]
             idle = float(self.idle_power_w)
             thread_power = float(self._threads[thread_id].power_w)
-            first_track = cores_arr[(free[0] + shift) % size]
-            for slot in free[1:]:
+            for track in tracks[1:]:
                 seq = first.copy()
-                seq[epochs, first_track] = idle
-                seq[epochs, cores_arr[(slot + shift) % size]] = thread_power
+                seq[epochs, tracks[0]] = idle
+                seq[epochs, track] = thread_power
                 seqs.append(seq)
                 taus.append(effective_tau)
         peaks = self.calculator.peak_batch(seqs, taus)

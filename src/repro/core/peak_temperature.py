@@ -66,6 +66,13 @@ def _validate_sequence(
     return seq
 
 
+def _digest(seq: np.ndarray) -> bytes:
+    """BLAKE2b content digest of a validated power sequence."""
+    return hashlib.blake2b(
+        np.ascontiguousarray(seq).tobytes(), digest_size=16
+    ).digest()
+
+
 def rotation_fixed_point(
     dynamics: ThermalDynamics,
     core_power_seq: np.ndarray,
@@ -211,9 +218,14 @@ class PeakTemperatureCalculator:
         return cached
 
     def _alpha(self, tau_s: float, delta: int) -> np.ndarray:
-        """Design-time decay tensor: ``alpha[e, j, k] = exp(lambda_k tau
+        """Design-time decay tensor: ``alpha[k, e, j] = exp(lambda_k tau
         ((e - j) mod delta)) / (1 - exp(lambda_k delta tau))`` — the paper's
-        auxiliary alpha matrices, cached per (tau, delta)."""
+        auxiliary alpha matrices, cached per (tau, delta).
+
+        Mode-major and C-contiguous, shape ``(N, delta, delta)``: one
+        ``delta x delta`` matrix per eigenmode, so the stacked matmul of
+        :meth:`_stacked_peaks` hands every mode's product to BLAS.
+        """
         key = (tau_s, delta)
         cached = self._alpha_cache.get(key)
         if cached is None:
@@ -221,8 +233,8 @@ class PeakTemperatureCalculator:
             geometric = 1.0 / (1.0 - np.exp(delta * lam_tau))  # (N,)
             epoch_idx = np.arange(delta)
             offsets = (epoch_idx[:, None] - epoch_idx[None, :]) % delta
-            cached = np.exp(np.multiply.outer(offsets, lam_tau))  # (d, d, N)
-            cached *= geometric[None, None, :]
+            cached = np.exp(np.multiply.outer(lam_tau, offsets))  # (N, d, d)
+            cached *= geometric[:, None, None]
             self._alpha_cache[key] = cached
         return cached
 
@@ -237,7 +249,7 @@ class PeakTemperatureCalculator:
         delta = seq.shape[0]
         coeffs = self._beta(tau_s) @ seq.T  # (N, delta): c_j in eigenspace
         alpha = self._alpha(tau_s, delta)
-        weighted = np.einsum("ejn,nj->en", alpha, coeffs)
+        weighted = np.einsum("nej,nj->en", alpha, coeffs)
         temps = weighted @ self._v_core.T  # (delta, n_cores)
         return temps + self.ambient_c
 
@@ -268,7 +280,10 @@ class PeakTemperatureCalculator:
     # -- batched candidate evaluation (run-time phase, vectorized) -----------
 
     def _fingerprint(
-        self, seq: np.ndarray, tau_s: Optional[float]
+        self,
+        seq: np.ndarray,
+        tau_s: Optional[float],
+        digest: Optional[bytes] = None,
     ) -> Tuple[Hashable, Optional[float], Tuple[int, ...], bytes]:
         """Memo key for a (power sequence, rotation interval) candidate.
 
@@ -278,10 +293,10 @@ class PeakTemperatureCalculator:
         the tuple so two calculators sharing one memo store (different
         tenants of :class:`repro.serve.ServeCache`) never collide when
         their DTM threshold/hysteresis/ambient configuration differs.
+        ``digest`` passes a digest of ``seq`` already taken.
         """
-        digest = hashlib.blake2b(
-            np.ascontiguousarray(seq).tobytes(), digest_size=16
-        ).digest()
+        if digest is None:
+            digest = _digest(seq)
         return (
             self.config_key,
             None if tau_s is None else float(tau_s),
@@ -306,7 +321,9 @@ class PeakTemperatureCalculator:
         Results are memoized on a content fingerprint of ``(seq, tau)`` —
         across scheduler invocations most candidates repeat (the greedy scan
         re-evaluates the incumbent assignment every epoch), so the memo turns
-        the common case into a dictionary lookup.
+        the common case into a dictionary lookup.  Each distinct input
+        array is validated and digested once per call, however many
+        candidates pass it (the tau ladder passes one sequence per rung).
 
         Returns an array of peaks, same order as the inputs.
         """
@@ -317,14 +334,21 @@ class PeakTemperatureCalculator:
         seqs: List[np.ndarray] = []
         peaks = np.empty(len(core_power_seqs))
         keys: List[Tuple] = []
+        # id(raw) -> (raw, validated seq, digest); holding ``raw`` keeps
+        # its id from being reused by another object within the call
+        checked: Dict[int, Tuple[object, np.ndarray, bytes]] = {}
         # (tau, delta) -> candidate indices needing a fresh evaluation
         pending: Dict[Tuple[float, int], List[int]] = {}
         for i, (raw, tau_s) in enumerate(zip(core_power_seqs, taus_s)):
-            seq = _validate_sequence(self.dynamics, raw)
+            entry = checked.get(id(raw))
+            if entry is None:
+                seq = _validate_sequence(self.dynamics, raw)
+                entry = checked[id(raw)] = (raw, seq, _digest(seq))
+            _, seq, digest = entry
             if tau_s is not None and tau_s <= 0:
                 raise ValueError("epoch length tau must be positive")
             seqs.append(seq)
-            key = self._fingerprint(seq, tau_s)
+            key = self._fingerprint(seq, tau_s, digest)
             keys.append(key)
             cached = self._peak_cache.get(key)
             if cached is not None:
@@ -347,11 +371,12 @@ class PeakTemperatureCalculator:
         """Boundary peaks of a ``(B, delta, n)`` stack sharing one tau."""
         delta = batch.shape[1]
         beta = self._beta(tau_s)  # (N, n)
-        alpha = self._alpha(tau_s, delta)  # (d, d, N)
-        # broadcast matmuls dispatch to BLAS; einsum would run naive loops
+        alpha = self._alpha(tau_s, delta)  # (N, d, d), C-contiguous
+        # stacked matmuls over operands whose matrices are C- or
+        # F-contiguous dispatch to BLAS; einsum would run naive loops
         coeffs = beta @ batch.transpose(0, 2, 1)  # (B, N, d)
-        # weighted[b, e, n] = sum_j alpha[e, j, n] * coeffs[b, n, j]
-        weighted = alpha.transpose(2, 0, 1) @ coeffs.transpose(1, 2, 0)  # (N, d, B)
+        # weighted[n, e, b] = sum_j alpha[n, e, j] * coeffs[b, n, j]
+        weighted = alpha @ coeffs.transpose(1, 2, 0)  # (N, d, B)
         temps = weighted.transpose(2, 1, 0) @ self._v_core.T  # (B, d, n_cores)
         return temps.max(axis=(1, 2)) + self.ambient_c
 

@@ -19,7 +19,7 @@ two questions the system asks:
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -67,6 +67,41 @@ class RotationGroup:
         return result
 
 
+@lru_cache(maxsize=32)
+def ring_tracks(
+    ring_cores: Tuple[Tuple[int, ...], ...], n_cores: int
+) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]:
+    """Rotation track tables of one ring layout on an ``n_cores`` chip.
+
+    Ring ``i``'s slot ``j`` is flat slot ``offsets[i] + j``.  Returns
+    ``(track, occupant, offsets)``, both tables for epochs up to the lcm
+    of all ring sizes (every schedule period divides that horizon, so one
+    pair serves every occupancy):
+
+    - ``track[flat_slot, epoch]`` is the core the slot occupies at
+      ``epoch``, ``cores[(j + epoch) % size]``;
+    - ``occupant[epoch, core]`` is the flat slot on ``core`` at ``epoch``,
+      or the slot count for a core outside every ring.
+
+    Built once per layout and shared, hence read-only.
+    """
+    horizon = reduce(math.lcm, (len(cores) for cores in ring_cores), 1)
+    epochs = np.arange(horizon)
+    rows, offsets, offset = [], [], 0
+    for cores in ring_cores:
+        size = len(cores)
+        slots = np.arange(size)[:, None]
+        rows.append(np.asarray(cores, dtype=np.intp)[(slots + epochs) % size])
+        offsets.append(offset)
+        offset += size
+    track = np.concatenate(rows) if rows else np.empty((0, horizon), np.intp)
+    occupant = np.full((horizon, n_cores), offset, dtype=np.intp)
+    occupant[epochs, track] = np.arange(offset)[:, None]
+    track.flags.writeable = False
+    occupant.flags.writeable = False
+    return track, occupant, tuple(offsets)
+
+
 def power_sequence(
     ring_cores: Sequence[Sequence[int]],
     ring_slots: Sequence[Sequence[Optional[ThreadId]]],
@@ -79,40 +114,32 @@ def power_sequence(
 
     The unvalidated form of :meth:`RotationSchedule.power_sequence`:
     ``ring_cores[i]`` and ``ring_slots[i]`` are one ring's cores and slot
-    occupants, and ``rotating`` says whether the slots shift each epoch.
+    occupants (one slot list per ring, one slot per core; rings
+    disjoint), and ``rotating`` says whether the slots shift each epoch.
     Schedulers scoring many candidate assignments call this directly
     instead of building (and validating) a schedule per candidate.
     """
-    # one pass over the slots: every occupied slot becomes a track (the
-    # flat-core offset of its ring, its slot, the ring size, its power)
-    offsets, slot_idx, sizes, values, occupied = [], [], [], [], []
-    offset = 0
-    for cores, slots in zip(ring_cores, ring_slots):
-        size = len(cores)
-        before = len(values)
-        for slot, thread in enumerate(slots):
-            if thread is not None:
-                offsets.append(offset)
-                slot_idx.append(slot)
-                sizes.append(size)
-                values.append(float(thread_power_w[thread]))
-        if len(values) > before:
-            occupied.append(size)
-        offset += size
+    _, occupant, _ = ring_tracks(tuple(map(tuple, ring_cores)), n_cores)
+    idle = float(idle_power_w)
+    # the power of every flat slot, then one idle entry for the cores
+    # outside every ring
+    slot_power = np.array(
+        [
+            idle if thread is None else thread_power_w[thread]
+            for thread in chain.from_iterable(ring_slots)
+        ]
+        + [idle],
+        dtype=float,
+    )
+    occupied = [
+        len(cores)
+        for cores, slots in zip(ring_cores, ring_slots)
+        if slots.count(None) < len(slots)
+    ]
     period = reduce(math.lcm, occupied, 1) if rotating else 1
-    seq = np.full((period, n_cores), float(idle_power_w))
-    if values:
-        # track j sits on core cores[(slot + k) % size] at epoch k: gather
-        # the whole period of every track at once.  Pure assignment of the
-        # same float64 values a scalar loop would write (rings are
-        # disjoint, so no two tracks share an (epoch, core) cell).
-        flat = np.fromiter(chain.from_iterable(ring_cores), dtype=np.intp)
-        epochs = np.arange(period)
-        positions = np.array(offsets)[:, None] + (
-            np.array(slot_idx)[:, None] + epochs
-        ) % np.array(sizes)[:, None]
-        seq[epochs, flat[positions]] = np.array(values)[:, None]
-    return seq
+    # one gather: each (epoch, core) cell copies its occupant's power, the
+    # same float64 value a scalar loop would write
+    return slot_power[occupant[:period]]
 
 
 class RotationSchedule:

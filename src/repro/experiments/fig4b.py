@@ -192,7 +192,8 @@ def run(
     ``trace_path`` replays a recorded JSONL schedule (``docs/traffic.md``)
     in every cell instead of the paper's Poisson schedule; the rate axis
     then only labels the sweep.  The trace is loaded once, before any cell
-    runs; a malformed or empty one raises ``ValueError`` naming the file.
+    runs; a malformed or empty one, or one whose arrivals all fall at or
+    past ``max_time_s``, raises ``ValueError`` naming the file.
     """
     cfg = config if config is not None else table1()
     trace = None
@@ -200,6 +201,13 @@ def run(
         trace = load_arrival_trace(trace_path)
         if not trace:
             raise ValueError(f"{trace_path}: the arrival trace has no arrivals")
+        if trace[0].arrival_time_s >= max_time_s:
+            # arrivals are sorted: no task could arrive, let alone complete
+            raise ValueError(
+                f"{trace_path}: every arrival falls at or past the horizon; "
+                f"the first arrives at time_s {trace[0].arrival_time_s!r}, "
+                f"max_time_s is {max_time_s!r}"
+            )
     shared = SimContext(cfg, model)
 
     cells = [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import PeakTemperatureCalculator
+from repro.core.hotpotato import DEFAULT_TAU_LADDER_S
 
 
 def _candidates(rng, n_cores, count=12):
@@ -213,3 +214,88 @@ class TestSharedMemoConfigKeys:
             thermal.dtm_threshold_c,
             thermal.dtm_hysteresis_c,
         )
+
+
+#: HotPotato's tau ladder as ``_select_tau`` scores it: rotation off first
+_LADDER = [None, *DEFAULT_TAU_LADDER_S]
+
+
+class TestLayoutAndDedupe:
+    """The run-time phase's data layout and per-call validation work.
+
+    Alpha is cached mode-major and C-contiguous so the stacked matmul
+    reaches BLAS, and ``peak_batch`` validates and digests each distinct
+    input array once however many candidates share it.
+    """
+
+    def test_cached_alpha_is_mode_major_and_contiguous(self, dynamics64, cfg64, rng):
+        calc = PeakTemperatureCalculator(dynamics64, cfg64.thermal.ambient_c)
+        n = dynamics64.model.n_cores
+        n_modes = dynamics64.eigenvalues.shape[0]
+        for delta in (1, 4, 8, 24):
+            seq = rng.uniform(0.0, 8.0, size=(delta, n))
+            calc.peak_batch([seq, seq], [1e-3, 0.5e-3])
+            calc.boundary_temperatures(seq, 2e-3)
+        keys = list(calc._alpha_cache)
+        assert len(keys) == 12
+        for tau, delta in keys:
+            alpha = calc._alpha_cache.peek((tau, delta))
+            assert alpha.shape == (n_modes, delta, delta)
+            assert alpha.flags.c_contiguous
+
+    def test_ladder_validates_one_array_once(self, dynamics64, cfg64, rng, monkeypatch):
+        from repro.core import peak_temperature as mod
+
+        calls = []
+        original = mod._validate_sequence
+
+        def counting(dynamics, seq):
+            calls.append(id(seq))
+            return original(dynamics, seq)
+
+        monkeypatch.setattr(mod, "_validate_sequence", counting)
+        calc = PeakTemperatureCalculator(dynamics64, cfg64.thermal.ambient_c)
+        seq = rng.uniform(0.0, 8.0, size=(8, dynamics64.model.n_cores))
+        peaks = calc.peak_batch([seq] * len(_LADDER), _LADDER)
+        assert len(calls) == 1
+        # the dedupe shares the check, not the answers: every rung is its own
+        for value, tau in zip(peaks, _LADDER):
+            fresh = PeakTemperatureCalculator(dynamics64, cfg64.thermal.ambient_c)
+            assert value == fresh.peak_batch([seq.copy()], [tau])[0]
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (lambda n: -np.ones((8, n)), "non-negative"),
+            (lambda n: np.ones((8, n + 1)), "shape"),
+        ],
+        ids=["negative", "mis-shaped"],
+    )
+    def test_repeated_bad_array_still_rejected(self, dynamics64, cfg64, bad, match):
+        calc = PeakTemperatureCalculator(dynamics64, cfg64.thermal.ambient_c)
+        seq = bad(dynamics64.model.n_cores)
+        with pytest.raises(ValueError, match=match):
+            calc.peak_batch([seq] * len(_LADDER), _LADDER)
+
+    def test_scalar_peak_and_ladder_share_a_memo_entry(self, dynamics64, cfg64, rng):
+        calc = PeakTemperatureCalculator(dynamics64, cfg64.thermal.ambient_c)
+        seq = rng.uniform(0.0, 8.0, size=(8, dynamics64.model.n_cores))
+        scalar = calc.peak(seq, 1e-3)
+        hits = calc.cache_stats()["peak_cache.hits"]
+        peaks = calc.peak_batch([seq] * len(_LADDER), _LADDER)
+        assert calc.cache_stats()["peak_cache.hits"] == hits + 1
+        assert peaks[_LADDER.index(1e-3)] == scalar
+
+    @pytest.mark.parametrize("delta", [1, 4, 8, 24])
+    def test_matches_dense_fixed_point_on_table1(self, dynamics64, cfg64, rng, delta):
+        from repro.core.peak_temperature import rotation_fixed_point
+
+        ambient = cfg64.thermal.ambient_c
+        calc = PeakTemperatureCalculator(dynamics64, ambient)
+        seq = rng.uniform(0.3, 8.0, size=(delta, dynamics64.model.n_cores))
+        taus = [tau for tau in _LADDER if tau is not None]
+        peaks = calc.peak_batch([seq] * len(taus), taus)
+        for value, tau in zip(peaks, taus):
+            dense = rotation_fixed_point(dynamics64, seq, tau, ambient)
+            expected = float(np.max(dynamics64.model.core_temperatures(dense)))
+            assert abs(value - expected) <= 1e-9

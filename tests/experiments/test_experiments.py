@@ -145,8 +145,13 @@ class TestCliTraceErrors:
                 [dict(_ARRIVAL, n_threads=65)],
                 "task 0 has 65 threads, more than the chip's 64 cores",
             ),
+            (
+                [dict(_ARRIVAL, time_s=100.0), dict(_ARRIVAL, time_s=120.0)],
+                "{path}: every arrival falls at or past the horizon; "
+                "the first arrives at time_s 100.0, max_time_s is 60.0",
+            ),
         ],
-        ids=["empty", "unknown-field", "wider-than-the-chip"],
+        ids=["empty", "unknown-field", "wider-than-the-chip", "past-the-horizon"],
     )
     def test_exits_2(self, tmp_path, monkeypatch, capsys, arrivals, message):
         from repro import records

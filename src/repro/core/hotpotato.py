@@ -22,12 +22,25 @@ Algorithm 1) — no DVFS is ever used:
 The class is simulator-agnostic: callers feed it per-thread power estimates
 (the 10 ms history average) and effective CPIs, and read back a
 :class:`~repro.core.rotation.RotationSchedule`.
+
+**Certified scan screen.**  Boundary temperatures are linear in the power
+sequence (Eq. 10), so a candidate that moves one thread is the incumbent's
+boundary temperatures plus that thread's excess power over idle times the
+response of its new ring slot, minus the response of its old one.  The
+responses come from design-time ring tables
+(:meth:`~repro.core.peak_temperature.PeakTemperatureCalculator.ring_responses`).
+Every scan takes from them a lower bound, ``SCREEN_MARGIN_C`` below the
+screened value, on the coolest slot of each target ring, and runs Algorithm 1
+on a ring only when that bound cannot already settle the scan's acceptance
+test.  ``SCREEN_MARGIN_C`` dominates the proven rounding error of both
+evaluations (:meth:`HotPotato.screen_error_bound`), so every decision is the
+one the unscreened scan takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +66,12 @@ DEFAULT_TAU_LADDER_S: Tuple[float, ...] = (
     units.ms(0.25),
     units.ms(0.125),
 )
+
+#: Distance [degC] the screen keeps below its screened peak.  It dominates
+#: :meth:`HotPotato.screen_error_bound` on table1 (about 5e-11 degC with
+#: rotation, 1.2e-9 degC without) by 800x or more; ``docs/performance.md``
+#: derives it.
+SCREEN_MARGIN_C = 1e-6
 
 
 @dataclass(frozen=True)
@@ -112,6 +131,25 @@ class HotPotato:
         )
         #: a schedule rotates iff tau is set and some ring has two cores
         self._multi_core_ring = any(len(c) > 1 for c in self._ring_cores)
+        # screen tables per effective tau of the ladder (design time), and
+        # per ring the epochs each slot's track is shifted by over the lcm
+        # horizon: shift[ring][slot, e] = (slot + e) mod size
+        horizon = self._tracks.shape[1]
+        self._responses: Dict[Optional[float], Tuple[np.ndarray, ...]] = {}
+        for tau in self._tau_ladder:
+            effective = tau if self._rotates(tau) else None
+            if effective not in self._responses:
+                self._responses[effective] = calculator.ring_responses(
+                    self._ring_cores, effective
+                )
+        self._slot_shift = tuple(
+            (np.arange(len(cores))[:, None] + np.arange(horizon)) % len(cores)
+            for cores in self._ring_cores
+        )
+        #: screened (thread, ring) pairs and admission rings, and how many
+        #: of them the bound settled without Algorithm 1
+        self.screen_pairs = 0
+        self.screen_skipped = 0
         #: bumped on every slot change; keys the cached schedule
         self._version = 0
         self._schedule_key: Optional[Tuple[int, int]] = None
@@ -206,6 +244,103 @@ class HotPotato:
     def _copy_slots(self) -> List[List[Optional[ThreadId]]]:
         return [list(ring) for ring in self._slots]
 
+    def _free_by_ring(self) -> List[List[int]]:
+        return [self.free_slots(ring) for ring in range(self.rings.n_rings)]
+
+    # -- certified scan screen ---------------------------------------------------
+
+    def _screen_base(self) -> Tuple[np.ndarray, Optional[float]]:
+        """The current slots' boundary rise over the lcm horizon (one row
+        without rotation), and their effective rotation interval."""
+        seq, effective_tau = self._power_seq_for(self._slots, self.tau_s)
+        rise = self.calculator.boundary_rise(seq, effective_tau)
+        if effective_tau is not None:
+            rise = rise[np.arange(self._tracks.shape[1]) % rise.shape[0]]
+        return rise, effective_tau
+
+    def _slot_response(
+        self, effective_tau: Optional[float], ring: int, slots
+    ) -> np.ndarray:
+        """Response to 1 W on each of ``slots`` of ``ring``, ``(F, H, n)``."""
+        table = self._responses[effective_tau][ring]
+        if effective_tau is None:
+            return table[slots, None, :]
+        return table[self._slot_shift[ring][slots]]
+
+    def _without(
+        self, base: np.ndarray, effective_tau: Optional[float], thread_id: ThreadId
+    ) -> np.ndarray:
+        """``base`` with ``thread_id``'s excess power taken off its slot."""
+        ring, slot = self._location[thread_id]
+        excess = self._threads[thread_id].power_w - self.idle_power_w
+        return base - excess * self._slot_response(effective_tau, ring, [slot])[0]
+
+    def _screened_peak(
+        self,
+        base: np.ndarray,
+        effective_tau: Optional[float],
+        thread_id: ThreadId,
+        ring: int,
+        free: List[int],
+    ) -> float:
+        """Screened peak [degC] of the coolest of ``free`` in ``ring`` for
+        ``thread_id``, added to ``base`` (which excludes the thread)."""
+        excess = self._threads[thread_id].power_w - self.idle_power_w
+        candidates = base + excess * self._slot_response(effective_tau, ring, free)
+        return float(np.min(candidates.max(axis=(1, 2)))) + self.calculator.ambient_c
+
+    def _screen_bound(
+        self,
+        base: np.ndarray,
+        effective_tau: Optional[float],
+        thread_id: ThreadId,
+        ring: int,
+        free: List[int],
+    ) -> float:
+        """Certified lower bound [degC] on the coolest-slot peak that
+        :meth:`_best_slot_in_ring` returns for the same candidates."""
+        self.screen_pairs += 1
+        peak = self._screened_peak(base, effective_tau, thread_id, ring, free)
+        return peak - SCREEN_MARGIN_C
+
+    def screen_error_bound(self, thread_id: ThreadId, ring: int, slot: int) -> float:
+        """Proven bound [degC] on |screened - Algorithm-1 peak| of moving
+        ``thread_id`` (or, unplaced, adding it) to ``slot`` of ``ring``.
+
+        The screen adds the incumbent's rise and the excess power ``x``
+        times one or two table rows; both agree with the real-arithmetic
+        value of the candidate up to each evaluation's
+        :meth:`~repro.core.peak_temperature.PeakTemperatureCalculator.forward_error_bound`.
+        The screen's own arithmetic rounds ``x`` once, its two products
+        and two sums once each, and adds ambient once, as the exact peak
+        does.  The 1 % slack covers the bound's own evaluation.
+        """
+        u = np.finfo(float).eps / 2
+        calc = self.calculator
+        incumbent, effective_tau = self._power_seq_for(self._slots, self.tau_s)
+        excess = abs(self._threads[thread_id].power_w - self.idle_power_w)
+        unit = np.eye(self.rings.mesh.n_cores)
+        rings = [ring]
+        trial = self._copy_slots()
+        if thread_id in self._location:
+            old_ring, old_slot = self._location[thread_id]
+            rings.append(old_ring)
+            trial[old_ring][old_slot] = None
+        trial[ring][slot] = thread_id
+        candidate, _ = self._power_seq_for(trial, self.tau_s)
+        base = calc.boundary_rise(incumbent, effective_tau)
+        error = calc.forward_error_bound(incumbent, effective_tau)
+        error += calc.forward_error_bound(candidate, effective_tau)
+        magnitude = float(np.max(np.abs(base)))
+        for r in rings:
+            tracks = unit[list(self._ring_cores[r])]
+            response = float(np.max(np.abs(self._responses[effective_tau][r])))
+            error += excess * calc.forward_error_bound(tracks, effective_tau)
+            error += u * excess * response
+            magnitude += excess * response
+        error += 4 * u * magnitude + 2 * u * (magnitude + abs(calc.ambient_c))
+        return 1.01 * error
+
     # -- Algorithm 2: arrival -----------------------------------------------------
 
     def admit(self, info: ThreadInfo) -> int:
@@ -217,38 +352,61 @@ class HotPotato:
         if info.thread_id in self._threads:
             raise ValueError(f"thread {info.thread_id} already scheduled")
         self._threads[info.thread_id] = info
-
-        best_unsustainable: Optional[Tuple[float, int, int]] = None
-        for ring in range(self.rings.n_rings):
-            placement = self._best_slot_in_ring(ring, info.thread_id)
-            if placement is None:
-                continue
-            peak_c, slot = placement
-            if self._sustainable(peak_c):
-                self._place(info.thread_id, ring, slot)
-                return ring
-            candidate = (peak_c, ring, slot)
-            if best_unsustainable is None or peak_c < best_unsustainable[0]:
-                best_unsustainable = candidate
-
-        if best_unsustainable is None:
+        free = self._free_by_ring()
+        if not any(free):
             del self._threads[info.thread_id]
             raise ValueError("no free core for the arriving thread")
 
+        # rings in order: the first sustainable one wins.  A ring whose
+        # screen bound is already unsustainable is deferred, not evaluated.
+        base, effective_tau = self._screen_base()
+        exact: Dict[int, Tuple[float, int]] = {}
+        deferred: Dict[int, float] = {}
+        for ring in range(self.rings.n_rings):
+            if not free[ring]:
+                continue
+            bound = self._screen_bound(
+                base, effective_tau, info.thread_id, ring, free[ring]
+            )
+            if not self._sustainable(bound):
+                deferred[ring] = bound
+                continue
+            peak_c, slot = self._best_slot_in_ring(ring, info.thread_id, free[ring])
+            if self._sustainable(peak_c):
+                self.screen_skipped += len(deferred)
+                self._place(info.thread_id, ring, slot)
+                return ring
+            exact[ring] = (peak_c, slot)
+
         # Even the outermost ring is unsustainable: place at the coolest
-        # found slot, then mitigate (lines 8-14).
-        _, ring, slot = best_unsustainable
+        # slot (the first ring reaching it), then mitigate (lines 8-14).  A
+        # deferred ring needs Algorithm 1 only while its bound could still
+        # undercut the coolest ring so far.
+        best: Optional[Tuple[float, int, int]] = None
+        for ring in range(self.rings.n_rings):
+            if ring in exact:
+                peak_c, slot = exact[ring]
+            elif ring in deferred:
+                if best is not None and deferred[ring] >= best[0]:
+                    self.screen_skipped += 1
+                    continue
+                peak_c, slot = self._best_slot_in_ring(
+                    ring, info.thread_id, free[ring]
+                )
+            else:
+                continue
+            if best is None or peak_c < best[0]:
+                best = (peak_c, ring, slot)
+        _, ring, slot = best
         self._place(info.thread_id, ring, slot)
         self._mitigate()
         return self.ring_of(info.thread_id)
 
     def _best_slot_in_ring(
-        self, ring: int, thread_id: ThreadId
-    ) -> Optional[Tuple[float, int]]:
-        """Coolest empty slot of ``ring`` (evaluates all, Algorithm 2 line 4)."""
-        free = self.free_slots(ring)
-        if not free:
-            return None
+        self, ring: int, thread_id: ThreadId, free: List[int]
+    ) -> Tuple[float, int]:
+        """Coolest of the (non-empty) ``free`` slots of ``ring`` (evaluates
+        all, Algorithm 2 line 4)."""
         # evaluate the whole slot scan as one batched candidate set: every
         # trial shares the same tau, so all of them ride one stacked einsum.
         # The candidates differ only in which free slot hosts the new
@@ -319,21 +477,24 @@ class HotPotato:
           slowest interval within 0.5 degC of the best achievable peak, so
           hopeless extra rotation speed is never paid for.
         """
-        # the assignment is fixed across the ladder, so every candidate's
-        # power sequence depends only on whether it rotates (the period
-        # never depends on the tau value): build at most two sequences and
-        # evaluate the whole ladder as one batch
-        cached: Dict[bool, Tuple[np.ndarray, Optional[float]]] = {}
-        seqs: List[np.ndarray] = []
-        taus: List[Optional[float]] = []
-        for tau in self._tau_ladder:
-            rotates = self._rotates(tau)
-            if rotates not in cached:
-                cached[rotates] = self._power_seq_for(self._slots, tau)
-            seq, _ = cached[rotates]
-            seqs.append(seq)
-            taus.append(tau if rotates else None)
-        peaks = self.calculator.peak_batch(seqs, taus)
+        # Rotation off comes first: when it alone leaves the headroom,
+        # it is the choice (the target below is at least T_DTM - Delta),
+        # and the rotating rungs need no evaluation.
+        static_seq, _ = self._power_seq_for(self._slots, None)
+        static_peak = self.calculator.peak_batch([static_seq], [None])[0]
+        if static_peak <= self.t_dtm_c - self.headroom_delta_c:
+            self._tau_index = 0
+            return
+        # the assignment is fixed across the ladder and the period never
+        # depends on the tau value, so every rotating rung shares one
+        # sequence; each rung is its own one-candidate (tau, delta) group
+        rungs = self._tau_ladder[1:]
+        if self._multi_core_ring:
+            seq, _ = self._power_seq_for(self._slots, rungs[0])
+            rung_peaks = self.calculator.peak_batch([seq] * len(rungs), rungs)
+        else:
+            rung_peaks = np.full(len(rungs), static_peak)
+        peaks = np.concatenate(([static_peak], rung_peaks))
         target = max(
             self.t_dtm_c - self.headroom_delta_c, float(np.min(peaks)) + 0.5
         )
@@ -351,17 +512,48 @@ class HotPotato:
         """
         current_peak = self.peak_temperature()
         by_cpi = sorted(self._threads.values(), key=lambda i: i.cpi)
+        n_rings = self.rings.n_rings
+        return self._move_first(
+            by_cpi, lambda ring: range(ring + 1, n_rings), current_peak - 1e-9
+        )
+
+    def _move_first(
+        self,
+        by_cpi: List[ThreadInfo],
+        targets: Callable[[int], range],
+        threshold_c: float,
+    ) -> bool:
+        """Move the first thread of ``by_cpi`` that has a target ring
+        (``targets(its ring)``, in order) whose coolest free slot peaks
+        below ``threshold_c``; returns whether a move was taken.
+
+        The screen settles every (thread, ring) pair whose bound already
+        reaches the threshold; Algorithm 1 scores the rest.  Free slots are
+        listed once per call: they change only when a move is taken.
+        """
+        free = self._free_by_ring()
+        incumbent: Optional[np.ndarray] = None
         for info in by_cpi:
             ring, slot = self._location[info.thread_id]
-            for target in range(ring + 1, self.rings.n_rings):
-                free = self.free_slots(target)
-                if not free:
+            base: Optional[np.ndarray] = None
+            for target in targets(ring):
+                if not free[target]:
+                    continue
+                if incumbent is None:
+                    incumbent, effective_tau = self._screen_base()
+                if base is None:
+                    base = self._without(incumbent, effective_tau, info.thread_id)
+                bound = self._screen_bound(
+                    base, effective_tau, info.thread_id, target, free[target]
+                )
+                if bound >= threshold_c:
+                    self.screen_skipped += 1
                     continue
                 self._unplace(info.thread_id)
-                placement = self._best_slot_in_ring(target, info.thread_id)
-                assert placement is not None
-                peak_c, best_slot = placement
-                if peak_c < current_peak - 1e-9:
+                peak_c, best_slot = self._best_slot_in_ring(
+                    target, info.thread_id, free[target]
+                )
+                if peak_c < threshold_c:
                     self._place(info.thread_id, target, best_slot)
                     return True
                 self._place(info.thread_id, ring, slot)  # revert
@@ -398,21 +590,8 @@ class HotPotato:
     def _migrate_memory_bound_inward(self) -> bool:
         """Move the highest-CPI thread to the lowest sustainable ring."""
         by_cpi = sorted(self._threads.values(), key=lambda i: -i.cpi)
-        for info in by_cpi:
-            ring, slot = self._location[info.thread_id]
-            for target in range(ring):  # lowest AMD first
-                free = self.free_slots(target)
-                if not free:
-                    continue
-                self._unplace(info.thread_id)
-                placement = self._best_slot_in_ring(target, info.thread_id)
-                assert placement is not None
-                peak_c, best_slot = placement
-                if peak_c < self.t_dtm_c:
-                    self._place(info.thread_id, target, best_slot)
-                    return True
-                self._place(info.thread_id, ring, slot)  # revert
-        return False
+        # lowest AMD first
+        return self._move_first(by_cpi, range, self.t_dtm_c)
 
     # -- run-time refresh ----------------------------------------------------------
 

@@ -42,6 +42,7 @@ import numpy as np
 
 from .._lru import LruCache
 from ..thermal.matex import ThermalDynamics
+from ..thermal.rc_model import gamma
 
 #: Bounds of the Algorithm-1 design-time caches.  The alpha tensors are
 #: ``O(delta^2 N)`` each, the beta matrices ``O(N n)``; the peak memo holds
@@ -49,6 +50,13 @@ from ..thermal.matex import ThermalDynamics
 _ALPHA_CACHE_SIZE = 64
 _BETA_CACHE_SIZE = 64
 _PEAK_CACHE_SIZE = 4096
+#: Ring response tables (:meth:`PeakTemperatureCalculator.ring_responses`)
+#: are ``n_cores x n_cores`` floats per (ring layout, tau): a tau ladder of
+#: six intervals, rotation off and one off-ladder interval.
+_RESPONSE_CACHE_SIZE = 8
+#: Relative error of one float64 ``exp`` call, as NumPy's vectorised
+#: implementations guarantee it (4 ulp).
+_EXP_ULP_ERROR = 4 * np.finfo(float).eps
 
 
 def _validate_sequence(
@@ -205,6 +213,7 @@ class PeakTemperatureCalculator:
         self._peak_cache = (
             peak_cache if peak_cache is not None else LruCache(_PEAK_CACHE_SIZE)
         )
+        self._response_cache = LruCache(_RESPONSE_CACHE_SIZE)
         self._batch_calls = 0
         self._batch_candidates = 0
 
@@ -229,14 +238,18 @@ class PeakTemperatureCalculator:
         key = (tau_s, delta)
         cached = self._alpha_cache.get(key)
         if cached is None:
-            lam_tau = self._lambda * tau_s
-            geometric = 1.0 / (1.0 - np.exp(delta * lam_tau))  # (N,)
-            epoch_idx = np.arange(delta)
-            offsets = (epoch_idx[:, None] - epoch_idx[None, :]) % delta
-            cached = np.exp(np.multiply.outer(lam_tau, offsets))  # (N, d, d)
-            cached *= geometric[:, None, None]
-            self._alpha_cache[key] = cached
+            cached = self._alpha_cache[key] = self._decay_tensor(tau_s, delta)
         return cached
+
+    def _decay_tensor(self, tau_s: float, delta: int) -> np.ndarray:
+        """The alpha tensor of :meth:`_alpha`, built afresh."""
+        lam_tau = self._lambda * tau_s
+        geometric = 1.0 / (1.0 - np.exp(delta * lam_tau))  # (N,)
+        epoch_idx = np.arange(delta)
+        offsets = (epoch_idx[:, None] - epoch_idx[None, :]) % delta
+        alpha = np.exp(np.multiply.outer(lam_tau, offsets))  # (N, d, d)
+        alpha *= geometric[:, None, None]
+        return alpha
 
     def boundary_temperatures(
         self, core_power_seq: np.ndarray, tau_s: float
@@ -369,16 +382,118 @@ class PeakTemperatureCalculator:
 
     def _stacked_peaks(self, batch: np.ndarray, tau_s: float) -> np.ndarray:
         """Boundary peaks of a ``(B, delta, n)`` stack sharing one tau."""
-        delta = batch.shape[1]
+        alpha = self._alpha(tau_s, batch.shape[1])
+        rise = self._stacked_rise(batch, tau_s, alpha)
+        return rise.max(axis=(1, 2)) + self.ambient_c
+
+    def _stacked_rise(
+        self, batch: np.ndarray, tau_s: float, alpha: np.ndarray
+    ) -> np.ndarray:
+        """Boundary rise over ambient of a ``(B, delta, n)`` stack sharing
+        one tau and its ``(N, delta, delta)`` alpha, shape ``(B, delta,
+        n_cores)``."""
         beta = self._beta(tau_s)  # (N, n)
-        alpha = self._alpha(tau_s, delta)  # (N, d, d), C-contiguous
         # stacked matmuls over operands whose matrices are C- or
         # F-contiguous dispatch to BLAS; einsum would run naive loops
         coeffs = beta @ batch.transpose(0, 2, 1)  # (B, N, d)
         # weighted[n, e, b] = sum_j alpha[n, e, j] * coeffs[b, n, j]
         weighted = alpha @ coeffs.transpose(1, 2, 0)  # (N, d, B)
-        temps = weighted.transpose(2, 1, 0) @ self._v_core.T  # (B, d, n_cores)
-        return temps.max(axis=(1, 2)) + self.ambient_c
+        return weighted.transpose(2, 1, 0) @ self._v_core.T  # (B, d, n_cores)
+
+    def boundary_rise(
+        self, core_power_seq: np.ndarray, tau_s: Optional[float]
+    ) -> np.ndarray:
+        """Core rise over ambient at every epoch boundary, ``(delta, n_cores)``,
+        evaluated as :meth:`peak_batch` does.
+
+        ``tau = None`` takes every row of the sequence as its own static
+        power map and returns each map's steady-state rise.
+        """
+        seq = _validate_sequence(self.dynamics, core_power_seq)
+        if tau_s is None:
+            return self.dynamics.model.steady_rise(seq)[:, : seq.shape[1]]
+        alpha = self._alpha(tau_s, seq.shape[0])
+        return self._stacked_rise(seq[None], tau_s, alpha)[0]
+
+    def ring_responses(
+        self, ring_cores: Tuple[Tuple[int, ...], ...], tau_s: Optional[float]
+    ) -> Tuple[np.ndarray, ...]:
+        """Design-time response tables of a ring layout, one per ring.
+
+        Row ``e`` of ring ``r``'s ``(size, n_cores)`` table is the boundary
+        rise after epoch ``e`` for 1 W on the ring's slot-0 track, which
+        visits ``cores[e]`` in epoch ``e``.  Boundary temperatures are
+        linear in the power sequence (Eq. 10), and slot ``u``'s track is
+        slot 0's shifted by ``u`` epochs, so its response is the table
+        shifted too: ``R_u[e] = R_0[(e + u) mod size]``.  Without rotation
+        (``tau = None``) row ``u`` is the steady rise for 1 W on
+        ``cores[u]``.  Cached per (layout, tau); read-only.  The alpha
+        tensors of the ring sizes are built afresh, so the tables add no
+        alpha-cache entry.
+        """
+        key = (ring_cores, tau_s)
+        cached = self._response_cache.get(key)
+        if cached is None:
+            unit = np.eye(self.dynamics.model.n_cores)
+            tracks = [unit[list(cores)] for cores in ring_cores]
+            if tau_s is None:
+                cached = tuple(self.boundary_rise(track, None) for track in tracks)
+            else:
+                cached = tuple(
+                    self._stacked_rise(
+                        track[None], tau_s, self._decay_tensor(tau_s, len(track))
+                    )[0]
+                    for track in tracks
+                )
+            for table in cached:
+                table.flags.writeable = False
+            self._response_cache[key] = cached
+        return cached
+
+    def forward_error_bound(
+        self, core_power_seq: np.ndarray, tau_s: Optional[float]
+    ) -> float:
+        """Proven bound [degC] on the rounding error of every entry of
+        :meth:`boundary_rise` (and so of every :meth:`peak_batch` value).
+
+        The reference is real arithmetic on the stored ``beta`` and ``V``
+        and the exact alpha.  The three products chain ``n + delta + N``
+        roundings, so they err by at most ``gamma_{n+delta+N} |V||alpha||
+        beta||P|`` (Higham, Sec. 3.5).  Each stored alpha entry is off by a
+        relative ``rho_k`` (:meth:`_alpha_rounding`), which adds ``|V|
+        rho|alpha||beta||P|``.  Without rotation the bound is the LU
+        solve's (:meth:`RCThermalModel.steady_rise_error_bound`).  The
+        1 % slack covers the bound's own evaluation.
+        """
+        seq = _validate_sequence(self.dynamics, core_power_seq)
+        if tau_s is None:
+            return self.dynamics.model.steady_rise_error_bound(seq)
+        delta, n_cores = seq.shape
+        coeffs = np.abs(self._beta(tau_s)) @ np.abs(seq).T  # (N, d)
+        weighted = np.einsum("nej,nj->ne", self._alpha(tau_s, delta), coeffs)
+        v_abs = np.abs(self._v_core)
+        rounding = gamma(n_cores + delta + self._lambda.shape[0])
+        chained = rounding * float(np.max(v_abs @ weighted))
+        stored = float(
+            np.max(v_abs @ (self._alpha_rounding(tau_s, delta)[:, None] * weighted))
+        )
+        return 1.01 * (chained + stored)
+
+    def _alpha_rounding(self, tau_s: float, delta: int) -> np.ndarray:
+        """Relative error bound, per mode, of the stored alpha entries.
+
+        The exponent ``lambda tau o`` (``o < delta``) carries two roundings,
+        which move ``exp`` by a relative ``2 u |lambda tau o|``, plus
+        ``exp``'s own error.  The geometric factor ``1 / (1 - exp(lambda
+        delta tau))`` amplifies the error of its ``exp`` by ``e^{-p} / (1 -
+        e^{-p})``, ``p = delta |lambda| tau`` (cancellation for slow
+        modes).  The subtraction, division and product round three times.
+        """
+        u = np.finfo(float).eps / 2
+        period = delta * np.abs(self._lambda) * tau_s
+        exp_error = _EXP_ULP_ERROR + 2.01 * u * period
+        decay = np.exp(-period)
+        return exp_error + exp_error * decay / -np.expm1(-period) + 3 * u
 
     def cache_stats(self) -> Dict[str, int]:
         """Counters of the Algorithm-1 caches and batch evaluator.

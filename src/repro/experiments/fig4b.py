@@ -193,7 +193,9 @@ def run(
     in every cell instead of the paper's Poisson schedule; the rate axis
     then only labels the sweep.  The trace is loaded once, before any cell
     runs; a malformed or empty one, or one whose arrivals all fall at or
-    past ``max_time_s``, raises ``ValueError`` naming the file.
+    past ``max_time_s``, raises ``ValueError`` naming the file.  A cell
+    that completes no task by ``max_time_s`` raises ``ValueError`` naming
+    the cell (and the trace file, if any).
     """
     cfg = config if config is not None else table1()
     trace = None
@@ -237,6 +239,14 @@ def run(
         encode=result_to_dict,
         decode=result_from_dict,
     )
+    for (rate, scheduler), outcome in outcomes.items():
+        if not outcome.tasks:
+            # a response-time figure needs at least one completed task
+            source = f"{trace_path}: " if trace_path is not None else ""
+            raise ValueError(
+                f"{source}cell (rate {rate:g}/s, {scheduler}) completed no "
+                f"task by max_time_s {max_time_s!r}"
+            )
     points = tuple(
         LoadPoint(
             arrival_rate_per_s=rate,

@@ -277,4 +277,8 @@ class HotPotatoScheduler(Scheduler):
             # counters and batch widths (surface as ``sched.alg1.*`` gauges)
             for key, value in self.hotpotato.calculator.cache_stats().items():
                 data[f"alg1.{key}"] = float(value)
+            # certified scan screen: target rings screened, and how many the
+            # bound settled without Algorithm 1 (``sched.screen.*`` gauges)
+            data["screen.pairs"] = float(self.hotpotato.screen_pairs)
+            data["screen.skipped"] = float(self.hotpotato.screen_skipped)
         return data

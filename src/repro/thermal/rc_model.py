@@ -265,6 +265,42 @@ class RCThermalModel:
         rise, _ = dgetrs(self._lu, self._piv, rhs, overwrite_b=True)
         return rise.T
 
+    def steady_rise_error_bound(self, core_power_w: np.ndarray) -> float:
+        """Proven bound [K] on the rounding error of :meth:`steady_rise`.
+
+        The ``getrs`` solution ``x`` of ``B x = P`` solves ``(B + dB) x = P``
+        exactly with ``|dB| <= gamma_{3N} |L||U|`` (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, Thm. 9.4), so it is off by
+        ``B^{-1} dB x``: at most ``gamma_{3N} ||B^{-1}|| || |L||U||x| ||`` in
+        the max norm.  ``||B^{-1}||`` is bounded through the residual of a
+        computed inverse.  ``core_power_w`` is one map or a stack; the bound
+        holds for every entry of every map.  The 1 % slack covers the
+        rounding of the bound's own evaluation.
+        """
+        rise = np.atleast_2d(self.steady_rise(core_power_w))  # (k, N)
+        n_nodes = self.n_nodes
+        lower = np.abs(np.tril(self._lu, -1)) + np.eye(n_nodes)
+        upper = np.abs(np.triu(self._lu))
+        growth = float(np.max(lower @ (upper @ np.abs(rise).T)))
+        return 1.01 * gamma(3 * n_nodes) * self._inverse_norm_bound() * growth
+
+    def _inverse_norm_bound(self) -> float:
+        """Upper bound on ``||B^{-1}||_inf``.
+
+        With ``X`` a computed inverse and ``E = I - X B``, ``B^{-1} = (I -
+        E)^{-1} X``, so ``||B^{-1}|| <= ||X|| / (1 - ||E||)``; the computed
+        ``E`` is off by at most ``gamma_{N+1} (|X||B| + I)``.
+        """
+        b = self._cond
+        inverse = np.linalg.inv(b)
+        identity = np.eye(self.n_nodes)
+        slack = gamma(self.n_nodes + 1) * (np.abs(inverse) @ np.abs(b) + identity)
+        residual = np.abs(identity - inverse @ b) + slack
+        shrink = float(np.max(residual.sum(axis=1)))
+        if shrink >= 1.0:
+            raise np.linalg.LinAlgError("B is too ill-conditioned to bound")
+        return float(np.max(np.abs(inverse).sum(axis=1))) / (1.0 - shrink)
+
     def steady_state(
         self, core_power_w: np.ndarray, ambient_c: float
     ) -> np.ndarray:
@@ -284,6 +320,13 @@ class RCThermalModel:
     def ambient_vector(self, ambient_c: float) -> np.ndarray:
         """All-nodes-at-ambient temperature vector."""
         return np.full(self.n_nodes, float(ambient_c))
+
+
+def gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``: the relative error bound of
+    ``k`` chained float64 roundings, ``u`` the unit roundoff."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1.0 - ku)
 
 
 def build_rc_model(

@@ -234,6 +234,9 @@ class TestTrackTables:
                 self.calls.append(([np.array(s) for s in seqs], list(taus)))
                 return np.zeros(len(seqs))
 
+            def ring_responses(self, ring_cores, tau_s):
+                return tuple(np.zeros((len(cores), 1)) for cores in ring_cores)
+
         rings = _layouts()[layout]
         recorder = Recorder()
         hp = HotPotato(rings, recorder, t_dtm_c=70.0, initial_tau_s=0.5e-3)
@@ -253,7 +256,7 @@ class TestTrackTables:
             if not free:
                 continue
             recorder.calls.clear()
-            hp._best_slot_in_ring(ring, new.thread_id)
+            hp._best_slot_in_ring(ring, new.thread_id, free)
             ((seqs, taus),) = recorder.calls
             assert len(seqs) == len(free)
             for slot, seq, effective_tau in zip(free, seqs, taus):

@@ -131,7 +131,8 @@ _ARRIVAL = {
 
 class TestCliTraceErrors:
     """A malformed ``--trace-path`` ends the run with exit code 2 and a
-    one-line error, before any fig4b cell simulates."""
+    one-line error, before any fig4b cell simulates; so does a trace under
+    which a cell completes no task."""
 
     @pytest.mark.parametrize(
         "arrivals, message",
@@ -169,3 +170,23 @@ class TestCliTraceErrors:
         assert err.startswith("python -m repro.experiments: error: ")
         assert err.count("\n") == 1
         assert message.format(path=path) in err
+
+    def test_no_completed_task_exits_2(self, tmp_path, monkeypatch, capsys):
+        """A trace whose one task arrives in time but cannot finish before
+        the horizon names the file and the cell that completed nothing."""
+        from repro import records
+        from repro.experiments import fig4b
+        from repro.experiments.__main__ import main
+
+        run = fig4b.IntervalSimulator.run
+
+        def short_horizon(sim, max_time_s):
+            return run(sim, max_time_s=0.05)  # blackscholes needs ~67 ms
+
+        monkeypatch.setattr(fig4b.IntervalSimulator, "run", short_horizon)
+        path = tmp_path / "arrivals.jsonl"
+        path.write_text(records.dumps([("arrival", dict(_ARRIVAL, time_s=0.01))]))
+        assert main(["fig4b", "--quick", "--trace-path", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}: cell (rate 10/s, pcmig) completed no task" in err

@@ -134,6 +134,9 @@ class TestRunDeterminism:
         )
         assert per_ring == result.migration_count
         assert "sched.rotation_epochs" in snapshot
+        # every admission screens each ring with a free slot
+        assert snapshot["sched.screen.pairs"] > 0
+        assert 0 <= snapshot["sched.screen.skipped"] <= snapshot["sched.screen.pairs"]
         assert "thermal.exp_cache.hits" in snapshot
         # decision latency histogram observes every decide() call
         assert (

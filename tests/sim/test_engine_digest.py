@@ -32,6 +32,12 @@ FIG4B_LIGHT = {
 FIG4A_BLACKSCHOLES_HOTPOTATO = (
     "3bec59977f7a36a992d9f89b64f972ea7398dddfa54b7edfe49fb80d2d22035f"
 )
+#: canneal is the coldest benchmark and blackscholes the hottest, so the
+#: two cells pin both ends of HotPotato's decisions; recorded before the
+#: migration and admission scans were screened
+FIG4A_CANNEAL_HOTPOTATO = (
+    "af5a9a47fd15a9276a6ceee5d340379a6b3ec11c56160730e72df9cb0ca4c40d"
+)
 
 
 @pytest.fixture()
@@ -63,11 +69,20 @@ def test_fig4b_light_intervals_byte_identical(digests):
     assert got == FIG4B_LIGHT
 
 
-def test_fig4a_cell_intervals_byte_identical(digests):
+def _fig4a_hotpotato_digest(digests, benchmark):
     cfg = table1()
     model = SimContext(cfg).thermal_model
     fig4a._simulate_cell(
-        "blackscholes", "hotpotato", cfg, model, seed=42, work_scale=2.5, max_time_s=5.0
+        benchmark, "hotpotato", cfg, model, seed=42, work_scale=2.5, max_time_s=5.0
     )
     ((_, digest),) = digests
-    assert digest.hexdigest() == FIG4A_BLACKSCHOLES_HOTPOTATO
+    return digest.hexdigest()
+
+
+def test_fig4a_cell_intervals_byte_identical(digests):
+    got = _fig4a_hotpotato_digest(digests, "blackscholes")
+    assert got == FIG4A_BLACKSCHOLES_HOTPOTATO
+
+
+def test_fig4a_canneal_cell_intervals_byte_identical(digests):
+    assert _fig4a_hotpotato_digest(digests, "canneal") == FIG4A_CANNEAL_HOTPOTATO

@@ -70,11 +70,11 @@ class AsyncMigrationScheduler(Scheduler):
             return None
         idle = self.ctx.power_model.idle_power_w()
         power = np.full(self.ctx.n_cores, idle)
-        for thread_id, core in self._placer.placements.items():
-            try:
-                power[core] = self.ctx.thread_recent_power_w(thread_id)
-            except KeyError:
-                continue
+        # placed threads with history draw their latest sample
+        slots, cores = self._placer.slot_arrays(self.ctx)
+        window = self.ctx.power_window()
+        known = window.has_history[slots]
+        power[cores[known]] = window.recent_w[slots[known]]
         model = self.ctx.thermal_model
         ambient = self.ctx.config.thermal.ambient_c
         nodes = model.steady_state(power, ambient)

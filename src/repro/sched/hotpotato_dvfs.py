@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..sim.context import PowerWindow
 from .base import SchedulerDecision
 from .hotpotato_runtime import HotPotatoScheduler
 
@@ -41,18 +42,18 @@ class HotPotatoDvfsScheduler(HotPotatoScheduler):
         self._throttle_f_hz: Optional[float] = None
         self._intervals_since_eval = 0
 
-    def _measured_power(self, thread_id: str) -> float:
+    def _measured_power(self, window: PowerWindow) -> np.ndarray:
         """Refer the measured power back to f_max.
 
         HotPotato's estimates (and hence its analytic peak) stay in
         f_max-equivalent terms, so applying the throttle does not feed back
         into the placement/rotation decisions — the two knobs decouple.
         """
-        measured = self.ctx.thread_power_w(thread_id)
+        measured = super()._measured_power(window)
         if self._throttle_f_hz is None:
             return measured
         idle = self.ctx.power_model.idle_power_w()
-        dynamic = max(0.0, measured - idle)
+        dynamic = np.maximum(0.0, measured - idle)
         return idle + dynamic / self._power_scale(self._throttle_f_hz)
 
     def _power_scale(self, f_hz: float) -> float:
@@ -70,7 +71,7 @@ class HotPotatoDvfsScheduler(HotPotatoScheduler):
         if self.hotpotato.n_threads == 0:
             return None
         thermal = self.ctx.config.thermal
-        peak_c = self.hotpotato.peak_temperature()
+        peak_c = self._synced().peak_temperature()
         target_c = thermal.dtm_threshold_c - thermal.headroom_delta_c
         if peak_c <= target_c:
             return None

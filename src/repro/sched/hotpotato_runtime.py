@@ -25,9 +25,10 @@ headroom rebalance)    :meth:`repro.core.hotpotato.HotPotato.remove` — migrate
 lines 23-27 (tau       ``HotPotato`` tau re-selection — rotation *off* when
 selection)             statically sustainable, else the slowest sustainable tau
 run-time feedback      :meth:`HotPotatoScheduler._refresh_estimates` — 10 ms
-(Section V, ``Delta``  power-history averages fed back each interval; drift
-sudden-change)         > 1 W against the last re-optimization's estimates
-                       triggers :meth:`repro.core.hotpotato.HotPotato.refresh`
+(Section V, ``Delta``  power-history averages read each interval as one slot
+sudden-change)         vector; drift > 1 W against the last re-optimization's
+                       estimates triggers
+                       :meth:`repro.core.hotpotato.HotPotato.refresh`
 epoch advance          :meth:`HotPotatoScheduler._advance_epoch` +
 (Section IV rotation)  ``RotationSchedule.placement_at`` — cyclic shift of each
                        ring's slot assignment once per tau
@@ -38,17 +39,23 @@ peak power, i.e. deliberately conservative; once history accumulates, the
 estimates relax to the observed duty-cycled average and the paper's
 "sudden change" trigger (``Delta``) re-optimizes the assignment.
 
+The estimates are captured every decision but pushed into
+:class:`~repro.core.hotpotato.HotPotato` only before a call that reads
+them (refresh, admission, removal, the analytic peak): those see exactly
+the values of the latest decision, as if every decision had pushed them.
+
 HotPotato never touches DVFS: every core always runs at f_max (hardware DTM
 remains the backstop the analytics are designed to keep silent).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from ..core.hotpotato import HotPotato, ThreadInfo
+from ..sim.context import PowerWindow
 from ..workload.task import Task
 from .base import Scheduler, SchedulerDecision
 
@@ -80,9 +87,16 @@ class HotPotatoScheduler(Scheduler):
         self._epoch = 0
         self._epoch_started_s = 0.0
         self._intervals_since_refresh = 0
+        #: HotPotato's threads in admission order, and their engine slots
+        self._thread_ids: List[str] = []
+        self._thread_slots = np.zeros(0, dtype=np.intp)
         #: per-thread power estimate HotPotato last *re-optimized* with;
         #: drift is measured against this snapshot, not the last interval.
-        self._power_at_refresh: Dict[str, float] = {}
+        self._power_at_refresh = np.zeros(0)
+        #: per-thread estimate of the latest decision, and whether
+        #: HotPotato still holds older values
+        self._estimates = np.zeros(0)
+        self._unpushed = False
         #: True once a refresh changed nothing — skip further refreshes
         #: until arrivals/exits or estimate drift dirty the state again.
         self._settled = False
@@ -128,20 +142,43 @@ class HotPotatoScheduler(Scheduler):
         )
         return free >= task.n_threads
 
+    def _synced(self) -> HotPotato:
+        """HotPotato, holding the estimates of the latest decision."""
+        if self._unpushed:
+            update = self.hotpotato.update_power
+            for thread_id, power in zip(self._thread_ids, self._estimates.tolist()):
+                update(thread_id, power)
+            self._unpushed = False
+        return self.hotpotato
+
     def _admit(self, task: Task, now_s: float) -> None:
         template = self._arrival_estimate(task)
-        for thread in task.threads:
-            info = ThreadInfo(thread.thread_id, template.power_w, template.cpi)
-            self.hotpotato.admit(info)
-            self._profiles[thread.thread_id] = task.profile
-            self._power_at_refresh[thread.thread_id] = template.power_w
+        hotpotato = self._synced()
+        ids = [thread.thread_id for thread in task.threads]
+        for thread_id in ids:
+            hotpotato.admit(ThreadInfo(thread_id, template.power_w, template.cpi))
+            self._profiles[thread_id] = task.profile
+        self._thread_ids.extend(ids)
+        self._thread_slots = np.concatenate(
+            [self._thread_slots, self.ctx.thread_slots(ids)]
+        )
+        arrival = np.full(len(ids), template.power_w)
+        self._power_at_refresh = np.concatenate([self._power_at_refresh, arrival])
+        self._estimates = np.concatenate([self._estimates, arrival])
         self._settled = False
 
     def _release(self, task: Task, now_s: float) -> None:
+        hotpotato = self._synced()
+        gone = set()
         for thread in task.threads:
-            self.hotpotato.remove(thread.thread_id)
+            hotpotato.remove(thread.thread_id)
             self._profiles.pop(thread.thread_id, None)
-            self._power_at_refresh.pop(thread.thread_id, None)
+            gone.add(thread.thread_id)
+        keep = [thread_id not in gone for thread_id in self._thread_ids]
+        self._thread_ids = [t for t, k in zip(self._thread_ids, keep) if k]
+        self._thread_slots = self._thread_slots[keep]
+        self._power_at_refresh = self._power_at_refresh[keep]
+        self._estimates = self._estimates[keep]
         self._settled = False
 
     # -- per-interval ----------------------------------------------------------------
@@ -159,37 +196,38 @@ class HotPotatoScheduler(Scheduler):
             self._epoch += 1
             self._epoch_started_s += tau
 
-    def _measured_power(self, thread_id: str) -> float:
-        """The power signal fed into HotPotato's analytics.
+    def _measured_power(self, window: PowerWindow) -> np.ndarray:
+        """The power signal fed into HotPotato's analytics, per thread.
 
-        Subclasses that apply DVFS override this to refer the measurement
-        back to f_max, keeping the analytic peak frequency-independent.
+        The paper's signal: the plain 10 ms window average.  Rotation
+        budgets against time-averaged heat, so burst power must NOT be
+        used here — averaging bursts across the ring is precisely the
+        mechanism.  DTM backstops estimate lag.  Subclasses that apply
+        DVFS override this to refer the measurement back to f_max,
+        keeping the analytic peak frequency-independent.
         """
-        return self.ctx.thread_power_w(thread_id)
+        return window.average_w[self._thread_slots]
 
     def _refresh_estimates(self, now_s: float) -> None:
         """Feed measured power back; re-optimize on drastic drift.
 
         Drift is measured against the estimates in force at the last
         re-optimization (the paper's sudden-change trigger ``Delta``), so a
-        slow ramp still accumulates into a refresh.
+        slow ramp still accumulates into a refresh.  Threads without
+        history yet keep their estimates.
         """
         self._intervals_since_refresh += 1
-        max_drift = 0.0
-        measured_now: Dict[str, float] = {}
-        for thread_id, info in list(self.hotpotato._threads.items()):
-            try:
-                # the paper's signal: plain 10 ms window average.  Rotation
-                # budgets against time-averaged heat, so burst power must
-                # NOT be used here — averaging bursts across the ring is
-                # precisely the mechanism.  DTM backstops estimate lag.
-                measured = self._measured_power(thread_id)
-            except KeyError:
-                continue
-            measured_now[thread_id] = measured
-            baseline = self._power_at_refresh.get(thread_id, info.power_w)
-            max_drift = max(max_drift, abs(measured - baseline))
-            self.hotpotato.update_power(thread_id, measured)
+        window = self.ctx.power_window()
+        known = window.has_history[self._thread_slots]
+        measured = self._measured_power(window)
+        drift = np.abs(
+            measured - self._power_at_refresh,
+            where=known,
+            out=np.zeros(known.shape[0]),
+        )
+        max_drift = float(drift.max(initial=0.0))
+        self._estimates = np.where(known, measured, self._estimates)
+        self._unpushed = True
         if max_drift > 0.5:
             self._settled = False
         # a drastic power increase is acted upon immediately (the paper's
@@ -204,12 +242,14 @@ class HotPotatoScheduler(Scheduler):
         )
         if urgent or routine:
             before = self.hotpotato.state_fingerprint()
-            self.hotpotato.refresh()
+            self._synced().refresh()
             self._refresh_count += 1
             if urgent:
                 self._urgent_refresh_count += 1
             self._intervals_since_refresh = 0
-            self._power_at_refresh.update(measured_now)
+            self._power_at_refresh = np.where(
+                known, measured, self._power_at_refresh
+            )
             self._settled = self.hotpotato.state_fingerprint() == before
 
     def decide(self, now_s: float) -> SchedulerDecision:

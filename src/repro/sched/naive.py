@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,13 +23,27 @@ class StaticPlacer:
 
     def __init__(self, amd: np.ndarray):
         self._amd = np.asarray(amd, dtype=float)
-        self._order = np.lexsort((np.arange(len(amd)), self._amd))
+        self._order = np.lexsort((np.arange(len(amd)), self._amd)).tolist()
         self._occupant: Dict[int, str] = {}
+        #: bumped on every change of the assignment
+        self.version = 0
+        self._slot_arrays: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     @property
     def placements(self) -> Dict[str, int]:
         """Current thread -> core mapping."""
         return {thread: core for core, thread in self._occupant.items()}
+
+    def slot_arrays(self, ctx) -> Tuple[np.ndarray, np.ndarray]:
+        """The placed threads' engine slots (see
+        :meth:`~repro.sim.context.SimContext.thread_slots`) and their
+        cores, as two aligned arrays; rebuilt only when the assignment
+        changed."""
+        if self._slot_arrays is None or self._slot_arrays[0] != self.version:
+            placements = self.placements
+            cores = np.fromiter(placements.values(), np.intp, len(placements))
+            self._slot_arrays = (self.version, ctx.thread_slots(placements), cores)
+        return self._slot_arrays[1:]
 
     def occupied_cores(self) -> List[int]:
         """Cores currently holding a thread."""
@@ -37,7 +51,8 @@ class StaticPlacer:
 
     def free_cores(self) -> List[int]:
         """Free cores in placement-preference (ascending AMD) order."""
-        return [int(c) for c in self._order if int(c) not in self._occupant]
+        occupant = self._occupant
+        return [core for core in self._order if core not in occupant]
 
     def place_task(self, task: Task) -> None:
         """Assign every thread of ``task`` to the best free cores."""
@@ -49,6 +64,7 @@ class StaticPlacer:
             )
         for thread, core in zip(task.threads, free):
             self._occupant[core] = thread.thread_id
+        self.version += 1
 
     def release_task(self, task: Task) -> None:
         """Free the cores of a finished task."""
@@ -58,6 +74,7 @@ class StaticPlacer:
             for core, thread in self._occupant.items()
             if thread not in ids
         }
+        self.version += 1
 
     def move(self, thread_id: str, dst_core: int) -> None:
         """Relocate one thread to a free core."""
@@ -68,6 +85,7 @@ class StaticPlacer:
         )
         del self._occupant[src]
         self._occupant[dst_core] = thread_id
+        self.version += 1
 
     def core_of(self, thread_id: str) -> int:
         """Core currently hosting ``thread_id``."""
@@ -89,6 +107,7 @@ class StaticPlacer:
                 raise ValueError(f"core {core} assigned twice in sync")
             occupant[core] = thread
         self._occupant = occupant
+        self.version += 1
 
 
 class PeakFrequencyScheduler(Scheduler):

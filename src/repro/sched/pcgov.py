@@ -37,6 +37,8 @@ class PCGovScheduler(Scheduler):
         self._placer: Optional[StaticPlacer] = None
         self._budget_w: Optional[float] = None
         self._core_freq: Optional[np.ndarray] = None
+        #: (placer version, budget) the frequency vector was built for
+        self._freq_key: Optional[tuple] = None
         self._profile_of: Dict[str, object] = {}
         # the profile governor is a pure function of (profile, core,
         # budget): the DVFS ladder, LLC latencies and power model never
@@ -112,14 +114,19 @@ class PCGovScheduler(Scheduler):
         return chosen
 
     def decide(self, now_s: float) -> SchedulerDecision:
-        placements = dict(self._placer.placements)
-        freqs = np.full(self.ctx.n_cores, self.ctx.config.dvfs.f_max_hz)
-        for thread_id, core in placements.items():
-            freqs[core] = self._profile_frequency(thread_id, core)
-        self._core_freq = freqs
+        placements = self._placer.placements
+        # the governor is a pure function of the placements and the budget:
+        # rebuild the (read-only, shared) vector only when either changed
+        key = (self._placer.version, self._budget_w)
+        if key != self._freq_key:
+            freqs = np.full(self.ctx.n_cores, self.ctx.config.dvfs.f_max_hz)
+            for thread_id, core in placements.items():
+                freqs[core] = self._profile_frequency(thread_id, core)
+            freqs.flags.writeable = False
+            self._core_freq, self._freq_key = freqs, key
         return SchedulerDecision(
             placements=placements,
-            frequencies=freqs,
+            frequencies=self._core_freq,
             waiting=self.waiting_threads(),
         )
 

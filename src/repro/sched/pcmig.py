@@ -90,11 +90,11 @@ class PCMigScheduler(PCGovScheduler):
             return None
         idle = self.ctx.power_model.idle_power_w()
         power = np.full(self.ctx.n_cores, idle)
-        for thread_id, core in self._placer.placements.items():
-            try:
-                power[core] = self.ctx.thread_power_w(thread_id)
-            except KeyError:
-                continue
+        # placed threads with history draw their window average
+        slots, cores = self._placer.slot_arrays(self.ctx)
+        window = self.ctx.power_window()
+        known = window.has_history[slots]
+        power[cores[known]] = window.average_w[slots[known]]
         # lift core temps onto the full node vector: approximate cooling
         # nodes with their idle-steady values (the engine only exposes core
         # temperatures, as a real sensor array would)

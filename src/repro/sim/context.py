@@ -6,11 +6,16 @@ S-NUCA performance model, power model, DVFS table, TSP budgets, migration
 costs — plus run-time observation hooks that the engine wires up (thread
 power history, current temperatures).  Schedulers receive it via
 ``attach()`` and must treat it as read-only.
+
+Thread power is observed per thread *slot*, the integer index the engine
+gives each thread for its life: :meth:`SimContext.power_window` returns
+every slot's window average at once, and a scheduler gathers its threads'
+entries with the slot array :meth:`SimContext.thread_slots` returns.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,6 +31,21 @@ from ..thermal.calibrate import calibrated_model
 from ..thermal.matex import ThermalDynamics
 from ..thermal.rc_model import RCThermalModel
 from ..workload.perf import PerformanceModel
+
+
+class PowerWindow(NamedTuple):
+    """Every thread slot's power observations after the latest interval.
+
+    Entries of slots without history are meaningless (zero); readers mask
+    them with ``has_history``.  Valid until the next interval records.
+    """
+
+    #: average power over the last 10 ms window [W] (the paper's signal)
+    average_w: np.ndarray
+    #: the latest per-interval power sample [W]
+    recent_w: np.ndarray
+    #: whether the slot has recorded a sample since its thread arrived
+    has_history: np.ndarray
 
 
 class SimContext:
@@ -84,9 +104,9 @@ class SimContext:
             config.thermal.idle_power_w,
         )
         # run-time observation hooks, wired by the engine before use
-        self._power_history_fn: Optional[Callable[[str], float]] = None
         self._core_temps_fn: Optional[Callable[[], np.ndarray]] = None
-        self._power_recent_fn: Optional[Callable[[str], float]] = None
+        self._power_window_fn: Optional[Callable[[], PowerWindow]] = None
+        self._slot_of: Optional[Mapping[str, int]] = None
         #: scheduler-visible sensor bus; ``None`` means perfect sensors
         #: (attached by the engine when fault injection is enabled)
         self.sensors = None
@@ -100,26 +120,31 @@ class SimContext:
 
     def wire_observations(
         self,
-        power_history_fn: Callable[[str], float],
         core_temps_fn: Callable[[], np.ndarray],
-        power_recent_fn: Optional[Callable[[str], float]] = None,
+        power_window_fn: Callable[[], PowerWindow],
+        slot_of: Mapping[str, int],
     ) -> None:
-        """Engine hook: install the run-time observation callbacks."""
-        self._power_history_fn = power_history_fn
+        """Engine hook: install the run-time observations.
+
+        ``slot_of`` maps each live thread id to its slot; the engine keeps
+        it current as threads arrive and exit.
+        """
         self._core_temps_fn = core_temps_fn
-        self._power_recent_fn = power_recent_fn
+        self._power_window_fn = power_window_fn
+        self._slot_of = slot_of
 
-    def thread_power_w(self, thread_id: str) -> float:
-        """Average power of a thread over the last 10 ms window."""
-        if self._power_history_fn is None:
+    def power_window(self) -> PowerWindow:
+        """Every thread slot's power observations, as slot vectors."""
+        if self._power_window_fn is None:
             raise RuntimeError("observations not wired; is the engine running?")
-        return self._power_history_fn(thread_id)
+        return self._power_window_fn()
 
-    def thread_recent_power_w(self, thread_id: str) -> float:
-        """Most recent per-interval power sample of a thread."""
-        if self._power_recent_fn is None:
+    def thread_slots(self, thread_ids: Iterable[str]) -> np.ndarray:
+        """Slots of live threads, in order (``KeyError`` for an unknown id)."""
+        if self._slot_of is None:
             raise RuntimeError("observations not wired; is the engine running?")
-        return self._power_recent_fn(thread_id)
+        slot_of = self._slot_of
+        return np.array([slot_of[thread] for thread in thread_ids], dtype=np.intp)
 
     def attach_sensors(self, sensors) -> None:
         """Engine hook: install the faulty sensor bus schedulers read.

@@ -12,7 +12,12 @@ power.  This engine reproduces that loop on top of our substrates:
 4. let per-core hardware DTM clamp frequencies where the threshold was
    crossed;
 5. advance every placed thread by the instructions its core/frequency
-   allows (after paying migration debt), with barrier-phase semantics;
+   allows (after paying migration debt), with barrier-phase semantics.
+   Per-thread state lives in arrays indexed by thread *slot* (time
+   stacks, power history, task progress), so an interval retires every
+   placed thread in one array operation and schedulers read every
+   thread's window-average power as one slot vector
+   (:meth:`~repro.sim.context.SimContext.power_window`);
 6. build the per-core power map from each thread's compute/stall split and
    advance the RC thermal state **exactly** (matrix-exponential step — no
    integration error regardless of interval length).  The state lives in
@@ -44,7 +49,7 @@ from __future__ import annotations
 import time as _time
 from collections import deque
 from itertools import chain
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -52,8 +57,8 @@ from ..config import SystemConfig
 from ..obs.observer import Observer
 from ..sched.base import MigrationFailure, Scheduler, SchedulerDecision
 from ..thermal.spectral_state import SpectralThermalState
-from ..workload.task import Task
-from .context import SimContext
+from ..workload.task import Task, ThreadProgress
+from .context import PowerWindow, SimContext
 from .dtm import DtmController
 from .events import (
     DegradationChanged,
@@ -118,8 +123,9 @@ class _PowerHistory:
     builtin ``sum`` over floats) summation: ``np.add.accumulate`` over the
     columns in age order is the sequential sum, and the zeros before,
     between and after a slot's samples are exact (``x + 0.0 == x``).
-    The averages of all slots are computed at most once per interval, on
-    the first read after a record.
+    The observations of all slots (:class:`~repro.sim.context.PowerWindow`)
+    are computed at most once per interval, on the first read after a
+    record.
     """
 
     def __init__(self, window_s: float, slots: int = 16, width: int = 8):
@@ -133,9 +139,8 @@ class _PowerHistory:
         self._orders: Dict[int, np.ndarray] = {}
         self._has = np.zeros(slots, dtype=bool)
         self._recent = np.zeros(slots)
-        #: (per-slot averages, per-slot has-samples) of the current
-        #: samples, or None when stale
-        self._avg: Optional[Tuple[List[float], List[bool]]] = None
+        #: the observations of the current samples, or None when stale
+        self._window: Optional[PowerWindow] = None
 
     def reserve(self, slots: int) -> None:
         """Make room for slot indices below ``slots``."""
@@ -146,7 +151,7 @@ class _PowerHistory:
         self._samples = np.pad(self._samples, ((0, 0), (0, 0), (0, grow)))
         self._has = np.pad(self._has, (0, grow))
         self._recent = np.pad(self._recent, (0, grow))
-        self._avg = None
+        self._window = None
 
     def _age_order(self) -> np.ndarray:
         """Column indices, oldest first."""
@@ -195,33 +200,25 @@ class _PowerHistory:
             self._samples[old[:, None], :, slots] = 0.0
         self._has[slots] = True
         self._recent[slots] = power_w
-        self._avg = None
+        self._window = None
 
-    def _averages(self) -> Tuple[List[float], List[bool]]:
-        ordered = self._samples.take(self._age_order(), axis=0)
-        energy, time = np.add.accumulate(ordered, axis=0)[-1]
-        has = self._has
-        # a slot without samples divides 0 by 1 (and is never read)
-        self._avg = ((energy / (time + ~has)).tolist(), has.tolist())
-        return self._avg
-
-    def average(self, slot: int) -> float:
-        averages, has = self._avg or self._averages()
-        if not (0 <= slot < len(has) and has[slot]):
-            raise KeyError(f"no power history for slot {slot}")
-        return averages[slot]
-
-    def recent(self, slot: int) -> float:
-        """Most recent power sample (burst detection)."""
-        if not (0 <= slot < self._has.shape[0] and self._has[slot]):
-            raise KeyError(f"no power history for slot {slot}")
-        return float(self._recent[slot])
+    def window(self) -> PowerWindow:
+        """Every slot's window average, latest sample and has-history flag."""
+        if self._window is None:
+            ordered = self._samples.take(self._age_order(), axis=0)
+            energy, time = np.add.accumulate(ordered, axis=0)[-1]
+            has = self._has.copy()
+            # a slot without samples divides 0 by 1 (and is masked out)
+            self._window = PowerWindow(
+                energy / (time + ~has), self._recent.copy(), has
+            )
+        return self._window
 
     def forget(self, slot: int) -> None:
         if slot < self._has.shape[0]:
             self._samples[:, :, slot] = 0.0
             self._has[slot] = False
-            self._avg = None
+            self._window = None
 
 
 class _RateTable:
@@ -315,13 +312,20 @@ class IntervalSimulator:
         # integer a thread takes at arrival and gives back at completion
         self._live: Dict[str, int] = {}
         self._slot_task: List[Optional[Task]] = []
-        self._slot_thread: List[int] = []
         self._slot_profile: List[int] = []
+        #: per-slot rate-table row, and the frequency it was looked up
+        #: for (NaN: none yet)
+        self._slot_row = np.zeros(0, dtype=np.intp)
+        self._slot_f = np.zeros(0)
         self._free_slots: List[int] = []
         #: live threads not yet in ``_breakdown``
         self._unseen = 0
         #: per-slot time stack: compute, stall, migration, wait, queued [s]
         self._time_stack = np.zeros((5, 0))
+        #: per-slot remaining phase share and retired instructions
+        self._progress = ThreadProgress()
+        #: running tasks whose barrier may have opened this interval
+        self._at_barrier: Set[Task] = set()
         self._history = _PowerHistory(config.power_history_window_s)
         self._rates = _RateTable(self.ctx)
         self._accountant = MigrationAccountant(self.ctx.migration)
@@ -380,9 +384,7 @@ class IntervalSimulator:
         self._obs_epoch = 0
         self._obs_epoch_start_s = 0.0
         self._breakdown: Dict[str, TimeBreakdown] = {}
-        self.ctx.wire_observations(
-            self._thread_power, self._core_temps, self._thread_recent_power
-        )
+        self.ctx.wire_observations(self._core_temps, self._history.window, self._live)
         if self._injector is not None:
             self.ctx.attach_sensors(self._injector.sensors)
         self.scheduler.attach(self.ctx)
@@ -392,40 +394,37 @@ class IntervalSimulator:
     def _core_temps(self) -> np.ndarray:
         return self._state.core_temperatures()
 
-    def _thread_power(self, thread_id: str) -> float:
-        slot = self._live.get(thread_id)
-        if slot is None:
-            raise KeyError(f"no power history for thread {thread_id}")
-        return self._history.average(slot)
-
-    def _thread_recent_power(self, thread_id: str) -> float:
-        slot = self._live.get(thread_id)
-        if slot is None:
-            raise KeyError(f"no power history for thread {thread_id}")
-        return self._history.recent(slot)
-
     # -- thread slots ------------------------------------------------------------
 
     def _take_slots(self, task: Task) -> None:
-        """Give each thread of an arriving task a slot."""
+        """Give each thread of an arriving task a slot, and move the
+        task's progress into the slot arrays."""
         profile = self._rates.profile_key(task.profile)
         self._unseen += task.n_threads
+        slots = []
         for thread in task.threads:
             if self._free_slots:
                 slot = self._free_slots.pop()
             else:
                 slot = len(self._slot_task)
                 self._slot_task.append(None)
-                self._slot_thread.append(0)
                 self._slot_profile.append(0)
                 if slot >= self._time_stack.shape[1]:
                     grow = max(16, self._time_stack.shape[1])
                     self._time_stack = np.pad(self._time_stack, ((0, 0), (0, grow)))
                     self._history.reserve(self._time_stack.shape[1])
+                    self._progress.reserve(self._time_stack.shape[1])
+                    self._slot_row = np.pad(self._slot_row, (0, grow))
+                    self._slot_f = np.pad(self._slot_f, (0, grow))
             self._live[thread.thread_id] = slot
             self._slot_task[slot] = task
-            self._slot_thread[slot] = thread.index
             self._slot_profile[slot] = profile
+            self._slot_f[slot] = np.nan
+            slots.append(slot)
+        task.bind(self._progress, np.array(slots, dtype=np.intp))
+        if task.complete:
+            # no thread will reach its barrier: complete at the first one
+            self._at_barrier.add(task)
 
     def _settle_breakdown(self, thread_id: str, slot: int) -> None:
         """Copy a slot's time stack into the thread's TimeBreakdown."""
@@ -440,6 +439,7 @@ class IntervalSimulator:
             ) = self._time_stack[:, slot].tolist()
 
     def _release_slots(self, task: Task) -> None:
+        task.unbind()
         for thread in task.threads:
             slot = self._live.pop(thread.thread_id)
             self._settle_breakdown(thread.thread_id, slot)
@@ -803,9 +803,13 @@ class IntervalSimulator:
         row arrays; every element goes through the same floating-point
         operations, in the same order, as the scalar model methods
         (``time_per_instruction_s``, ``activity_fractions``,
-        ``core_power_w``) would apply to that thread.  Only the task
-        progress, and the instructions-retired total, advance thread by
-        thread, in placement order.
+        ``core_power_w``) would apply to that thread.  Task progress is
+        retired in one :meth:`~repro.workload.task.ThreadProgress.retire`
+        over the slot arrays, and the instructions-retired total is summed
+        in placement order (``np.add.accumulate``, a sequential sum).  A
+        task whose thread reached zero remaining share is queued for the
+        barrier check in :meth:`complete_interval`: every phase a task
+        enters holds work, so only such a task can pass its barrier.
         """
         power = np.full(self.ctx.n_cores, self._idle_power)
         placed = decision.placements
@@ -824,28 +828,32 @@ class IntervalSimulator:
         if not placed:
             return power
         live = self._live
-        slot_list = [live[thread_id] for thread_id in placed]
-        core_list = list(placed.values())
-        f_list = freqs.tolist()
-        rows = self._rates.rows(
-            [self._slot_profile[slot] for slot in slot_list],
-            [f_list[core] for core in core_list],
-        )
-        slots, cores, rows = np.array((slot_list, core_list, rows), dtype=np.intp)
+        slots = np.array([live[thread_id] for thread_id in placed], dtype=np.intp)
+        cores = np.fromiter(placed.values(), np.intp, len(placed))
+        # a slot's rate row changes only with its core's frequency
+        f_hz = freqs[cores]
+        stale = f_hz != self._slot_f[slots]
+        if stale.any():
+            renew = slots[stale]
+            self._slot_row[renew] = self._rates.rows(
+                [self._slot_profile[slot] for slot in renew.tolist()],
+                f_hz[stale].tolist(),
+            )
+            self._slot_f[renew] = f_hz[stale]
+        rows = self._slot_row[slots]
         tpi, compute_b, stall_b, dynamic_w, idle_w = self._rates.table[rows, cores].T
-        exec_time = np.array(self._accountant.consume_debts(placed, dt))
+        exec_time = self._accountant.consume_debts(placed, dt)
         migration_time = dt - exec_time
-        retired = []
-        total = self._instructions_retired
-        tasks, threads = self._slot_task, self._slot_thread
-        for slot, wanted in zip(slot_list, (exec_time / tpi).tolist()):
-            done = tasks[slot].advance(threads[slot], wanted)
-            total += done
-            retired.append(done)
-        self._instructions_retired = total
-        busy_time = np.array(retired) * tpi
+        done, emptied = self._progress.retire(slots, exec_time / tpi)
+        if emptied.any():
+            tasks = self._slot_task
+            self._at_barrier.update(tasks[slot] for slot in slots[emptied].tolist())
+        self._instructions_retired = float(
+            np.add.accumulate(np.concatenate(([self._instructions_retired], done)))[-1]
+        )
+        busy_time = done * tpi
         # this interval's time stack: compute, stall, migration, wait
-        spent = np.empty((4, len(slot_list)))
+        spent = np.empty((4, len(slots)))
         compute_s = np.multiply(compute_b, busy_time, out=spent[0])
         stall_s = np.multiply(stall_b, busy_time, out=spent[1])
         spent[2] = migration_time
@@ -920,12 +928,16 @@ class IntervalSimulator:
                 dtm_throttled=np.nonzero(self._dtm.throttled)[0],
             )
 
-        # 8. barriers and completions
+        # 8. barriers and completions, in arrival order
         finished: List[Task] = []
-        for task in self._running:
-            task.try_advance_phase()
-            if task.complete:
-                finished.append(task)
+        at_barrier = self._at_barrier
+        if at_barrier:
+            for task in self._running:
+                if task in at_barrier:
+                    task.try_advance_phase()
+                    if task.complete:
+                        finished.append(task)
+            at_barrier.clear()
         for task in finished:
             task.mark_complete(now)
             self._running.remove(task)

@@ -9,7 +9,9 @@ is paid.  Debt larger than one interval carries over.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Collection, Dict, List, Mapping, Tuple
+
+import numpy as np
 
 from ..arch.cache import MigrationCostModel
 
@@ -20,6 +22,9 @@ class MigrationAccountant:
     def __init__(self, cost_model: MigrationCostModel):
         self.cost_model = cost_model
         self._debt_s: Dict[str, float] = {}
+        #: migration penalty per (src, dst) core pair, filled on first use
+        #: (a pure function of the platform)
+        self._penalty_s: Dict[Tuple[int, int], float] = {}
         #: total number of migrations charged
         self.migration_count = 0
         #: total execution time lost to migrations [thread-seconds]
@@ -35,6 +40,8 @@ class MigrationAccountant:
         from their initial placement (their caches start empty, which costs
         the same refill).
         """
+        if current == previous:
+            return []
         moves = []
         for thread, dst in current.items():
             src = previous.get(thread)
@@ -44,7 +51,10 @@ class MigrationAccountant:
                 self.total_penalty_s += penalty
                 continue
             if src != dst:
-                penalty = self.cost_model.migration_penalty_s(src, dst)
+                penalty = self._penalty_s.get((src, dst))
+                if penalty is None:
+                    penalty = self.cost_model.migration_penalty_s(src, dst)
+                    self._penalty_s[(src, dst)] = penalty
                 self._debt_s[thread] = self._debt_s.get(thread, 0.0) + penalty
                 self.total_penalty_s += penalty
                 self.migration_count += 1
@@ -53,16 +63,19 @@ class MigrationAccountant:
 
     def consume_debt(self, thread: str, available_s: float) -> float:
         """Pay down a thread's debt; returns execution time remaining."""
-        return self.consume_debts((thread,), available_s)[0]
+        return float(self.consume_debts((thread,), available_s)[0])
 
     def consume_debts(
-        self, threads: Iterable[str], available_s: float
-    ) -> List[float]:
+        self, threads: Collection[str], available_s: float
+    ) -> np.ndarray:
         """:meth:`consume_debt` for each of ``threads`` in turn (one
-        interval's placed threads), as a list of remaining execution times."""
+        interval's placed threads), as an array of remaining execution
+        times."""
         if available_s < 0:
             raise ValueError("available time must be non-negative")
         debts = self._debt_s
+        if not debts:
+            return np.full(len(threads), available_s)
         remaining_s = []
         for thread in threads:
             debt = debts.get(thread, 0.0)
@@ -76,7 +89,7 @@ class MigrationAccountant:
             else:
                 debts.pop(thread, None)
             remaining_s.append(available_s - paid)
-        return remaining_s
+        return np.array(remaining_s)
 
     def outstanding_debt_s(self, thread: str) -> float:
         """Unpaid migration debt of a thread."""

@@ -59,6 +59,10 @@ class TestThrottleValve:
         )
         sim.run(max_time_s=0.05)
         sched._throttle_f_hz = 2.0e9
-        raw = sched.ctx.thread_power_w("0.0")
-        referred = sched._measured_power("0.0")
-        assert referred >= raw
+        window = sched.ctx.power_window()
+        raw = window.average_w[sched._thread_slots]
+        referred = sched._measured_power(window)
+        assert np.all(referred >= raw)
+        # a dynamic share above idle is scaled up strictly
+        busy = raw > sched.ctx.power_model.idle_power_w()
+        assert busy.any() and np.all(referred[busy] > raw[busy])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import config
-from repro.sim.context import SimContext
+from repro.sim.context import PowerWindow, SimContext
 
 
 class TestConstruction:
@@ -31,18 +31,25 @@ class TestObservationWiring:
     def test_unwired_observations_raise(self, cfg16, model16):
         ctx = SimContext(cfg16, model16)
         with pytest.raises(RuntimeError):
-            ctx.thread_power_w("x")
+            ctx.power_window()
         with pytest.raises(RuntimeError):
             ctx.core_temperatures_c()
         with pytest.raises(RuntimeError):
-            ctx.thread_recent_power_w("x")
+            ctx.thread_slots(["x"])
 
     def test_wired_observations_delegate(self, cfg16, model16):
         ctx = SimContext(cfg16, model16)
         temps = np.full(16, 50.0)
-        ctx.wire_observations(
-            lambda tid: 3.5, lambda: temps, lambda tid: 4.2
+        window = PowerWindow(
+            np.array([3.5, 0.0]), np.array([4.2, 0.0]), np.array([True, False])
         )
-        assert ctx.thread_power_w("a") == 3.5
-        assert ctx.thread_recent_power_w("a") == 4.2
+        slot_of = {"a": 0}
+        ctx.wire_observations(lambda: temps, lambda: window, slot_of)
+        assert ctx.power_window() is window
+        assert ctx.thread_slots(["a"]).tolist() == [0]
+        # the engine keeps the slot map current as threads arrive
+        slot_of["b"] = 1
+        assert ctx.thread_slots(["b", "a"]).tolist() == [1, 0]
+        with pytest.raises(KeyError):
+            ctx.thread_slots(["c"])
         assert np.array_equal(ctx.core_temperatures_c(), temps)

@@ -8,10 +8,17 @@ exact ``dt``, the sorted placements and the core temperatures right after
 the thermal step.  A change to any of them, in any interval, changes the
 digest.
 
-The pinned values were recorded with the straightforward per-thread loop
-(a dict of power-sample deques summed by ``sum()`` per read, a thread
-lookup by task scan, schedules rebuilt per decision).  They hold with
-BLAS pinned to one thread, as ``tests/conftest.py`` does.
+The interval digest does not see the end-of-run accounting: the
+instructions-retired total, the per-core energy integral and the per-thread
+time stacks.  Each cell pins those too, as the ``repr`` of the total and a
+SHA-256 over the reprs of the other two.
+
+The HotPotato digests were recorded with the straightforward per-thread
+loop (a dict of power-sample deques summed by ``sum()`` per read, a thread
+lookup by task scan, schedules rebuilt per decision); the PCMig,
+HotPotato-DVFS and accounting pins with thread progress and power reads
+still going thread by thread.  They hold with BLAS pinned to one thread,
+as ``tests/conftest.py`` does.
 """
 
 import hashlib
@@ -19,10 +26,12 @@ import hashlib
 import pytest
 
 from bench.worker import run_pass
-from repro.config import table1
+from repro.config import motivational, table1
 from repro.experiments import fig4a
+from repro.sched.hotpotato_dvfs import HotPotatoDvfsScheduler
 from repro.sim.context import SimContext
 from repro.sim.engine import IntervalSimulator
+from repro.workload.generator import homogeneous_fill, materialize
 
 #: SHA-256 over every interval of each cell, in simulation order.
 FIG4B_LIGHT = {
@@ -38,6 +47,64 @@ FIG4A_BLACKSCHOLES_HOTPOTATO = (
 FIG4A_CANNEAL_HOTPOTATO = (
     "af5a9a47fd15a9276a6ceee5d340379a6b3ec11c56160730e72df9cb0ca4c40d"
 )
+FIG4A_PCMIG = {
+    "blackscholes": "183bd9358ac5b1b43c987aed69eb722819b84ff4563bbfeeb91974b0c441da77",
+    "canneal": "dd13c87da4b1120a7a21b8e35c09c006093b28ce008d4a8f056e0a4d03f06a5c",
+}
+#: a short overloaded run: the throttle engages, so the f_max-referred
+#: estimates and the analytic peak read between decisions are both pinned
+HOTPOTATO_DVFS = "d3aca2046a0f1702880af6a9765a46796e41c40f98efc73d3f1a03c4c63455ee"
+
+#: (repr of instructions_retired, SHA-256 over energy_per_core_j and the
+#: time breakdown) per cell
+ACCOUNTING = {
+    "fig4b-light/pcmig": (
+        "10240000000.00048",
+        "1eb94adbb3ba7d1056299ad394095837ef62cec5d3dd9e05ad9f554ee7807dd9",
+    ),
+    "fig4b-light/hotpotato": (
+        "10240000000.000885",
+        "da01b90cf6f3ada753083bc810ecd9043a862eb254e077fc4bc0653862d912c4",
+    ),
+    "blackscholes/pcmig": (
+        "25599999999.998825",
+        "fc25fbf6db0f2fef0d5b7b117159f8da4c60c0b533e4b0ef9589adb9f1dc8b7c",
+    ),
+    "blackscholes/hotpotato": (
+        "25600000000.000145",
+        "ca8be3632b393cd408b478706976fd3f8bde7e73a7bfb9f6297d8be1f31047a6",
+    ),
+    "canneal/pcmig": (
+        "22399999999.99949",
+        "e75becbdd49152fc7eea6776b4a9b3fd5987ad0d0dc1ea8c68b138e219bd5b87",
+    ),
+    "canneal/hotpotato": (
+        "22399999999.999557",
+        "31632935b8faba203d13880e21a6464edf94206439f4e6c7bda313a2f934d06b",
+    ),
+    "hotpotato-dvfs": (
+        "4160000000.000016",
+        "e7ba5a6cecd9702dd29c2a9e09b82ef1eb3baae6b99193a0fb409ddaef2ddcb0",
+    ),
+}
+
+
+def _accounting(result):
+    """The end-of-run accounting of one cell, in :data:`ACCOUNTING` form."""
+    digest = hashlib.sha256()
+    for energy in result.energy_per_core_j:
+        digest.update(repr(energy).encode())
+    for thread, stack in result.time_breakdown.items():
+        digest.update(thread.encode())
+        for value in (
+            stack.compute_s,
+            stack.stall_s,
+            stack.migration_s,
+            stack.wait_s,
+            stack.queued_s,
+        ):
+            digest.update(repr(value).encode())
+    return repr(result.instructions_retired), digest.hexdigest()
 
 
 @pytest.fixture()
@@ -64,25 +131,46 @@ def digests(monkeypatch):
 
 
 def test_fig4b_light_intervals_byte_identical(digests):
-    run_pass("fig4b-light", 7)
+    result = run_pass("fig4b-light", 7)
     got = {sim.scheduler.name: digest.hexdigest() for sim, digest in digests}
     assert got == FIG4B_LIGHT
+    (point,) = result.points
+    for scheduler in ("pcmig", "hotpotato"):
+        assert _accounting(getattr(point, scheduler)) == ACCOUNTING[
+            f"fig4b-light/{scheduler}"
+        ]
 
 
-def _fig4a_hotpotato_digest(digests, benchmark):
+def _fig4a_digest(digests, benchmark, scheduler):
     cfg = table1()
     model = SimContext(cfg).thermal_model
-    fig4a._simulate_cell(
-        benchmark, "hotpotato", cfg, model, seed=42, work_scale=2.5, max_time_s=5.0
+    result = fig4a._simulate_cell(
+        benchmark, scheduler, cfg, model, seed=42, work_scale=2.5, max_time_s=5.0
     )
+    assert _accounting(result) == ACCOUNTING[f"{benchmark}/{scheduler}"]
     ((_, digest),) = digests
     return digest.hexdigest()
 
 
 def test_fig4a_cell_intervals_byte_identical(digests):
-    got = _fig4a_hotpotato_digest(digests, "blackscholes")
+    got = _fig4a_digest(digests, "blackscholes", "hotpotato")
     assert got == FIG4A_BLACKSCHOLES_HOTPOTATO
 
 
 def test_fig4a_canneal_cell_intervals_byte_identical(digests):
-    assert _fig4a_hotpotato_digest(digests, "canneal") == FIG4A_CANNEAL_HOTPOTATO
+    assert _fig4a_digest(digests, "canneal", "hotpotato") == FIG4A_CANNEAL_HOTPOTATO
+
+
+@pytest.mark.parametrize("workload", sorted(FIG4A_PCMIG))
+def test_fig4a_pcmig_cell_intervals_byte_identical(digests, workload):
+    assert _fig4a_digest(digests, workload, "pcmig") == FIG4A_PCMIG[workload]
+
+
+def test_hotpotato_dvfs_intervals_byte_identical(digests):
+    cfg = motivational()
+    tasks = materialize(homogeneous_fill("swaptions", 16, seed=2))
+    sim = IntervalSimulator(cfg, HotPotatoDvfsScheduler(), tasks, ctx=SimContext(cfg))
+    result = sim.run(max_time_s=0.1)
+    ((_, digest),) = digests
+    assert digest.hexdigest() == HOTPOTATO_DVFS
+    assert _accounting(result) == ACCOUNTING["hotpotato-dvfs"]

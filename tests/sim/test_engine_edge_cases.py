@@ -42,6 +42,33 @@ class TestEdgeCases:
         assert record.arrival_s == pytest.approx(0.00037)
         assert record.completion_s > record.arrival_s
 
+    def test_task_without_work_completes_after_its_first_interval(
+        self, cfg16, model16
+    ):
+        """No thread of an all-empty task ever reaches its barrier, so the
+        engine must still see it complete at the end of its first interval,
+        while the other task keeps running."""
+
+        class NoWork:
+            """canneal's performance and power, but no instructions."""
+
+            def __getattr__(self, name):
+                return getattr(PARSEC["canneal"], name)
+
+            def build_phases(self, n_threads, seed=0):
+                return [np.zeros(n_threads), np.zeros(n_threads)]
+
+        empty = Task(1, NoWork(), 2, arrival_time_s=0.001)
+        tasks = [Task(0, PARSEC["canneal"], 2, seed=1), empty]
+        sim = IntervalSimulator(
+            cfg16, PeakFrequencyScheduler(), tasks, ctx=SimContext(cfg16, model16)
+        )
+        result = sim.run(max_time_s=2.0)
+        by_id = {record.task_id: record for record in result.tasks}
+        assert by_id[1].completion_s == pytest.approx(0.001 + cfg16.sim_interval_s)
+        assert by_id[0].completion_s > by_id[1].completion_s
+        assert empty.instructions_retired() == 0.0
+
     def test_simultaneous_arrivals(self, cfg16, model16):
         tasks = [
             Task(i, PARSEC["canneal"], 2, arrival_time_s=0.005, seed=i)

@@ -27,46 +27,56 @@ def _record(history, slot, now_s, power_w, dt_s):
     history.record(np.array([slot]), now_s, np.array([power_w]), dt_s)
 
 
+def _average(history, slot):
+    """The slot's window average, or None without history."""
+    window = history.window()
+    return float(window.average_w[slot]) if window.has_history[slot] else None
+
+
+def _recent(history, slot):
+    """The slot's latest sample, or None without history."""
+    window = history.window()
+    return float(window.recent_w[slot]) if window.has_history[slot] else None
+
+
 class TestWindowAverage:
     def test_single_sample(self, history):
         _record(history, 0, 0.0, 5.0, 1e-3)
-        assert history.average(0) == pytest.approx(5.0)
+        assert _average(history, 0) == pytest.approx(5.0)
 
     def test_time_weighted(self, history):
         _record(history, 0, 0.0, 8.0, 1e-3)
         _record(history, 0, 1e-3, 2.0, 3e-3)
         # (8*1 + 2*3) / 4
-        assert history.average(0) == pytest.approx(3.5)
+        assert _average(history, 0) == pytest.approx(3.5)
 
     def test_window_eviction(self, history):
         _record(history, 0, 0.0, 100.0, 1e-3)
         for k in range(1, 25):
             _record(history, 0, k * 1e-3, 2.0, 1e-3)
         # the 100 W sample is > 10 ms old: evicted
-        assert history.average(0) == pytest.approx(2.0)
+        assert _average(history, 0) == pytest.approx(2.0)
 
     def test_recent_returns_last_sample(self, history):
         _record(history, 0, 0.0, 8.0, 1e-3)
         _record(history, 0, 1e-3, 2.0, 1e-3)
-        assert history.recent(0) == pytest.approx(2.0)
+        assert _recent(history, 0) == pytest.approx(2.0)
 
-    def test_unknown_thread_raises(self, history):
-        with pytest.raises(KeyError):
-            history.average(5)
-        with pytest.raises(KeyError):
-            history.recent(5)
+    def test_unknown_slot_has_no_history(self, history):
+        _record(history, 0, 0.0, 5.0, 1e-3)
+        assert _average(history, 5) is None
+        assert _recent(history, 5) is None
 
     def test_forget(self, history):
         _record(history, 0, 0.0, 5.0, 1e-3)
         history.forget(0)
-        with pytest.raises(KeyError):
-            history.average(0)
+        assert _average(history, 0) is None
 
     def test_threads_isolated(self, history):
         _record(history, 0, 0.0, 8.0, 1e-3)
         _record(history, 1, 0.0, 2.0, 1e-3)
-        assert history.average(0) == pytest.approx(8.0)
-        assert history.average(1) == pytest.approx(2.0)
+        assert _average(history, 0) == pytest.approx(8.0)
+        assert _average(history, 1) == pytest.approx(2.0)
 
 
 class _Reference:
@@ -97,8 +107,8 @@ class TestSummationOrder:
         # sum would keep the 2 and average to (1e16 + 2) / 3
         for k, power in enumerate((1e16, 1.0, 1.0)):
             _record(history, 0, k * 1.0e-3, power, 1.0)
-        assert history.average(0) == 1e16 / 3
-        assert history.average(0) != (1e16 + 2) / 3
+        assert _average(history, 0) == 1e16 / 3
+        assert _average(history, 0) != (1e16 + 2) / 3
 
     def test_interval_batch_equals_scalar_records(self):
         batched = _PowerHistory(window_s=10e-3)
@@ -109,7 +119,7 @@ class TestSummationOrder:
             for slot, power in zip((2, 0, 5), powers * (k + 1)):
                 _record(scalar, slot, k * 0.5e-3, power, 0.5e-3)
         for slot in (0, 2, 5):
-            assert batched.average(slot) == scalar.average(slot)
+            assert _average(batched, slot) == _average(scalar, slot)
 
     def test_out_of_order_record_rejected(self, history):
         _record(history, 0, 1e-3, 5.0, 1e-3)
@@ -159,9 +169,8 @@ def test_window_average_bit_exact(intervals):
         history.record(np.array(slots, dtype=int), now, np.array(powers), dt)
         for slot in range(len(actions)):
             if slot in reference.samples:
-                assert history.average(slot) == reference.average(slot)
-                assert history.recent(slot) == reference.samples[slot][-1][1]
+                assert _average(history, slot) == reference.average(slot)
+                assert _recent(history, slot) == reference.samples[slot][-1][1]
             else:
-                with pytest.raises(KeyError):
-                    history.average(slot)
+                assert _average(history, slot) is None
         now += dt

@@ -42,12 +42,12 @@ class TestBarrierSemantics:
         assert not task.threads[1].active
 
     def test_phase_does_not_advance_until_done(self, task):
-        task.advance(0, 1.0)
+        task.retire([1.0, 0.0])
         assert not task.try_advance_phase()
         assert task.phase_index == 0
 
     def test_phase_advances_at_barrier(self, task):
-        task.advance(0, task.remaining_in_phase(0))
+        task.retire([task.remaining_in_phase(0), 0.0])
         assert task.try_advance_phase()
         assert task.phase_index == 1
         # now the slave works and the master waits
@@ -56,24 +56,23 @@ class TestBarrierSemantics:
 
     def test_advance_caps_at_remaining(self, task):
         remaining = task.remaining_in_phase(0)
-        done = task.advance(0, remaining * 10)
+        done = task.retire([remaining * 10, 0.0])[0]
         assert done == pytest.approx(remaining)
         assert task.remaining_in_phase(0) == 0.0
 
     def test_waiting_thread_retires_nothing(self, task):
-        assert task.advance(1, 1e6) == 0.0
+        assert task.retire([0.0, 1e6])[1] == 0.0
 
     def test_negative_advance_rejected(self, task):
         with pytest.raises(ValueError):
-            task.advance(0, -1.0)
+            task.retire([-1.0, 0.0])
 
 
 class TestCompletion:
     def run_to_completion(self, task):
         guard = 0
         while not task.complete:
-            for index in range(task.n_threads):
-                task.advance(index, 1e9)
+            task.retire(np.full(task.n_threads, 1e9))
             task.try_advance_phase()
             guard += 1
             assert guard < 100
@@ -96,7 +95,7 @@ class TestCompletion:
 
     def test_no_work_after_completion(self, task):
         self.run_to_completion(task)
-        assert task.advance(0, 1e6) == 0.0
+        assert task.retire([1e6, 0.0])[0] == 0.0
         assert not task.thread_has_work(0)
         assert not task.try_advance_phase()
 

@@ -52,9 +52,10 @@ PERF_GATES=(
 )
 
 # Golden cells of the two sweep workloads tier-1 does not pin (it pins
-# fig4b-light): one short `python -m bench measure` each, whose last line
-# must report the cells equal to bench/golden.json.
-GOLDEN_WORKLOADS=(fig4a-closed fig4b-saturated)
+# fig4b-light), and serve-mixed's phase-A digest (its `/v1/simulate`
+# answers run the engine): one short `python -m bench measure` each, whose
+# last line must report the outputs equal to bench/golden.json.
+GOLDEN_WORKLOADS=(fig4a-closed fig4b-saturated serve-mixed)
 
 golden() {
     local workload last

@@ -79,6 +79,8 @@ class Scheduler(abc.ABC):
     def __init__(self) -> None:
         self.ctx: Optional["SimContext"] = None
         self._queue: List[Task] = []
+        #: thread ids of the queued tasks, or None when the queue changed
+        self._waiting: Optional[Set[str]] = None
         #: current degradation mode (None until the first finalize under
         #: fault injection; stays None on the fault-free fast path)
         self._degradation_mode: Optional[str] = None
@@ -98,18 +100,23 @@ class Scheduler(abc.ABC):
             self._admit(task, now_s)
         else:
             self._queue.append(task)
+            self._waiting = None
 
     def on_task_complete(self, task: Task, now_s: float) -> None:
         """Release the task's cores, then drain the queue FIFO."""
         self._release(task, now_s)
         while self._queue and self._can_admit(self._queue[0]):
             self._admit(self._queue.pop(0), now_s)
+            self._waiting = None
 
     def waiting_threads(self) -> Set[str]:
-        """Thread ids of all queued tasks."""
-        return {
-            thread.thread_id for task in self._queue for thread in task.threads
-        }
+        """Thread ids of all queued tasks (shared until the queue changes:
+        treat it as read-only)."""
+        if self._waiting is None:
+            self._waiting = {
+                thread.thread_id for task in self._queue for thread in task.threads
+            }
+        return self._waiting
 
     @property
     def queue_length(self) -> int:

@@ -100,12 +100,16 @@ class HotPotatoScheduler(Scheduler):
         #: True once a refresh changed nothing — skip further refreshes
         #: until arrivals/exits or estimate drift dirty the state again.
         self._settled = False
+        #: every core at f_max (read-only, shared by every decision)
+        self._f_max: Optional[np.ndarray] = None
         #: observability counters (published via :meth:`metrics`)
         self._refresh_count = 0
         self._urgent_refresh_count = 0
 
     def attach(self, ctx) -> None:
         super().attach(ctx)
+        self._f_max = np.full(ctx.n_cores, ctx.config.dvfs.f_max_hz)
+        self._f_max.flags.writeable = False
         thermal = ctx.config.thermal
         self._nominal_headroom_c = (
             self._headroom_override
@@ -257,10 +261,9 @@ class HotPotatoScheduler(Scheduler):
         self._advance_epoch(now_s)
         schedule = self.hotpotato.schedule()
         placements = schedule.placement_at(self._epoch)
-        freqs = np.full(self.ctx.n_cores, self.ctx.config.dvfs.f_max_hz)
         return SchedulerDecision(
             placements=placements,
-            frequencies=freqs,
+            frequencies=self._f_max,
             waiting=self.waiting_threads(),
             tau_s=self.hotpotato.tau_s,
         )

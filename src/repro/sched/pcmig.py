@@ -73,6 +73,13 @@ class PCMigScheduler(PCGovScheduler):
         self.prediction_horizon_s = prediction_horizon_s
         self.guard_band_c = guard_band_c
         self.migration_decisions = 0
+        #: the last power map lifted onto the node vector, and its lift
+        self._lift_key: Optional[bytes] = None
+        self._lift: Optional[np.ndarray] = None
+
+    def attach(self, ctx) -> None:
+        super().attach(ctx)
+        self._lift_key = None
 
     # -- prediction ---------------------------------------------------------------
 
@@ -97,10 +104,15 @@ class PCMigScheduler(PCGovScheduler):
         power[cores[known]] = window.average_w[slots[known]]
         # lift core temps onto the full node vector: approximate cooling
         # nodes with their idle-steady values (the engine only exposes core
-        # temperatures, as a real sensor array would)
+        # temperatures, as a real sensor array would); the steady state of
+        # a power map byte-equal to the last one is the last lift
         model = self.ctx.thermal_model
         ambient = self.ctx.config.thermal.ambient_c
-        nodes = model.steady_state(power, ambient)
+        key = power.tobytes()
+        if key != self._lift_key:
+            self._lift = model.steady_state(power, ambient)
+            self._lift_key = key
+        nodes = self._lift.copy()
         nodes[: model.n_cores] = temps_now
         # one-shot what-if: eigenbasis step, no second steady-state solve
         future = self.ctx.dynamics.step_spectral(
@@ -111,15 +123,19 @@ class PCMigScheduler(PCGovScheduler):
     # -- migration ------------------------------------------------------------------
 
     def _maybe_migrate(self) -> None:
+        # with no free core there is nowhere to migrate to: skip the predictor
+        free = self._placer.free_cores()
+        if not free:
+            return
         predicted = self._predicted_core_temps()
         if predicted is None:
             return
         threshold = self.ctx.config.thermal.dtm_threshold_c - self.guard_band_c
+        _, cores = self._placer.slot_arrays(self.ctx)
+        if not (predicted[cores] > threshold).any():
+            return
         placements = self._placer.placements
         occupied = {core: t for t, core in placements.items()}
-        free = self._placer.free_cores()
-        if not free:
-            return
         endangered = [
             core
             for core in occupied

@@ -17,7 +17,12 @@ power.  This engine reproduces that loop on top of our substrates:
    stacks, power history, task progress), so an interval retires every
    placed thread in one array operation and schedulers read every
    thread's window-average power as one slot vector
-   (:meth:`~repro.sim.context.SimContext.power_window`);
+   (:meth:`~repro.sim.context.SimContext.power_window`).  An interval
+   that repeats the previous decision (same placements, waiting set,
+   live threads and DTM-applied frequencies) reuses the slot, core and
+   rate arrays derived for it (:class:`_Plan`), and also its time-stack
+   increments and power sample when ``dt`` and every thread's execution
+   time and retired instructions are byte-equal too;
 6. build the per-core power map from each thread's compute/stall split and
    advance the RC thermal state **exactly** (matrix-exponential step — no
    integration error regardless of interval length).  The state lives in
@@ -110,8 +115,12 @@ class _PowerHistory:
     window holds its samples no older than ``window_s`` before its own
     latest sample, exactly as a per-thread deque evicting from the front
     on every append would.  The ring only overwrites a column that is
-    zero for every slot, and doubles otherwise.  Admitted threads are
-    placed, so record, every interval (the :class:`SchedulerDecision`
+    zero for every slot, and doubles otherwise.  Only the newest ``_span``
+    columns can hold a sample: eviction and the window sum touch those
+    alone, and the span sheds its oldest columns once eviction has
+    cleared them for every slot, so a record evicts from about the one
+    column that just left the window.  Admitted threads are placed, so
+    record, every interval (the :class:`SchedulerDecision`
     contract), which keeps the ring about one window wide; a slot that
     stopped recording while holding samples would pin its columns and
     make the ring grow until the slot records again or is forgotten.
@@ -137,6 +146,8 @@ class _PowerHistory:
         self._col = width - 1
         #: column indices oldest first, by latest column (per ring width)
         self._orders: Dict[int, np.ndarray] = {}
+        #: the newest columns that may hold a sample (all older are zero)
+        self._span = 0
         self._has = np.zeros(slots, dtype=bool)
         self._recent = np.zeros(slots)
         #: the observations of the current samples, or None when stale
@@ -182,22 +193,35 @@ class _PowerHistory:
         """
         if now_s < self._time[self._col]:
             raise ValueError("power samples must be recorded in time order")
+        width = self._time.shape[0]
         col = self._col + 1
-        if col == self._time.shape[0]:
+        if col == width:
             col = 0
-        if np.count_nonzero(self._samples[col]):
+        if self._span == width and np.count_nonzero(self._samples[col]):
             # the oldest column still holds a sample inside some window
             self._widen()
+            width = self._time.shape[0]
             col = self._col + 1
         self._col = col
         self._time[col] = now_s
-        column = self._samples[col]
+        samples = self._samples
+        column = samples[col]
         column[0, slots] = power_w * dt_s
         column[1, slots] = dt_s
-        # evict: the recording slots' samples older than the window
-        old = np.flatnonzero(self._time < now_s - self.window_s)
-        if old.size:
-            self._samples[old[:, None], :, slots] = 0.0
+        # evict: the recording slots' samples older than the window; in
+        # age order, those columns are the oldest of the span
+        order = self._age_order()
+        first = width - min(self._span + 1, width)
+        cutoff = now_s - self.window_s
+        time = self._time
+        end = first
+        while end < width and time[order[end]] < cutoff:
+            end += 1
+        if end > first:
+            samples[order[first:end, None], :, slots] = 0.0
+            while first < end and not np.count_nonzero(samples[order[first]]):
+                first += 1
+        self._span = width - first
         self._has[slots] = True
         self._recent[slots] = power_w
         self._window = None
@@ -205,8 +229,13 @@ class _PowerHistory:
     def window(self) -> PowerWindow:
         """Every slot's window average, latest sample and has-history flag."""
         if self._window is None:
-            ordered = self._samples.take(self._age_order(), axis=0)
-            energy, time = np.add.accumulate(ordered, axis=0)[-1]
+            if self._span:
+                # the columns before the span are zero: they add nothing
+                order = self._age_order()[-self._span :]
+                ordered = self._samples.take(order, axis=0)
+                energy, time = np.add.accumulate(ordered, axis=0)[-1]
+            else:
+                energy = time = np.zeros(self._has.shape[0])
             has = self._has.copy()
             # a slot without samples divides 0 by 1 (and is masked out)
             self._window = PowerWindow(
@@ -279,6 +308,51 @@ class _RateTable:
         return index
 
 
+class _Plan:
+    """What the engine derived from one decision, kept for the next interval.
+
+    The key is the decision's placements (in order), its waiting set, the
+    live-set version and the DTM-applied frequency bytes.  When the next
+    interval's key is equal, its queued slots, placed slots and cores and
+    the gathered rate factors are exactly what a fresh derivation would
+    give.  The sample (the time-stack increments ``spent``, the per-thread
+    power and the power map) is a pure function of those factors and of
+    ``dt``, the per-thread execution time and the retired instructions;
+    ``sample_key`` holds the latter three, and the sample is recomputed
+    whenever any of them differs.
+    """
+
+    __slots__ = (
+        "items",
+        "waiting",
+        "version",
+        "freqs",
+        "queued",
+        "slots",
+        "cores",
+        "factors",
+        "sample_key",
+        "spent",
+        "thread_power",
+        "power",
+    )
+
+    def __init__(self, items, waiting, version, freqs, queued, slots, cores, factors):
+        self.items = items
+        self.waiting = waiting
+        self.version = version
+        self.freqs = freqs
+        self.queued = queued
+        self.slots = slots
+        self.cores = cores
+        #: tpi_s, compute, stall, dynamic_w, idle_w per placed thread
+        self.factors = factors
+        self.sample_key: Optional[Tuple[float, bytes, bytes]] = None
+        self.spent: Optional[np.ndarray] = None
+        self.thread_power: Optional[np.ndarray] = None
+        self.power: Optional[np.ndarray] = None
+
+
 class IntervalSimulator:
     """Run one scheduler over one task set on one platform."""
 
@@ -311,6 +385,12 @@ class IntervalSimulator:
         # per-thread state lives in arrays indexed by a thread *slot*: an
         # integer a thread takes at arrival and gives back at completion
         self._live: Dict[str, int] = {}
+        #: bumped whenever a thread takes or gives back a slot
+        self._live_version = 0
+        #: the last interval's plan (None before the first decision)
+        self._plan: Optional[_Plan] = None
+        #: (dtype, bytes) of the last frequency vector found finite
+        self._finite_freqs: Optional[Tuple[np.dtype, bytes]] = None
         self._slot_task: List[Optional[Task]] = []
         self._slot_profile: List[int] = []
         #: per-slot rate-table row, and the frequency it was looked up
@@ -401,6 +481,7 @@ class IntervalSimulator:
         task's progress into the slot arrays."""
         profile = self._rates.profile_key(task.profile)
         self._unseen += task.n_threads
+        self._live_version += 1
         slots = []
         for thread in task.threads:
             if self._free_slots:
@@ -440,6 +521,7 @@ class IntervalSimulator:
 
     def _release_slots(self, task: Task) -> None:
         task.unbind()
+        self._live_version += 1
         for thread in task.threads:
             slot = self._live.pop(thread.thread_id)
             self._settle_breakdown(thread.thread_id, slot)
@@ -485,32 +567,76 @@ class IntervalSimulator:
                 self._obs_epoch_start_s, self._obs_epoch, tau_s
             )
 
-    def _validate(self, decision: SchedulerDecision) -> None:
-        live = self._live
-        placed = decision.placements
-        waiting = decision.waiting
-        if any(thread in placed for thread in waiting):
-            raise ValueError("a thread is both placed and waiting")
-        if (
-            len(placed) + len(waiting) != len(live)
-            or not all(map(live.__contains__, placed))
-            or not all(map(live.__contains__, waiting))
-        ):
-            accounted = set(placed) | set(waiting)
-            missing = set(live) - accounted
-            extra = accounted - set(live)
-            raise ValueError(
-                f"scheduler placement mismatch: missing={sorted(missing)[:4]} "
-                f"extra={sorted(extra)[:4]}"
-            )
-        if len(set(placed.values())) != len(placed):
-            raise ValueError("scheduler placed two threads on one core")
-        if decision.frequencies.shape != (self.ctx.n_cores,):
+    def _repeats(self, decision: SchedulerDecision) -> bool:
+        """Whether ``decision`` places and queues exactly the threads the
+        last plan did, in the same order, over the same live threads."""
+        plan = self._plan
+        return (
+            plan is not None
+            and plan.version == self._live_version
+            and plan.waiting == decision.waiting
+            and plan.items == list(decision.placements.items())
+        )
+
+    def _validate(self, decision: SchedulerDecision, repeat: bool = False) -> None:
+        """Reject a malformed decision.  A ``repeat`` (see :meth:`_repeats`)
+        has the placements of an already validated one."""
+        if not repeat:
+            live = self._live
+            placed = decision.placements
+            waiting = decision.waiting
+            if any(thread in placed for thread in waiting):
+                raise ValueError("a thread is both placed and waiting")
+            if (
+                len(placed) + len(waiting) != len(live)
+                or not all(map(live.__contains__, placed))
+                or not all(map(live.__contains__, waiting))
+            ):
+                accounted = set(placed) | set(waiting)
+                missing = set(live) - accounted
+                extra = accounted - set(live)
+                raise ValueError(
+                    f"scheduler placement mismatch: missing={sorted(missing)[:4]} "
+                    f"extra={sorted(extra)[:4]}"
+                )
+            if len(set(placed.values())) != len(placed):
+                raise ValueError("scheduler placed two threads on one core")
+        freqs = decision.frequencies
+        if freqs.shape != (self.ctx.n_cores,):
             raise ValueError("frequency vector has wrong shape")
-        if not np.isfinite(np.asarray(decision.frequencies, dtype=float)).all():
-            # a NaN sensor reading that leaked through scheduler arithmetic
-            # would otherwise silently poison power, energy and temperatures
-            raise ValueError("scheduler produced non-finite frequencies")
+        checked = (freqs.dtype, freqs.tobytes())
+        if checked != self._finite_freqs:
+            if not np.isfinite(np.asarray(freqs, dtype=float)).all():
+                # a NaN sensor reading that leaked through scheduler
+                # arithmetic would otherwise silently poison power, energy
+                # and temperatures
+                raise ValueError("scheduler produced non-finite frequencies")
+            self._finite_freqs = checked
+
+    def _charge_moves(self, decision: SchedulerDecision, now: float) -> None:
+        """Charge the decision's migrations against the previous one's."""
+        moves = self._accountant.charge_moves(
+            self._prev_placements, decision.placements
+        )
+        if self.events is not None:
+            for thread, src, dst in moves:
+                self.events.record(
+                    ThreadMigrated(
+                        now,
+                        thread,
+                        src,
+                        dst,
+                        self.ctx.migration.migration_penalty_s(src, dst),
+                    )
+                )
+        if self._metrics is not None and moves:
+            self._metrics.counter("engine.migrations").inc(len(moves))
+            for _, _, dst in moves:
+                ring = self.ctx.rings.ring_of(dst)
+                self._metrics.counter(
+                    f"engine.migrations.to_ring.{ring}"
+                ).inc()
+        self._prev_placements = dict(decision.placements)
 
     def _note_dtm_transitions(
         self, now: float, before: np.ndarray, after: np.ndarray, temps: np.ndarray
@@ -737,33 +863,16 @@ class IntervalSimulator:
             decision = self._timed_scheduler_call(
                 self.scheduler.decide, now, metric="decision"
             )
-        self._validate(decision)
+        repeat = self._repeats(decision)
+        self._validate(decision, repeat)
         if self._injector is not None:
             decision = self._apply_faults(decision, now)
+            repeat = self._repeats(decision)
         if self._recorder is not None:
             self._track_epoch(now, decision.tau_s)
-        moves = self._accountant.charge_moves(
-            self._prev_placements, decision.placements
-        )
-        if self.events is not None:
-            for thread, src, dst in moves:
-                self.events.record(
-                    ThreadMigrated(
-                        now,
-                        thread,
-                        src,
-                        dst,
-                        self.ctx.migration.migration_penalty_s(src, dst),
-                    )
-                )
-        if self._metrics is not None and moves:
-            self._metrics.counter("engine.migrations").inc(len(moves))
-            for _, _, dst in moves:
-                ring = self.ctx.rings.ring_of(dst)
-                self._metrics.counter(
-                    f"engine.migrations.to_ring.{ring}"
-                ).inc()
-        self._prev_placements = dict(decision.placements)
+        # a repeat places every thread where the last decision did: no moves
+        if not repeat:
+            self._charge_moves(decision, now)
 
         # 4. DTM
         if self.dtm_enabled:
@@ -784,7 +893,7 @@ class IntervalSimulator:
             if self._profiler is not None
             else 0.0
         )
-        power = self._execute(decision, freqs, now, dt)
+        power = self._execute(decision, freqs, now, dt, repeat)
         if self._profiler is not None:
             self._profiler.end("power_map.build", power_token)
         if self._injector is not None:
@@ -795,7 +904,12 @@ class IntervalSimulator:
         return IntervalPlan("active", now, dt, power, decision, freqs)
 
     def _execute(
-        self, decision: SchedulerDecision, freqs: np.ndarray, now: float, dt: float
+        self,
+        decision: SchedulerDecision,
+        freqs: np.ndarray,
+        now: float,
+        dt: float,
+        repeat: bool,
     ) -> np.ndarray:
         """Phases 5-6: advance every placed thread and build the power map.
 
@@ -810,8 +924,12 @@ class IntervalSimulator:
         task whose thread reached zero remaining share is queued for the
         barrier check in :meth:`complete_interval`: every phase a task
         enters holds work, so only such a task can pass its barrier.
+
+        The arrays derived from the decision come from the last
+        interval's :class:`_Plan` when ``repeat`` holds and DTM applied
+        the same frequencies; its sample is reused when ``dt`` and every
+        thread's execution time and retired instructions are byte-equal.
         """
-        power = np.full(self.ctx.n_cores, self._idle_power)
         placed = decision.placements
         stack = self._time_stack
         breakdown = self._breakdown
@@ -822,12 +940,59 @@ class IntervalSimulator:
                 if thread_id not in breakdown:
                     breakdown[thread_id] = TimeBreakdown()
                     self._unseen -= 1
-        if decision.waiting:
-            queued = [self._live[thread_id] for thread_id in decision.waiting]
-            stack[4, queued] += dt
-        if not placed:
-            return power
+        plan = self._plan
+        freq_bytes = freqs.tobytes()
+        if not repeat or plan.freqs != freq_bytes:
+            plan = self._plan = self._derive_plan(decision, freqs, freq_bytes)
+        if plan.queued.size:
+            stack[4, plan.queued] += dt
+        slots = plan.slots
+        if not slots.size:
+            return np.full(self.ctx.n_cores, self._idle_power)
+        tpi, compute_b, stall_b, dynamic_w, idle_w = plan.factors
+        exec_time = self._accountant.consume_debts(placed, dt)
+        done, emptied = self._progress.retire(slots, exec_time / tpi)
+        if emptied.any():
+            tasks = self._slot_task
+            self._at_barrier.update(tasks[slot] for slot in slots[emptied].tolist())
+        self._instructions_retired = float(
+            np.add.accumulate(np.concatenate(([self._instructions_retired], done)))[-1]
+        )
+        sample_key = (dt, exec_time.tobytes(), done.tobytes())
+        if sample_key != plan.sample_key:
+            busy_time = done * tpi
+            migration_time = dt - exec_time
+            # this interval's time stack: compute, stall, migration, wait
+            spent = np.empty((4, len(slots)))
+            compute_s = np.multiply(compute_b, busy_time, out=spent[0])
+            stall_s = np.multiply(stall_b, busy_time, out=spent[1])
+            spent[2] = migration_time
+            np.subtract(exec_time, busy_time, out=spent[3])
+            # migration debt keeps the memory system busy (refills)
+            thread_power = self.ctx.power_model.core_power_array(
+                dynamic_w,
+                idle_w,
+                compute_s / dt,
+                stall_s / dt + migration_time / dt,
+            )
+            power = np.full(self.ctx.n_cores, self._idle_power)
+            power[plan.cores] = thread_power
+            power.flags.writeable = False
+            plan.sample_key = sample_key
+            plan.spent, plan.thread_power, plan.power = spent, thread_power, power
+        self._history.record(slots, now, plan.thread_power, dt)
+        stack[:4, slots] += plan.spent
+        return plan.power
+
+    def _derive_plan(
+        self, decision: SchedulerDecision, freqs: np.ndarray, freq_bytes: bytes
+    ) -> _Plan:
+        """The slot, core and rate arrays of ``decision`` under ``freqs``."""
+        placed = decision.placements
         live = self._live
+        queued = np.array(
+            [live[thread_id] for thread_id in decision.waiting], dtype=np.intp
+        )
         slots = np.array([live[thread_id] for thread_id in placed], dtype=np.intp)
         cores = np.fromiter(placed.values(), np.intp, len(placed))
         # a slot's rate row changes only with its core's frequency
@@ -841,34 +1006,16 @@ class IntervalSimulator:
             )
             self._slot_f[renew] = f_hz[stale]
         rows = self._slot_row[slots]
-        tpi, compute_b, stall_b, dynamic_w, idle_w = self._rates.table[rows, cores].T
-        exec_time = self._accountant.consume_debts(placed, dt)
-        migration_time = dt - exec_time
-        done, emptied = self._progress.retire(slots, exec_time / tpi)
-        if emptied.any():
-            tasks = self._slot_task
-            self._at_barrier.update(tasks[slot] for slot in slots[emptied].tolist())
-        self._instructions_retired = float(
-            np.add.accumulate(np.concatenate(([self._instructions_retired], done)))[-1]
+        return _Plan(
+            list(placed.items()),
+            set(decision.waiting),
+            self._live_version,
+            freq_bytes,
+            queued,
+            slots,
+            cores,
+            self._rates.table[rows, cores].T,
         )
-        busy_time = done * tpi
-        # this interval's time stack: compute, stall, migration, wait
-        spent = np.empty((4, len(slots)))
-        compute_s = np.multiply(compute_b, busy_time, out=spent[0])
-        stall_s = np.multiply(stall_b, busy_time, out=spent[1])
-        spent[2] = migration_time
-        np.subtract(exec_time, busy_time, out=spent[3])
-        # migration debt keeps the memory system busy (refills)
-        thread_power = self.ctx.power_model.core_power_array(
-            dynamic_w,
-            idle_w,
-            compute_s / dt,
-            stall_s / dt + migration_time / dt,
-        )
-        power[cores] = thread_power
-        self._history.record(slots, now, thread_power, dt)
-        stack[:4, slots] += spent
-        return power
 
     def step_thermal(self, plan: IntervalPlan) -> None:
         """Phase 7: exact thermal step (eigenbasis-resident: O(N) decay +

@@ -224,8 +224,9 @@ class ThermalDynamics:
         projections plus ``O(N n)`` work, with no steady-state solve and
         no ``exp(C tau)`` matrix.  PCMig's violation predictor steps
         through here, but it still pays one ``steady_state`` solve just
-        before each call to lift its core readings onto a full node
-        vector.  Callers that step *repeatedly* should hold a
+        before a call whose power map differs from the previous call's,
+        to lift its core readings onto a full node vector.  Callers that
+        step *repeatedly* should hold a
         :class:`~repro.thermal.spectral_state.SpectralThermalState` instead,
         which amortizes both projections away entirely.
         """

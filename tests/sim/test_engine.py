@@ -5,6 +5,7 @@ import pytest
 
 from repro import config
 from repro.obs import Observer, TraceRecorder
+from repro.sched.base import Scheduler, SchedulerDecision
 from repro.sched.fixed_rotation import FixedRotationScheduler
 from repro.sched.naive import PeakFrequencyScheduler
 from repro.sim.context import SimContext
@@ -258,3 +259,105 @@ class TestSchedulerValidation:
         sim = make_sim(cfg, shared_model, ForgetfulScheduler(), tasks)
         with pytest.raises(ValueError, match="mismatch"):
             sim.run(max_time_s=0.1)
+
+
+class _Replaying(Scheduler):
+    """Keeps returning one placement, whatever arrives or exits;
+    ``frequencies(k)`` gives the k-th decision's vector."""
+
+    name = "replaying"
+
+    def __init__(self, placements, frequencies=lambda k: np.full(16, 4.0e9)):
+        super().__init__()
+        self._placements = placements
+        self._frequencies = frequencies
+        self.calls = 0
+
+    def _can_admit(self, task):
+        return True
+
+    def _admit(self, task, now_s):
+        pass
+
+    def _release(self, task, now_s):
+        pass
+
+    def decide(self, now_s):
+        self.calls += 1
+        return SchedulerDecision(
+            placements=dict(self._placements),
+            frequencies=self._frequencies(self.calls),
+        )
+
+
+class TestRepeatedDecisions:
+    """An interval that repeats the previous decision reuses what the
+    engine derived from it, but never skips a check it could fail."""
+
+    F_MAX = np.full(16, 4.0e9)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.where(np.arange(16) == 7, np.nan, 4.0e9),
+            # byte-equal to the vector already found finite, wrong shape
+            np.full(16, 4.0e9).reshape(2, 8),
+        ],
+        ids=["nan", "wrong-shape"],
+    )
+    def test_repeated_placement_with_bad_frequencies_rejected(
+        self, cfg, shared_model, bad
+    ):
+        scheduler = _Replaying(
+            {"0.0": 3, "0.1": 5}, lambda k: self.F_MAX if k < 4 else bad
+        )
+        tasks = [Task(0, PARSEC["canneal"], 2, seed=1)]
+        sim = make_sim(cfg, shared_model, scheduler, tasks)
+        with pytest.raises(ValueError, match="non-finite|wrong shape"):
+            sim.run(max_time_s=0.1)
+        assert scheduler.calls == 4
+
+    def test_arrival_between_equal_decisions_is_revalidated(
+        self, cfg, shared_model
+    ):
+        tasks = [
+            Task(0, PARSEC["canneal"], 2, seed=1),
+            Task(1, PARSEC["canneal"], 2, arrival_time_s=0.002, seed=2),
+        ]
+        scheduler = _Replaying({"0.0": 3, "0.1": 5})
+        sim = make_sim(cfg, shared_model, scheduler, tasks)
+        with pytest.raises(ValueError, match="missing=\\['1.0', '1.1'\\]"):
+            sim.run(max_time_s=0.1)
+        assert sim._now == pytest.approx(0.002)
+
+    def test_exit_between_equal_decisions_is_revalidated(self, cfg, shared_model):
+        tasks = [
+            Task(0, PARSEC["canneal"], 2, seed=1, work_scale=0.1),
+            Task(1, PARSEC["canneal"], 2, seed=2),
+        ]
+        scheduler = _Replaying({"0.0": 3, "0.1": 5, "1.0": 6, "1.1": 9})
+        sim = make_sim(cfg, shared_model, scheduler, tasks)
+        # the replayed decision still places task 0 after it completed
+        with pytest.raises(ValueError, match="extra=\\['0.0', '0.1'\\]"):
+            sim.run(max_time_s=0.1)
+        assert scheduler.calls > 2
+
+    def test_arrivals_and_exits_rebuild_the_plan(self, cfg, shared_model):
+        tasks = [
+            Task(0, PARSEC["canneal"], 2, seed=1),
+            Task(1, PARSEC["canneal"], 2, arrival_time_s=0.004, seed=2),
+        ]
+        sim = make_sim(cfg, shared_model, PeakFrequencyScheduler(), tasks)
+        plans = []
+        derive = sim._derive_plan
+
+        def counted(*args):
+            plans.append(sim._now)
+            return derive(*args)
+
+        sim._derive_plan = counted
+        result = sim.run(max_time_s=2.0)
+        first_exit = min(record.completion_s for record in result.tasks)
+        # the first decision, the arrival, and the exit before the last
+        assert plans == [0.0, pytest.approx(0.004), pytest.approx(first_exit)]
+        assert result.makespan_s > first_exit

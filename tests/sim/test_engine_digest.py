@@ -17,8 +17,9 @@ The HotPotato digests were recorded with the straightforward per-thread
 loop (a dict of power-sample deques summed by ``sum()`` per read, a thread
 lookup by task scan, schedules rebuilt per decision); the PCMig,
 HotPotato-DVFS and accounting pins with thread progress and power reads
-still going thread by thread.  They hold with BLAS pinned to one thread,
-as ``tests/conftest.py`` does.
+still going thread by thread; the PCMig motivational pins before the engine
+reused anything across repeated intervals.  They hold with BLAS pinned to
+one thread, as ``tests/conftest.py`` does.
 """
 
 import hashlib
@@ -29,9 +30,11 @@ from bench.worker import run_pass
 from repro.config import motivational, table1
 from repro.experiments import fig4a
 from repro.sched.hotpotato_dvfs import HotPotatoDvfsScheduler
+from repro.sched.pcmig import PCMigScheduler
 from repro.sim.context import SimContext
 from repro.sim.engine import IntervalSimulator
-from repro.workload.generator import homogeneous_fill, materialize
+from repro.workload.benchmarks import parsec_profile
+from repro.workload.generator import TaskSpec, homogeneous_fill, materialize
 
 #: SHA-256 over every interval of each cell, in simulation order.
 FIG4B_LIGHT = {
@@ -54,6 +57,12 @@ FIG4A_PCMIG = {
 #: a short overloaded run: the throttle engages, so the f_max-referred
 #: estimates and the analytic peak read between decisions are both pinned
 HOTPOTATO_DVFS = "d3aca2046a0f1702880af6a9765a46796e41c40f98efc73d3f1a03c4c63455ee"
+#: PCMig on the 16-core chip, pre-heated so that DTM clamps, PCMig migrates
+#: (threads pay migration debt) and tasks arrive, pass barriers and exit
+#: mid-run: repeated intervals alternate with ones whose inputs changed
+PCMIG_MOTIVATIONAL = (
+    "9d73daab0b84a35d768e3a371eed6b5599ed2c1b6e1ee1a04afac1fb054383dd"
+)
 
 #: (repr of instructions_retired, SHA-256 over energy_per_core_j and the
 #: time breakdown) per cell
@@ -85,6 +94,10 @@ ACCOUNTING = {
     "hotpotato-dvfs": (
         "4160000000.000016",
         "e7ba5a6cecd9702dd29c2a9e09b82ef1eb3baae6b99193a0fb409ddaef2ddcb0",
+    ),
+    "pcmig-motivational": (
+        "1152000000.0000007",
+        "c05f030addd76ddd9603af023e7e6073d59883b336e1adcb365a62fdb4b966f3",
     ),
 }
 
@@ -174,3 +187,34 @@ def test_hotpotato_dvfs_intervals_byte_identical(digests):
     ((_, digest),) = digests
     assert digest.hexdigest() == HOTPOTATO_DVFS
     assert _accounting(result) == ACCOUNTING["hotpotato-dvfs"]
+
+
+def test_pcmig_motivational_intervals_byte_identical(digests):
+    cfg = motivational()
+    arrivals = [
+        ("blackscholes", 4, 0.0),
+        ("swaptions", 4, 0.0),
+        ("bodytrack", 2, 0.002),
+        ("x264", 4, 0.004),
+        ("canneal", 2, 0.010),
+        ("streamcluster", 4, 0.030),
+    ]
+    tasks = materialize(
+        [
+            TaskSpec(parsec_profile(name), n, at, seed=seed, work_scale=0.3)
+            for seed, (name, n, at) in enumerate(arrivals)
+        ]
+    )
+    sim = IntervalSimulator(
+        cfg,
+        PCMigScheduler(),
+        tasks,
+        ctx=SimContext(cfg),
+        warm_start_uniform_power_w=12.0,
+    )
+    result = sim.run(max_time_s=0.08)
+    assert result.dtm_triggers > 0 and result.migration_count > 0
+    assert len(result.tasks) == len(arrivals)
+    ((_, digest),) = digests
+    assert digest.hexdigest() == PCMIG_MOTIVATIONAL
+    assert _accounting(result) == ACCOUNTING["pcmig-motivational"]

@@ -121,6 +121,24 @@ class TestSummationOrder:
         for slot in (0, 2, 5):
             assert _average(batched, slot) == _average(scalar, slot)
 
+    def test_slot_that_stops_recording_matches_deques(self):
+        """Slot 0 records, pauses while slot 1 goes on (its samples pin
+        the columns they sit in, so the ring widens), then resumes: every
+        read matches the per-slot deques bit for bit."""
+        history = _PowerHistory(window_s=10e-3, slots=2, width=2)
+        reference = _Reference(window_s=10e-3)
+        dt = 0.75e-3
+        for k in range(60):
+            now = k * dt
+            slots = [0, 1] if k < 6 or k >= 40 else [1]
+            powers = [1.0 / (3 + k + slot) * 10 ** (slot + k % 5) for slot in slots]
+            history.record(np.array(slots), now, np.array(powers), dt)
+            for slot, power in zip(slots, powers):
+                reference.record(slot, now, power, dt)
+            for slot in (0, 1):
+                assert _average(history, slot) == reference.average(slot)
+                assert _recent(history, slot) == reference.samples[slot][-1][1]
+
     def test_out_of_order_record_rejected(self, history):
         _record(history, 0, 1e-3, 5.0, 1e-3)
         with pytest.raises(ValueError):

@@ -184,10 +184,12 @@ class TestNoDenseSolveInTheLoop:
         monkeypatch.setattr(np.linalg, "solve", counting_dense)
         monkeypatch.setattr(RCThermalModel, "steady_rise", counting_factored)
         cls = PCMigScheduler if scheduler == "pcmig" else HotPotatoScheduler
+        # PCMig predicts only while a core is free to migrate to
+        threads = 48 if scheduler == "pcmig" else 64
         sim = IntervalSimulator(
             cfg64,
             cls(),
-            materialize(homogeneous_fill("blackscholes", 64, seed=1)),
+            materialize(homogeneous_fill("blackscholes", threads, seed=1)),
             ctx=SimContext(cfg64, model64),
         )
         sim.run(max_time_s=0.05)

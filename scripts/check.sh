@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-2 gate: everything a PR must pass, in one command.
 #
-#   scripts/check.sh            # tier-1 pytest + perf gates + golden + domain lint + mypy + ruff
-#   scripts/check.sh --fast     # skip the (slow) pytest, perf-gate and golden runs
+#   scripts/check.sh            # tier-1 pytest + perf gates + golden + hashseed + domain lint + mypy + ruff
+#   scripts/check.sh --fast     # skip the (slow) pytest, perf-gate, golden and hashseed runs
 #
 # The first two stages are self-contained (stdlib + the repo itself).
 # mypy and ruff are optional extras (`pip install .[lint]`); when a tool
@@ -70,14 +70,27 @@ golden() {
     done
 }
 
+# The interval digests and accounting pins under three string hash seeds:
+# no simulated output may follow the order of a set of thread ids.
+hashseed() {
+    local seed
+    for seed in 1 2 3; do
+        echo "PYTHONHASHSEED=$seed"
+        PYTHONHASHSEED="$seed" "$PYTHON" -m pytest -q \
+            tests/sim/test_engine_digest.py || return 1
+    done
+}
+
 if [ "${1:-}" = "--fast" ]; then
     skip_stage pytest "--fast requested"
     skip_stage perf-gates "--fast requested"
     skip_stage golden "--fast requested"
+    skip_stage hashseed "--fast requested"
 else
     run_stage pytest "$PYTHON" -m pytest -q
     run_stage perf-gates "$PYTHON" -m pytest -q "${PERF_GATES[@]}"
     run_stage golden golden
+    run_stage hashseed hashseed
 fi
 
 run_stage lint "$PYTHON" -m repro.lint check src/repro \

@@ -35,6 +35,18 @@ on a ring only when that bound cannot already settle the scan's acceptance
 test.  ``SCREEN_MARGIN_C`` dominates the proven rounding error of both
 evaluations (:meth:`HotPotato.screen_error_bound`), so every decision is the
 one the unscreened scan takes.
+
+**Incumbent from the tables.**  The same linearity scores the current
+schedule itself: its boundary rise is the idle chip's rise plus one product
+of the per-slot excess powers (kept up to date by every placement and power
+update) with the flat table of a rung, cached per (slot version, power
+version).  The peak tests of ``refresh``, ``rebalance`` and the mitigation
+loop, ``_select_tau``'s exit and ladder choice, and the outward scan's
+``current peak - 1e-9`` threshold read that screened peak, and each falls
+back to Algorithm 1 only when its threshold lies within ``SCREEN_MARGIN_C``
+of it (:meth:`HotPotato.incumbent_error_bound` proves the margin holds), so
+again every decision is the exact one.  :meth:`HotPotato.peak_temperature`
+itself stays exact.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ import numpy as np
 
 from .. import units
 from ..arch.amd import AmdRings
+from ..thermal.rc_model import gamma
 from .peak_temperature import PeakTemperatureCalculator
 from .rotation import (
     RotationGroup,
@@ -131,25 +144,46 @@ class HotPotato:
         )
         #: a schedule rotates iff tau is set and some ring has two cores
         self._multi_core_ring = any(len(c) > 1 for c in self._ring_cores)
-        # screen tables per effective tau of the ladder (design time), and
-        # per ring the epochs each slot's track is shifted by over the lcm
-        # horizon: shift[ring][slot, e] = (slot + e) mod size
+        # screen tables per effective tau of the ladder (design time), one
+        # flat table each, and the table row each slot's track reaches in
+        # every epoch of the lcm horizon: rows[offset + u, e] = offset +
+        # (u + e) mod size
         horizon = self._tracks.shape[1]
-        self._responses: Dict[Optional[float], Tuple[np.ndarray, ...]] = {}
+        self._tables: Dict[Optional[float], np.ndarray] = {}
         for tau in self._tau_ladder:
-            effective = tau if self._rotates(tau) else None
-            if effective not in self._responses:
-                self._responses[effective] = calculator.ring_responses(
+            effective = self._effective_tau(tau)
+            if effective not in self._tables:
+                self._tables[effective] = calculator.ring_responses(
                     self._ring_cores, effective
                 )
-        self._slot_shift = tuple(
-            (np.arange(len(cores))[:, None] + np.arange(horizon)) % len(cores)
-            for cores in self._ring_cores
+        epochs = np.arange(horizon)
+        self._track_rows = np.concatenate(
+            [
+                offset + (np.arange(len(cores))[:, None] + epochs) % len(cores)
+                for offset, cores in zip(self._ring_offsets, self._ring_cores)
+            ]
         )
+        # the incumbent from the tables: every flat slot's excess power over
+        # idle, and the circulant gather that lines the slots up with the
+        # table rows: circulant[e, j] is the slot whose track is on row j in
+        # epoch e, rows[j, -e mod horizon]
+        self._excess = np.zeros(self._tracks.shape[0])
+        self._circulant = self._track_rows[:, -epochs % horizon].T
+        #: idle chip's boundary rise per effective tau (built on first use)
+        self._idle_rises: Dict[Optional[float], np.ndarray] = {}
+        #: incumbent rise per effective tau, valid for _rise_key
+        self._rises: Dict[Optional[float], np.ndarray] = {}
+        self._rise_key: Optional[Tuple[int, int]] = None
+        #: bumped on every power change of a placed thread
+        self._power_version = 0
         #: screened (thread, ring) pairs and admission rings, and how many
         #: of them the bound settled without Algorithm 1
         self.screen_pairs = 0
         self.screen_skipped = 0
+        #: tests of the incumbent's own peak the tables settled, and those
+        #: that fell back to Algorithm 1
+        self.screen_incumbent = 0
+        self.screen_incumbent_exact = 0
         #: bumped on every slot change; keys the cached schedule
         self._version = 0
         self._schedule_key: Optional[Tuple[int, int]] = None
@@ -249,23 +283,87 @@ class HotPotato:
 
     # -- certified scan screen ---------------------------------------------------
 
+    def _effective_tau(self, tau_s: Optional[float]) -> Optional[float]:
+        """``tau_s`` if a schedule with it rotates, else ``None``."""
+        return tau_s if self._rotates(tau_s) else None
+
+    def _idle_rise(self, effective_tau: Optional[float]) -> np.ndarray:
+        """Boundary rise of the idle chip (every core at idle power),
+        ``(n_cores,)``: one evaluation per effective tau, then cached."""
+        rise = self._idle_rises.get(effective_tau)
+        if rise is None:
+            uniform = np.full((1, self.rings.mesh.n_cores), float(self.idle_power_w))
+            rise = self.calculator.boundary_rise(uniform, effective_tau)[0]
+            self._idle_rises[effective_tau] = rise
+        return rise
+
+    def _incumbent_rise(self, effective_tau: Optional[float]) -> np.ndarray:
+        """The current slots' boundary rise from the ring tables, over the
+        lcm horizon (one row without rotation), read-only.
+
+        Boundary rise is linear in the power sequence (Eq. 10): the idle
+        chip's rise plus, per flat slot, its excess power times its track's
+        response.  The circulant gather lines each slot's excess up with
+        the table row its track reaches in every epoch, so one matmul sums
+        all rings.  Cached per (slot version, power version).
+        """
+        key = (self._version, self._power_version)
+        if key != self._rise_key:
+            self._rises = {}
+            self._rise_key = key
+        rise = self._rises.get(effective_tau)
+        if rise is None:
+            if effective_tau is None:
+                excess = self._excess[None]
+            else:
+                excess = self._excess[self._circulant]
+            table = self._tables[effective_tau]
+            rise = self._idle_rise(effective_tau) + excess @ table
+            rise.flags.writeable = False
+            self._rises[effective_tau] = rise
+        return rise
+
+    def _screened_incumbent(self, effective_tau: Optional[float]) -> float:
+        """Screened peak [degC] of the current slots at ``effective_tau``."""
+        rise = self._incumbent_rise(effective_tau)
+        return float(rise.max()) + self.calculator.ambient_c
+
+    def _peak_below(self, test: Callable[[float], bool]) -> bool:
+        """``test(peak)`` of the current schedule's Algorithm-1 peak.
+
+        ``test`` must hold for every peak below one that passes it.  The
+        screened peak settles it when the test agrees at both ends of the
+        ``SCREEN_MARGIN_C`` band around it; otherwise Algorithm 1 does.
+        """
+        screened = self._screened_incumbent(self._effective_tau(self.tau_s))
+        if test(screened + SCREEN_MARGIN_C):
+            self.screen_incumbent += 1
+            return True
+        if not test(screened - SCREEN_MARGIN_C):
+            self.screen_incumbent += 1
+            return False
+        self.screen_incumbent_exact += 1
+        return test(self.peak_temperature())
+
+    def _has_surplus(self, peak_c: float) -> bool:
+        """Whether more than the headroom ``Delta`` remains below T_DTM."""
+        return self.t_dtm_c - peak_c > self.headroom_delta_c
+
     def _screen_base(self) -> Tuple[np.ndarray, Optional[float]]:
         """The current slots' boundary rise over the lcm horizon (one row
         without rotation), and their effective rotation interval."""
-        seq, effective_tau = self._power_seq_for(self._slots, self.tau_s)
-        rise = self.calculator.boundary_rise(seq, effective_tau)
-        if effective_tau is not None:
-            rise = rise[np.arange(self._tracks.shape[1]) % rise.shape[0]]
-        return rise, effective_tau
+        effective_tau = self._effective_tau(self.tau_s)
+        return self._incumbent_rise(effective_tau), effective_tau
 
     def _slot_response(
         self, effective_tau: Optional[float], ring: int, slots
     ) -> np.ndarray:
-        """Response to 1 W on each of ``slots`` of ``ring``, ``(F, H, n)``."""
-        table = self._responses[effective_tau][ring]
+        """Response to 1 W on each of ``slots`` of ``ring``, ``(F, H, n)``
+        (``H = 1`` without rotation: the row of the slot's own core)."""
+        rows = self._track_rows[self._ring_offsets[ring] + np.asarray(slots)]
         if effective_tau is None:
-            return table[slots, None, :]
-        return table[self._slot_shift[ring][slots]]
+            rows = rows[:, :1]
+        return self._tables[effective_tau][rows]
 
     def _without(
         self, base: np.ndarray, effective_tau: Optional[float], thread_id: ThreadId
@@ -303,13 +401,60 @@ class HotPotato:
         peak = self._screened_peak(base, effective_tau, thread_id, ring, free)
         return peak - SCREEN_MARGIN_C
 
+    def _incumbent_rise_error(self, effective_tau: Optional[float]) -> float:
+        """Proven bound [degC] on every entry of :meth:`_incumbent_rise`
+        against its real-arithmetic value, the reference of
+        :meth:`~repro.core.peak_temperature.PeakTemperatureCalculator.forward_error_bound`.
+
+        Each input errs by its own evaluation's bound: the idle rise by
+        that of the uniform map, each ring's table rows by that of the
+        ring's unit tracks, weighted by the ring's ``sum |x|`` (every
+        output entry takes one row per slot).  The matmul over ``S`` slots
+        and the idle sum round ``S + 1`` times, at most ``gamma_{S+1}
+        (|idle| + sum |x| |R|)``.
+        """
+        calc = self.calculator
+        n_cores = self.rings.mesh.n_cores
+        uniform = np.full((1, n_cores), float(self.idle_power_w))
+        unit = np.eye(n_cores)
+        table = self._tables[effective_tau]
+        error = calc.forward_error_bound(uniform, effective_tau)
+        magnitude = float(np.max(np.abs(self._idle_rise(effective_tau))))
+        for offset, cores in zip(self._ring_offsets, self._ring_cores):
+            rows = slice(offset, offset + len(cores))
+            excess = float(np.sum(np.abs(self._excess[rows])))
+            if excess:
+                tracks = unit[list(cores)]
+                error += excess * calc.forward_error_bound(tracks, effective_tau)
+                magnitude += excess * float(np.max(np.abs(table[rows])))
+        return error + gamma(self._excess.shape[0] + 1) * magnitude
+
+    def incumbent_error_bound(self) -> float:
+        """Proven bound [degC] on |screened - Algorithm-1 peak| of the
+        current schedule (what :meth:`_peak_below` settles with).
+
+        The table evaluation's entrywise bound
+        (:meth:`_incumbent_rise_error`) plus the exact evaluation's
+        :meth:`~repro.core.peak_temperature.PeakTemperatureCalculator.forward_error_bound`;
+        each side then adds ambient once.  The 1 % slack covers the
+        bound's own evaluation.
+        """
+        u = np.finfo(float).eps / 2
+        seq, effective_tau = self._power_seq_for(self._slots, self.tau_s)
+        error = self._incumbent_rise_error(effective_tau)
+        error += self.calculator.forward_error_bound(seq, effective_tau)
+        magnitude = float(np.max(np.abs(self._incumbent_rise(effective_tau))))
+        error += 2 * u * (magnitude + abs(self.calculator.ambient_c))
+        return 1.01 * error
+
     def screen_error_bound(self, thread_id: ThreadId, ring: int, slot: int) -> float:
         """Proven bound [degC] on |screened - Algorithm-1 peak| of moving
         ``thread_id`` (or, unplaced, adding it) to ``slot`` of ``ring``.
 
-        The screen adds the incumbent's rise and the excess power ``x``
-        times one or two table rows; both agree with the real-arithmetic
-        value of the candidate up to each evaluation's
+        The screen adds the incumbent's rise from the tables and the
+        excess power ``x`` times one or two table rows; the incumbent errs
+        by :meth:`_incumbent_rise_error`, and rows and candidate by their
+        evaluations'
         :meth:`~repro.core.peak_temperature.PeakTemperatureCalculator.forward_error_bound`.
         The screen's own arithmetic rounds ``x`` once, its two products
         and two sums once each, and adds ambient once, as the exact peak
@@ -317,7 +462,7 @@ class HotPotato:
         """
         u = np.finfo(float).eps / 2
         calc = self.calculator
-        incumbent, effective_tau = self._power_seq_for(self._slots, self.tau_s)
+        effective_tau = self._effective_tau(self.tau_s)
         excess = abs(self._threads[thread_id].power_w - self.idle_power_w)
         unit = np.eye(self.rings.mesh.n_cores)
         rings = [ring]
@@ -328,13 +473,16 @@ class HotPotato:
             trial[old_ring][old_slot] = None
         trial[ring][slot] = thread_id
         candidate, _ = self._power_seq_for(trial, self.tau_s)
-        base = calc.boundary_rise(incumbent, effective_tau)
-        error = calc.forward_error_bound(incumbent, effective_tau)
+        base = self._incumbent_rise(effective_tau)
+        error = self._incumbent_rise_error(effective_tau)
         error += calc.forward_error_bound(candidate, effective_tau)
         magnitude = float(np.max(np.abs(base)))
+        table = self._tables[effective_tau]
         for r in rings:
-            tracks = unit[list(self._ring_cores[r])]
-            response = float(np.max(np.abs(self._responses[effective_tau][r])))
+            cores = self._ring_cores[r]
+            offset = self._ring_offsets[r]
+            tracks = unit[list(cores)]
+            response = float(np.max(np.abs(table[offset : offset + len(cores)])))
             error += excess * calc.forward_error_bound(tracks, effective_tau)
             error += u * excess * response
             magnitude += excess * response
@@ -443,24 +591,27 @@ class HotPotato:
             raise ValueError("slot already occupied")
         self._slots[ring][slot] = thread_id
         self._location[thread_id] = (ring, slot)
+        excess = self._threads[thread_id].power_w - self.idle_power_w
+        self._excess[self._ring_offsets[ring] + slot] = excess
         self._version += 1
 
     def _unplace(self, thread_id: ThreadId) -> None:
         ring, slot = self._location.pop(thread_id)
         self._slots[ring][slot] = None
+        self._excess[self._ring_offsets[ring] + slot] = 0.0
         self._version += 1
 
     def _mitigate(self) -> None:
         """Lines 8-14: outward migrations, then rotation-interval update."""
         steps = 0
         while (
-            not self._sustainable(self.peak_temperature())
+            not self._peak_below(self._sustainable)
             and steps < self.max_mitigation_steps
         ):
             if not self._migrate_coolest_knob_outward():
                 break
             steps += 1
-        if not self._sustainable(self.peak_temperature()):
+        if not self._peak_below(self._sustainable):
             self._select_tau()
 
     def _select_tau(self) -> None:
@@ -479,10 +630,27 @@ class HotPotato:
         """
         # Rotation off comes first: when it alone leaves the headroom,
         # it is the choice (the target below is at least T_DTM - Delta),
-        # and the rotating rungs need no evaluation.
+        # and the rotating rungs need no evaluation.  The screened peaks
+        # settle the choice when every comparison it takes holds across
+        # the margin; otherwise Algorithm 1 scores the ladder.
+        floor_c = self.t_dtm_c - self.headroom_delta_c
+        static_c = self._screened_incumbent(None)
+        if static_c + SCREEN_MARGIN_C <= floor_c:
+            index: Optional[int] = 0
+        else:
+            screened = [static_c] + [
+                self._screened_incumbent(self._effective_tau(tau))
+                for tau in self._tau_ladder[1:]
+            ]
+            index = self._certain_rung(np.array(screened), floor_c)
+        if index is not None:
+            self.screen_incumbent += 1
+            self._tau_index = index
+            return
+        self.screen_incumbent_exact += 1
         static_seq, _ = self._power_seq_for(self._slots, None)
         static_peak = self.calculator.peak_batch([static_seq], [None])[0]
-        if static_peak <= self.t_dtm_c - self.headroom_delta_c:
+        if static_peak <= floor_c:
             self._tau_index = 0
             return
         # the assignment is fixed across the ladder and the period never
@@ -495,13 +663,32 @@ class HotPotato:
         else:
             rung_peaks = np.full(len(rungs), static_peak)
         peaks = np.concatenate(([static_peak], rung_peaks))
-        target = max(
-            self.t_dtm_c - self.headroom_delta_c, float(np.min(peaks)) + 0.5
-        )
+        target = max(floor_c, float(np.min(peaks)) + 0.5)
         for index, peak_c in enumerate(peaks):
             if peak_c <= target:
                 self._tau_index = index
                 return
+
+    @staticmethod
+    def _certain_rung(screened: np.ndarray, floor_c: float) -> Optional[int]:
+        """The ladder choice for every set of peaks within
+        ``SCREEN_MARGIN_C`` of ``screened``, or ``None`` if it may differ.
+
+        The target ``max(floor, min + 0.5)`` lies between its values at
+        the band's lower and upper ends; a rung is certainly at or below
+        it when its upper end is at or below the lower target, and
+        certainly above it when its lower end is above the upper target.
+        """
+        low = screened - SCREEN_MARGIN_C
+        high = screened + SCREEN_MARGIN_C
+        target_low = max(floor_c, float(np.min(low)) + 0.5)
+        target_high = max(floor_c, float(np.min(high)) + 0.5)
+        for index in range(screened.shape[0]):
+            if high[index] <= target_low:
+                return index
+            if low[index] <= target_high:
+                return None
+        return None
 
     def _migrate_coolest_knob_outward(self) -> bool:
         """Move the lowest-CPI (hottest) migratable thread one ring outward.
@@ -510,11 +697,15 @@ class HotPotato:
         blindly pushing threads outward can otherwise pile them into an
         even denser (hotter) cluster.
         """
-        current_peak = self.peak_temperature()
+        current_c = self._screened_incumbent(self._effective_tau(self.tau_s))
         by_cpi = sorted(self._threads.values(), key=lambda i: i.cpi)
         n_rings = self.rings.n_rings
+        incumbent = self._copy_slots()
         return self._move_first(
-            by_cpi, lambda ring: range(ring + 1, n_rings), current_peak - 1e-9
+            by_cpi,
+            lambda ring: range(ring + 1, n_rings),
+            current_c - 1e-9,
+            lambda: self._peak_for(incumbent, self.tau_s) - 1e-9,
         )
 
     def _move_first(
@@ -522,15 +713,24 @@ class HotPotato:
         by_cpi: List[ThreadInfo],
         targets: Callable[[int], range],
         threshold_c: float,
+        exact_threshold: Optional[Callable[[], float]] = None,
     ) -> bool:
         """Move the first thread of ``by_cpi`` that has a target ring
         (``targets(its ring)``, in order) whose coolest free slot peaks
-        below ``threshold_c``; returns whether a move was taken.
+        below the threshold; returns whether a move was taken.
 
-        The screen settles every (thread, ring) pair whose bound already
-        reaches the threshold; Algorithm 1 scores the rest.  Free slots are
-        listed once per call: they change only when a move is taken.
+        The threshold is ``threshold_c``, or, with ``exact_threshold``,
+        the value that callable returns, which lies within
+        ``SCREEN_MARGIN_C`` of the screened ``threshold_c``; it is called
+        only for a peak inside that band.  The screen settles every
+        (thread, ring) pair whose bound already reaches the threshold;
+        Algorithm 1 scores the rest.  Free slots are listed once per call:
+        they change only when a move is taken.
         """
+        high_c = threshold_c
+        if exact_threshold is not None:
+            low_c, high_c = threshold_c - SCREEN_MARGIN_C, threshold_c + SCREEN_MARGIN_C
+            exact_c: Optional[float] = None
         free = self._free_by_ring()
         incumbent: Optional[np.ndarray] = None
         for info in by_cpi:
@@ -546,14 +746,24 @@ class HotPotato:
                 bound = self._screen_bound(
                     base, effective_tau, info.thread_id, target, free[target]
                 )
-                if bound >= threshold_c:
+                if bound >= high_c:
                     self.screen_skipped += 1
                     continue
                 self._unplace(info.thread_id)
                 peak_c, best_slot = self._best_slot_in_ring(
                     target, info.thread_id, free[target]
                 )
-                if peak_c < threshold_c:
+                if exact_threshold is None:
+                    accept = peak_c < threshold_c
+                elif low_c <= peak_c < high_c:
+                    if exact_c is None:
+                        self.screen_incumbent_exact += 1
+                        exact_c = exact_threshold()
+                    accept = peak_c < exact_c
+                else:
+                    self.screen_incumbent += 1
+                    accept = peak_c < low_c
+                if accept:
                     self._place(info.thread_id, target, best_slot)
                     return True
                 self._place(info.thread_id, ring, slot)  # revert
@@ -577,7 +787,7 @@ class HotPotato:
         """
         steps = 0
         while (
-            self.t_dtm_c - self.peak_temperature() > self.headroom_delta_c
+            self._peak_below(self._has_surplus)
             and steps < self.max_mitigation_steps
         ):
             if not self._migrate_memory_bound_inward():
@@ -598,6 +808,13 @@ class HotPotato:
     def update_power(self, thread_id: ThreadId, power_w: float) -> None:
         """Refresh a thread's power estimate (10 ms history average)."""
         self._threads[thread_id] = self._threads[thread_id].with_power(power_w)
+        location = self._location.get(thread_id)
+        if location is not None:
+            ring, slot = location
+            self._excess[self._ring_offsets[ring] + slot] = (
+                power_w - self.idle_power_w
+            )
+            self._power_version += 1
 
     def refresh(self) -> None:
         """React to drifted power estimates (paper's sudden-change handling).
@@ -605,8 +822,7 @@ class HotPotato:
         If the schedule became unsustainable, mitigate; if surplus headroom
         appeared, rebalance.
         """
-        peak_c = self.peak_temperature()
-        if not self._sustainable(peak_c):
+        if not self._peak_below(self._sustainable):
             self._mitigate()
-        elif self.t_dtm_c - peak_c > self.headroom_delta_c:
+        elif self._peak_below(self._has_surplus):
             self.rebalance()

@@ -391,14 +391,25 @@ class PeakTemperatureCalculator:
     ) -> np.ndarray:
         """Boundary rise over ambient of a ``(B, delta, n)`` stack sharing
         one tau and its ``(N, delta, delta)`` alpha, shape ``(B, delta,
-        n_cores)``."""
+        n_cores)``.
+
+        A lone candidate's alpha product is taken with a copy beside it:
+        with one column BLAS would run its matrix-vector kernel, which
+        sums in another order than the matrix-matrix one, and the value
+        would depend on how many candidates shared the group.  The other
+        two products run per candidate, on operands strided as in any
+        stack, so every width gives a candidate the same bits.
+        """
         beta = self._beta(tau_s)  # (N, n)
         # stacked matmuls over operands whose matrices are C- or
         # F-contiguous dispatch to BLAS; einsum would run naive loops
         coeffs = beta @ batch.transpose(0, 2, 1)  # (B, N, d)
+        width = coeffs.shape[0]
+        if width == 1:
+            coeffs = np.concatenate((coeffs, coeffs))
         # weighted[n, e, b] = sum_j alpha[n, e, j] * coeffs[b, n, j]
         weighted = alpha @ coeffs.transpose(1, 2, 0)  # (N, d, B)
-        return weighted.transpose(2, 1, 0) @ self._v_core.T  # (B, d, n_cores)
+        return weighted[:, :, :width].transpose(2, 1, 0) @ self._v_core.T
 
     def boundary_rise(
         self, core_power_seq: np.ndarray, tau_s: Optional[float]
@@ -417,19 +428,21 @@ class PeakTemperatureCalculator:
 
     def ring_responses(
         self, ring_cores: Tuple[Tuple[int, ...], ...], tau_s: Optional[float]
-    ) -> Tuple[np.ndarray, ...]:
-        """Design-time response tables of a ring layout, one per ring.
+    ) -> np.ndarray:
+        """Design-time response table of a ring layout, ``(slots,
+        n_cores)``: each ring's ``(size, n_cores)`` table, stacked in ring
+        order (the flat slot order of
+        :func:`~repro.core.rotation.ring_tracks`).
 
-        Row ``e`` of ring ``r``'s ``(size, n_cores)`` table is the boundary
-        rise after epoch ``e`` for 1 W on the ring's slot-0 track, which
-        visits ``cores[e]`` in epoch ``e``.  Boundary temperatures are
-        linear in the power sequence (Eq. 10), and slot ``u``'s track is
-        slot 0's shifted by ``u`` epochs, so its response is the table
-        shifted too: ``R_u[e] = R_0[(e + u) mod size]``.  Without rotation
-        (``tau = None``) row ``u`` is the steady rise for 1 W on
-        ``cores[u]``.  Cached per (layout, tau); read-only.  The alpha
-        tensors of the ring sizes are built afresh, so the tables add no
-        alpha-cache entry.
+        Row ``e`` of ring ``r``'s table is the boundary rise after epoch
+        ``e`` for 1 W on the ring's slot-0 track, which visits ``cores[e]``
+        in epoch ``e``.  Boundary temperatures are linear in the power
+        sequence (Eq. 10), and slot ``u``'s track is slot 0's shifted by
+        ``u`` epochs, so its response is the table shifted too: ``R_u[e] =
+        R_0[(e + u) mod size]``.  Without rotation (``tau = None``) row
+        ``u`` is the steady rise for 1 W on ``cores[u]``.  Cached per
+        (layout, tau); read-only.  The alpha tensors of the ring sizes are
+        built afresh, so the tables add no alpha-cache entry.
         """
         key = (ring_cores, tau_s)
         cached = self._response_cache.get(key)
@@ -437,16 +450,16 @@ class PeakTemperatureCalculator:
             unit = np.eye(self.dynamics.model.n_cores)
             tracks = [unit[list(cores)] for cores in ring_cores]
             if tau_s is None:
-                cached = tuple(self.boundary_rise(track, None) for track in tracks)
+                tables = [self.boundary_rise(track, None) for track in tracks]
             else:
-                cached = tuple(
+                tables = [
                     self._stacked_rise(
                         track[None], tau_s, self._decay_tensor(tau_s, len(track))
                     )[0]
                     for track in tracks
-                )
-            for table in cached:
-                table.flags.writeable = False
+                ]
+            cached = np.concatenate(tables)
+            cached.flags.writeable = False
             self._response_cache[key] = cached
         return cached
 

@@ -324,4 +324,10 @@ class HotPotatoScheduler(Scheduler):
             # bound settled without Algorithm 1 (``sched.screen.*`` gauges)
             data["screen.pairs"] = float(self.hotpotato.screen_pairs)
             data["screen.skipped"] = float(self.hotpotato.screen_skipped)
+            # tests of the incumbent's own peak the ring tables settled,
+            # and those that fell back to Algorithm 1
+            data["screen.incumbent"] = float(self.hotpotato.screen_incumbent)
+            data["screen.incumbent_exact"] = float(
+                self.hotpotato.screen_incumbent_exact
+            )
         return data

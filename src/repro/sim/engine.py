@@ -935,8 +935,10 @@ class IntervalSimulator:
         breakdown = self._breakdown
         if self._unseen:
             # first interval of new threads: their stacks enter the result
-            # in this order (placed threads first)
-            for thread_id in chain(placed, decision.waiting):
+            # in this order (placed threads first, then the waiting set in
+            # slot order, which no string hash seed moves)
+            waiting = sorted(decision.waiting, key=self._live.__getitem__)
+            for thread_id in chain(placed, waiting):
                 if thread_id not in breakdown:
                     breakdown[thread_id] = TimeBreakdown()
                     self._unseen -= 1

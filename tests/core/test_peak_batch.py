@@ -286,6 +286,22 @@ class TestLayoutAndDedupe:
         assert calc.cache_stats()["peak_cache.hits"] == hits + 1
         assert peaks[_LADDER.index(1e-3)] == scalar
 
+    @pytest.mark.parametrize("delta", [1, 4, 8, 12, 24])
+    def test_candidate_bits_do_not_depend_on_group_width(
+        self, dynamics64, cfg64, rng, delta
+    ):
+        """The memo keeps a candidate's first value, so alone and in any
+        stack the candidate must get the same bits."""
+        ambient = cfg64.thermal.ambient_c
+        n = dynamics64.model.n_cores
+        for width in range(2, 14):
+            seqs = [rng.uniform(0.3, 9.0, size=(delta, n)) for _ in range(width)]
+            stacked = PeakTemperatureCalculator(dynamics64, ambient)
+            peaks = stacked.peak_batch(seqs, [0.5e-3] * width)
+            for seq, value in zip(seqs, peaks):
+                alone = PeakTemperatureCalculator(dynamics64, ambient)
+                assert alone.peak_batch([seq], [0.5e-3])[0] == value
+
     @pytest.mark.parametrize("delta", [1, 4, 8, 24])
     def test_matches_dense_fixed_point_on_table1(self, dynamics64, cfg64, rng, delta):
         from repro.core.peak_temperature import rotation_fixed_point

@@ -235,7 +235,7 @@ class TestTrackTables:
                 return np.zeros(len(seqs))
 
             def ring_responses(self, ring_cores, tau_s):
-                return tuple(np.zeros((len(cores), 1)) for cores in ring_cores)
+                return np.zeros((sum(map(len, ring_cores)), 1))
 
         rings = _layouts()[layout]
         recorder = Recorder()

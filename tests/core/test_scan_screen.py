@@ -12,13 +12,24 @@ ladder and for moved and arriving threads, these tests pin:
   the exact one, and the certified bound never exceeds it, so the screen
   never skips a ring that exact evaluation would accept;
 - ``_select_tau``'s rotation-off exit picks the rung the full ladder picks.
+
+HotPotato also scores its own schedule from the same tables.  These tests
+pin, at every rung, that the proven bound of that evaluation is at most
+``SCREEN_MARGIN_C`` and that it is within ``SCREEN_MARGIN_C / 100`` of
+Algorithm 1; that ``_select_tau`` picks the full ladder's rung, also with
+``T_DTM`` inside the margin band of a rung peak, where it falls back to
+Algorithm 1; and that ``refresh()`` walks seeded drift sequences through
+the same states as with every test left to Algorithm 1.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.arch import AmdRings, Mesh
 from repro.core import PeakTemperatureCalculator
+from repro.core import hotpotato
 from repro.core.hotpotato import SCREEN_MARGIN_C, HotPotato, ThreadInfo
 from repro.stacked import Amd3dRings, Mesh3D, build_rc_model_3d, default_stacked_stack
 from repro.thermal import ThermalDynamics
@@ -112,14 +123,19 @@ def test_screen_is_sound_on_every_rung(platforms, platform):
                         )
 
 
-def _full_ladder_choice(hp):
-    """The rung ``_select_tau`` picks when it scores the whole ladder."""
+def _ladder_peaks(hp):
+    """Algorithm-1 peak of the current slots at every rung of the ladder."""
     seqs, taus = [], []
     for tau in hp._tau_ladder:
         seq, effective_tau = hp._power_seq_for(hp._slots, tau)
         seqs.append(seq)
         taus.append(effective_tau)
-    peaks = hp.calculator.peak_batch(seqs, taus)
+    return hp.calculator.peak_batch(seqs, taus)
+
+
+def _full_ladder_choice(hp):
+    """The rung ``_select_tau`` picks when it scores the whole ladder."""
+    peaks = _ladder_peaks(hp)
     target = max(hp.t_dtm_c - hp.headroom_delta_c, float(np.min(peaks)) + 0.5)
     return next(i for i, peak in enumerate(peaks) if peak <= target)
 
@@ -139,3 +155,88 @@ def test_tau_exit_picks_the_full_ladder_choice(platforms, platform):
         assert hp._tau_index == want
         exits += static_peak <= hp.t_dtm_c - DELTA_C
     assert 0 < exits < 16
+
+
+@pytest.mark.parametrize("platform", ["table1", "mesh4x4", "stack3d"])
+def test_incumbent_from_tables_is_sound_on_every_rung(platforms, platform):
+    dynamics, rings = platforms[platform]
+    rng = np.random.default_rng(17)
+    for rung in range(len(_random_state(dynamics, rings, rng, 0.0)._tau_ladder)):
+        for fill in (0.0, 0.3, 0.6, 1.0):
+            hp = _random_state(dynamics, rings, rng, fill)
+            hp._tau_index = rung
+            seq, effective_tau = hp._power_seq_for(hp._slots, hp.tau_s)
+            exact = hp.calculator.boundary_rise(seq, effective_tau)
+            rise = hp._incumbent_rise(effective_tau)
+            tiled = exact[np.arange(rise.shape[0]) % exact.shape[0]]
+            proven = hp.incumbent_error_bound()
+            assert proven <= SCREEN_MARGIN_C
+            assert np.max(np.abs(rise - tiled)) < SCREEN_MARGIN_C / 100
+            screened = hp._screened_incumbent(effective_tau)
+            assert abs(screened - hp.peak_temperature()) <= proven
+
+
+@pytest.mark.parametrize("platform", ["table1", "mesh4x4", "stack3d"])
+def test_tau_choice_in_the_margin_band_falls_back(platforms, platform):
+    dynamics, rings = platforms[platform]
+    rng = np.random.default_rng(23)
+    fallbacks = 0
+    for _ in range(16):
+        hp = _random_state(dynamics, rings, rng, float(rng.uniform(0.2, 0.9)))
+        peaks = _ladder_peaks(hp)
+        # T_DTM - Delta within the margin of one rung's peak
+        rung = int(rng.integers(peaks.shape[0]))
+        band = float(rng.uniform(-1.0, 1.0)) * SCREEN_MARGIN_C
+        hp.t_dtm_c = float(peaks[rung]) + DELTA_C + band
+        want = _full_ladder_choice(hp)
+        before = hp.screen_incumbent_exact
+        hp._select_tau()
+        assert hp._tau_index == want
+        fallbacks += hp.screen_incumbent_exact > before
+    assert fallbacks > 0
+
+
+def _drift_run(dynamics, rings, seed):
+    """Admit threads, then drift their powers and refresh; the state
+    after every step, and the incumbent tests the tables settled."""
+    rng = np.random.default_rng(seed)
+    hp = HotPotato(
+        rings,
+        PeakTemperatureCalculator(dynamics, AMBIENT_C),
+        t_dtm_c=T_DTM_C,
+        headroom_delta_c=DELTA_C,
+    )
+    capacity = sum(rings.capacity(ring) for ring in range(rings.n_rings))
+    powers = {}
+    for i in range(int(0.7 * capacity)):
+        thread = f"t{i}"
+        powers[thread] = float(rng.uniform(0.5, 9.0))
+        hp.admit(ThreadInfo(thread, powers[thread], float(rng.uniform(0.5, 3.0))))
+    states = [hp.state_fingerprint()]
+    for step in range(24):
+        # a slow walk with sudden jumps, as the 10 ms window averages move
+        for thread in sorted(powers):
+            scale = 2.5 if rng.random() < 0.1 else 1.1
+            power = powers[thread] * float(rng.uniform(1 / scale, scale))
+            powers[thread] = min(max(power, 0.3), 12.0)
+            hp.update_power(thread, powers[thread])
+        if step % 6 == 5:
+            # T_DTM - Delta inside the margin band of the incumbent's peak
+            hp.t_dtm_c = hp.peak_temperature() + DELTA_C + SCREEN_MARGIN_C / 2
+        hp.refresh()
+        states.append(hp.state_fingerprint())
+    return states, hp.screen_incumbent
+
+
+@pytest.mark.parametrize("platform", ["table1", "mesh4x4", "stack3d"])
+def test_refresh_matches_the_all_exact_reference(platforms, platform, monkeypatch):
+    dynamics, rings = platforms[platform]
+    for seed in (1, 2):
+        states, settled = _drift_run(dynamics, rings, seed)
+        with monkeypatch.context() as patch:
+            # an infinite margin leaves every test to Algorithm 1
+            patch.setattr(hotpotato, "SCREEN_MARGIN_C", math.inf)
+            reference, none_settled = _drift_run(dynamics, rings, seed)
+        assert none_settled == 0 and settled > 0
+        assert len(set(states)) > 2
+        assert states == reference

@@ -137,6 +137,10 @@ class TestRunDeterminism:
         # every admission screens each ring with a free slot
         assert snapshot["sched.screen.pairs"] > 0
         assert 0 <= snapshot["sched.screen.skipped"] <= snapshot["sched.screen.pairs"]
+        # the exit's rebalance tests the incumbent's peak: the ring tables
+        # settle the tests far from their thresholds
+        assert snapshot["sched.screen.incumbent"] > 0
+        assert snapshot["sched.screen.incumbent_exact"] >= 0
         assert "thermal.exp_cache.hits" in snapshot
         # decision latency histogram observes every decide() call
         assert (

@@ -23,6 +23,10 @@ one thread, as ``tests/conftest.py`` does.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +222,50 @@ def test_pcmig_motivational_intervals_byte_identical(digests):
     ((_, digest),) = digests
     assert digest.hexdigest() == PCMIG_MOTIVATIONAL
     assert _accounting(result) == ACCOUNTING["pcmig-motivational"]
+
+
+def _queued_arrival_accounting():
+    """PCMig on the 16-core chip, full when a 4-thread task arrives: the
+    task waits in the queue, so its threads' time stacks enter the result
+    while queued."""
+    cfg = motivational()
+    arrivals = [
+        ("blackscholes", 0.0),
+        ("swaptions", 0.0),
+        ("bodytrack", 0.0),
+        ("x264", 0.0),
+        ("canneal", 0.002),
+    ]
+    tasks = materialize(
+        [
+            TaskSpec(parsec_profile(name), 4, at, seed=seed, work_scale=0.3)
+            for seed, (name, at) in enumerate(arrivals)
+        ]
+    )
+    sim = IntervalSimulator(cfg, PCMigScheduler(), tasks, ctx=SimContext(cfg))
+    return _accounting(sim.run(max_time_s=0.01))
+
+
+def test_queued_arrival_accounting_ignores_hash_seed():
+    """String hashing is salted per process; the order waiting threads
+    enter the time breakdown must not follow it."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+    script = (
+        "from tests.sim.test_engine_digest import _queued_arrival_accounting;"
+        "print(_queued_arrival_accounting())"
+    )
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env["PYTHONHASHSEED"] = seed
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.add(completed.stdout)
+    assert len(outputs) == 1

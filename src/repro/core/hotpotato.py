@@ -29,12 +29,16 @@ boundary temperatures plus that thread's excess power over idle times the
 response of its new ring slot, minus the response of its old one.  The
 responses come from design-time ring tables
 (:meth:`~repro.core.peak_temperature.PeakTemperatureCalculator.ring_responses`).
-Every scan takes from them a lower bound, ``SCREEN_MARGIN_C`` below the
-screened value, on the coolest slot of each target ring, and runs Algorithm 1
-on a ring only when that bound cannot already settle the scan's acceptance
-test.  ``SCREEN_MARGIN_C`` dominates the proven rounding error of both
-evaluations (:meth:`HotPotato.screen_error_bound`), so every decision is the
-one the unscreened scan takes.
+Every scan screens each free slot of a target ring once.  It takes from
+them a lower bound, ``SCREEN_MARGIN_C`` below the coolest screened value,
+on the coolest slot of the ring, and skips the ring when that bound already
+fails the scan's acceptance test.  A slot screened more than ``2
+SCREEN_MARGIN_C`` above the coolest is certainly not the coolest, so the
+coolest-slot choice is settled from the tables when one slot is that close
+and it passes the test at the top of its band; otherwise Algorithm 1 runs
+on the ring's near slots only.  ``SCREEN_MARGIN_C`` dominates the proven
+rounding error of both evaluations (:meth:`HotPotato.screen_error_bound`),
+so every decision is the one the unscreened scan takes.
 
 **Incumbent from the tables.**  The same linearity scores the current
 schedule itself: its boundary rise is the idle chip's rise plus one product
@@ -184,6 +188,12 @@ class HotPotato:
         #: that fell back to Algorithm 1
         self.screen_incumbent = 0
         self.screen_incumbent_exact = 0
+        #: coolest-slot choices the tables settled, those that fell back to
+        #: Algorithm 1 on the near set, and the near-set evaluations of
+        #: admission's overflow path (no ring sustainable)
+        self.screen_slot = 0
+        self.screen_slot_exact = 0
+        self.screen_overflow_exact = 0
         #: bumped on every slot change; keys the cached schedule
         self._version = 0
         self._schedule_key: Optional[Tuple[int, int]] = None
@@ -373,33 +383,34 @@ class HotPotato:
         excess = self._threads[thread_id].power_w - self.idle_power_w
         return base - excess * self._slot_response(effective_tau, ring, [slot])[0]
 
-    def _screened_peak(
+    def _screen(
         self,
         base: np.ndarray,
         effective_tau: Optional[float],
         thread_id: ThreadId,
         ring: int,
         free: List[int],
-    ) -> float:
-        """Screened peak [degC] of the coolest of ``free`` in ``ring`` for
-        ``thread_id``, added to ``base`` (which excludes the thread)."""
+    ) -> Tuple[float, float, List[int]]:
+        """Screen ``thread_id`` into each of the ``free`` slots of ``ring``,
+        added to ``base`` (which excludes the thread).
+
+        Returns the certified lower bound [degC] on the coolest-slot peak
+        that :meth:`_best_slot_in_ring` returns for the same candidates,
+        the screened peak of the coolest slot, and the *near set*: the
+        slots screened within ``2 SCREEN_MARGIN_C`` of the coolest, in slot
+        order.  Every screened peak is within the margin of its exact one,
+        so a slot outside the near set is certainly hotter than the coolest
+        exact peak, and the exact first minimum lies in the near set.
+        """
+        self.screen_pairs += 1
         excess = self._threads[thread_id].power_w - self.idle_power_w
         candidates = base + excess * self._slot_response(effective_tau, ring, free)
-        return float(np.min(candidates.max(axis=(1, 2)))) + self.calculator.ambient_c
-
-    def _screen_bound(
-        self,
-        base: np.ndarray,
-        effective_tau: Optional[float],
-        thread_id: ThreadId,
-        ring: int,
-        free: List[int],
-    ) -> float:
-        """Certified lower bound [degC] on the coolest-slot peak that
-        :meth:`_best_slot_in_ring` returns for the same candidates."""
-        self.screen_pairs += 1
-        peak = self._screened_peak(base, effective_tau, thread_id, ring, free)
-        return peak - SCREEN_MARGIN_C
+        rises = candidates.max(axis=(1, 2))
+        coolest = float(np.min(rises))
+        close = np.flatnonzero(rises - coolest <= 2 * SCREEN_MARGIN_C)
+        near = [free[i] for i in close]
+        screened = coolest + self.calculator.ambient_c
+        return screened - SCREEN_MARGIN_C, screened, near
 
     def _incumbent_rise_error(self, effective_tau: Optional[float]) -> float:
         """Proven bound [degC] on every entry of :meth:`_incumbent_rise`
@@ -506,20 +517,28 @@ class HotPotato:
             raise ValueError("no free core for the arriving thread")
 
         # rings in order: the first sustainable one wins.  A ring whose
-        # screen bound is already unsustainable is deferred, not evaluated.
+        # screen bound is already unsustainable is deferred, not evaluated;
+        # one with a lone near slot sustainable at the top of its band is
+        # taken without Algorithm 1.
         base, effective_tau = self._screen_base()
         exact: Dict[int, Tuple[float, int]] = {}
-        deferred: Dict[int, float] = {}
+        deferred: Dict[int, Tuple[float, List[int]]] = {}
         for ring in range(self.rings.n_rings):
             if not free[ring]:
                 continue
-            bound = self._screen_bound(
+            bound, screened, near = self._screen(
                 base, effective_tau, info.thread_id, ring, free[ring]
             )
             if not self._sustainable(bound):
-                deferred[ring] = bound
+                deferred[ring] = (bound, near)
                 continue
-            peak_c, slot = self._best_slot_in_ring(ring, info.thread_id, free[ring])
+            if len(near) == 1 and self._sustainable(screened + SCREEN_MARGIN_C):
+                self.screen_slot += 1
+                self.screen_skipped += len(deferred)
+                self._place(info.thread_id, ring, near[0])
+                return ring
+            self.screen_slot_exact += 1
+            peak_c, slot = self._best_slot_in_ring(ring, info.thread_id, near)
             if self._sustainable(peak_c):
                 self.screen_skipped += len(deferred)
                 self._place(info.thread_id, ring, slot)
@@ -535,12 +554,12 @@ class HotPotato:
             if ring in exact:
                 peak_c, slot = exact[ring]
             elif ring in deferred:
-                if best is not None and deferred[ring] >= best[0]:
+                bound, near = deferred[ring]
+                if best is not None and bound >= best[0]:
                     self.screen_skipped += 1
                     continue
-                peak_c, slot = self._best_slot_in_ring(
-                    ring, info.thread_id, free[ring]
-                )
+                self.screen_overflow_exact += 1
+                peak_c, slot = self._best_slot_in_ring(ring, info.thread_id, near)
             else:
                 continue
             if best is None or peak_c < best[0]:
@@ -551,13 +570,19 @@ class HotPotato:
         return self.ring_of(info.thread_id)
 
     def _best_slot_in_ring(
-        self, ring: int, thread_id: ThreadId, free: List[int]
+        self, ring: int, thread_id: ThreadId, slots: List[int]
     ) -> Tuple[float, int]:
-        """Coolest of the (non-empty) ``free`` slots of ``ring`` (evaluates
-        all, Algorithm 2 line 4)."""
+        """Coolest of the (non-empty, free) ``slots`` of ``ring``, the first
+        in slot order on a tie (evaluates all, Algorithm 2 line 4).
+
+        Callers pass a scan's near set (:meth:`_screen`), which holds
+        every free slot that can be the coolest: a candidate's peak does
+        not depend on which others share its batch, so the result is the
+        one over all free slots.
+        """
         # evaluate the whole slot scan as one batched candidate set: every
         # trial shares the same tau, so all of them ride one stacked einsum.
-        # The candidates differ only in which free slot hosts the new
+        # The candidates differ only in which slot hosts the new
         # thread, so only the first needs a full schedule construction:
         # every other sequence is the first one with the thread's power
         # moved to the other slot's rotation track (pure assignment of the
@@ -565,14 +590,14 @@ class HotPotato:
         # static candidate has a one-epoch period, whose track column is
         # epoch 0 — the slot's own core.
         trial = self._copy_slots()
-        trial[ring][free[0]] = thread_id
+        trial[ring][slots[0]] = thread_id
         first, effective_tau = self._power_seq_for(trial, self.tau_s)
         seqs: List[np.ndarray] = [first]
         taus: List[Optional[float]] = [effective_tau]
-        if len(free) > 1:
+        if len(slots) > 1:
             period = first.shape[0]
             epochs = np.arange(period)
-            rows = self._ring_offsets[ring] + np.asarray(free)
+            rows = self._ring_offsets[ring] + np.asarray(slots)
             tracks = self._tracks[rows, :period]
             idle = float(self.idle_power_w)
             thread_power = float(self._threads[thread_id].power_w)
@@ -584,7 +609,7 @@ class HotPotato:
                 taus.append(effective_tau)
         peaks = self.calculator.peak_batch(seqs, taus)
         best = int(np.argmin(peaks))  # first minimum = lowest slot index
-        return (float(peaks[best]), free[best])
+        return (float(peaks[best]), slots[best])
 
     def _place(self, thread_id: ThreadId, ring: int, slot: int) -> None:
         if self._slots[ring][slot] is not None:
@@ -647,22 +672,24 @@ class HotPotato:
             self.screen_incumbent += 1
             self._tau_index = index
             return
+        # one Algorithm-1 call scores the whole ladder, rotation off
+        # included: when it alone leaves the headroom it is picked, since
+        # the target is at least T_DTM - Delta.  The assignment is fixed
+        # across the ladder and the period never depends on the tau value,
+        # so every rotating rung shares one sequence; each rung is its own
+        # one-candidate (tau, delta) group
         self.screen_incumbent_exact += 1
         static_seq, _ = self._power_seq_for(self._slots, None)
-        static_peak = self.calculator.peak_batch([static_seq], [None])[0]
-        if static_peak <= floor_c:
-            self._tau_index = 0
-            return
-        # the assignment is fixed across the ladder and the period never
-        # depends on the tau value, so every rotating rung shares one
-        # sequence; each rung is its own one-candidate (tau, delta) group
+        seqs: List[np.ndarray] = [static_seq]
+        taus: List[Optional[float]] = [None]
         rungs = self._tau_ladder[1:]
         if self._multi_core_ring:
             seq, _ = self._power_seq_for(self._slots, rungs[0])
-            rung_peaks = self.calculator.peak_batch([seq] * len(rungs), rungs)
-        else:
-            rung_peaks = np.full(len(rungs), static_peak)
-        peaks = np.concatenate(([static_peak], rung_peaks))
+            seqs += [seq] * len(rungs)
+            taus += rungs
+        peaks = self.calculator.peak_batch(seqs, taus)
+        if not self._multi_core_ring:
+            peaks = np.full(len(self._tau_ladder), peaks[0])
         target = max(floor_c, float(np.min(peaks)) + 0.5)
         for index, peak_c in enumerate(peaks):
             if peak_c <= target:
@@ -723,11 +750,13 @@ class HotPotato:
         the value that callable returns, which lies within
         ``SCREEN_MARGIN_C`` of the screened ``threshold_c``; it is called
         only for a peak inside that band.  The screen settles every
-        (thread, ring) pair whose bound already reaches the threshold;
-        Algorithm 1 scores the rest.  Free slots are listed once per call:
-        they change only when a move is taken.
+        (thread, ring) pair whose bound already reaches the threshold, and
+        takes a pair whose near set is one slot that stays below the
+        threshold at the top of its band; Algorithm 1 scores the near set
+        of the rest.  Free slots are listed once per call: they change
+        only when a move is taken.
         """
-        high_c = threshold_c
+        low_c = high_c = threshold_c
         if exact_threshold is not None:
             low_c, high_c = threshold_c - SCREEN_MARGIN_C, threshold_c + SCREEN_MARGIN_C
             exact_c: Optional[float] = None
@@ -743,15 +772,22 @@ class HotPotato:
                     incumbent, effective_tau = self._screen_base()
                 if base is None:
                     base = self._without(incumbent, effective_tau, info.thread_id)
-                bound = self._screen_bound(
+                bound, screened, near = self._screen(
                     base, effective_tau, info.thread_id, target, free[target]
                 )
                 if bound >= high_c:
                     self.screen_skipped += 1
                     continue
                 self._unplace(info.thread_id)
+                if len(near) == 1 and screened + SCREEN_MARGIN_C < low_c:
+                    self.screen_slot += 1
+                    if exact_threshold is not None:
+                        self.screen_incumbent += 1
+                    self._place(info.thread_id, target, near[0])
+                    return True
+                self.screen_slot_exact += 1
                 peak_c, best_slot = self._best_slot_in_ring(
-                    target, info.thread_id, free[target]
+                    target, info.thread_id, near
                 )
                 if exact_threshold is None:
                     accept = peak_c < threshold_c
@@ -807,13 +843,24 @@ class HotPotato:
 
     def update_power(self, thread_id: ThreadId, power_w: float) -> None:
         """Refresh a thread's power estimate (10 ms history average)."""
-        self._threads[thread_id] = self._threads[thread_id].with_power(power_w)
-        location = self._location.get(thread_id)
-        if location is not None:
-            ring, slot = location
-            self._excess[self._ring_offsets[ring] + slot] = (
-                power_w - self.idle_power_w
-            )
+        self.update_powers([thread_id], [power_w])
+
+    def update_powers(
+        self, thread_ids: Sequence[ThreadId], powers: Sequence[float]
+    ) -> None:
+        """Refresh the power estimates of several threads: one scatter of
+        the placed threads' excess powers and one power-version bump."""
+        threads = self._threads
+        flat: List[int] = []
+        placed: List[float] = []
+        for thread_id, power_w in zip(thread_ids, powers):
+            threads[thread_id] = threads[thread_id].with_power(power_w)
+            location = self._location.get(thread_id)
+            if location is not None:
+                flat.append(self._ring_offsets[location[0]] + location[1])
+                placed.append(power_w)
+        if flat:
+            self._excess[flat] = np.array(placed) - self.idle_power_w
             self._power_version += 1
 
     def refresh(self) -> None:

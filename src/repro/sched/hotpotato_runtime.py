@@ -149,9 +149,7 @@ class HotPotatoScheduler(Scheduler):
     def _synced(self) -> HotPotato:
         """HotPotato, holding the estimates of the latest decision."""
         if self._unpushed:
-            update = self.hotpotato.update_power
-            for thread_id, power in zip(self._thread_ids, self._estimates.tolist()):
-                update(thread_id, power)
+            self.hotpotato.update_powers(self._thread_ids, self._estimates.tolist())
             self._unpushed = False
         return self.hotpotato
 
@@ -330,4 +328,8 @@ class HotPotatoScheduler(Scheduler):
             data["screen.incumbent_exact"] = float(
                 self.hotpotato.screen_incumbent_exact
             )
+            # coolest-slot choices the ring tables settled, and those that
+            # fell back to Algorithm 1 on the slots they could not separate
+            data["screen.slot"] = float(self.hotpotato.screen_slot)
+            data["screen.slot_exact"] = float(self.hotpotato.screen_slot_exact)
         return data

@@ -20,6 +20,14 @@ Algorithm 1; that ``_select_tau`` picks the full ladder's rung, also with
 ``T_DTM`` inside the margin band of a rung peak, where it falls back to
 Algorithm 1; and that ``refresh()`` walks seeded drift sequences through
 the same states as with every test left to Algorithm 1.
+
+The coolest-slot choice itself is read from the same screened peaks:
+every slot outside the near set (within ``2 SCREEN_MARGIN_C`` of the
+coolest screened peak) is hotter than the exact minimum, and Algorithm 1
+on the near set returns the same peak bits and slot as on all free slots,
+also where an empty rotating ring ties its slots.  Seeded admissions,
+exits, ``rebalance`` and ``_mitigate`` runs walk through the same states
+as with every choice left to Algorithm 1.
 """
 
 import math
@@ -72,22 +80,29 @@ def _random_state(dynamics, rings, rng, fill):
 
 def _check_ring(hp, base, effective_tau, thread, ring, free, thresholds):
     """Screen against Algorithm 1 for one (thread, target ring) pair."""
-    screened = hp._screened_peak(base, effective_tau, thread, ring, free)
+    bound, screened, near = hp._screen(base, effective_tau, thread, ring, free)
     placed = thread in hp._location
     if placed:
         home = hp._location[thread]
         hp._unplace(thread)
-    exact, _ = hp._best_slot_in_ring(ring, thread, free)
-    proven = max(hp.screen_error_bound(thread, ring, slot) for slot in free)
+    exact, slot = hp._best_slot_in_ring(ring, thread, free)
+    peaks = {j: hp._best_slot_in_ring(ring, thread, [j])[0] for j in free}
+    proven = max(hp.screen_error_bound(thread, ring, j) for j in free)
     if placed:
         hp._place(thread, *home)
     assert proven <= SCREEN_MARGIN_C
     assert abs(screened - exact) < SCREEN_MARGIN_C / 100
-    bound = screened - SCREEN_MARGIN_C
+    assert bound == screened - SCREEN_MARGIN_C
     assert bound <= exact
     for threshold in thresholds:
         if exact < threshold:  # accepted by the exact scan ...
             assert bound < threshold  # ... so never skipped by the screen
+    # the near set is in slot order and holds every slot that can be the
+    # coolest; a lone near slot passes every test passed at the top of
+    # its band
+    assert near == sorted(near) and set(near) <= set(free) and slot in near
+    assert all(peaks[j] > exact for j in free if j not in near)
+    assert exact <= screened + SCREEN_MARGIN_C
 
 
 @pytest.mark.parametrize("platform", ["table1", "mesh4x4", "stack3d"])
@@ -240,3 +255,100 @@ def test_refresh_matches_the_all_exact_reference(platforms, platform, monkeypatc
         assert none_settled == 0 and settled > 0
         assert len(set(states)) > 2
         assert states == reference
+
+
+def _with_empty_rotating_ring(dynamics, rings, rng):
+    """A random rotating state with one multi-slot ring emptied."""
+    hp = _random_state(dynamics, rings, rng, float(rng.uniform(0.3, 0.7)))
+    hp._tau_index = int(rng.integers(1, len(hp._tau_ladder)))
+    wide = [ring for ring in range(rings.n_rings) if rings.capacity(ring) > 1]
+    empty = int(rng.choice(wide))
+    for thread in [t for t in hp._slots[empty] if t is not None]:
+        hp._unplace(thread)
+        del hp._threads[thread]
+    return hp
+
+
+@pytest.mark.parametrize("platform", ["table1", "mesh4x4", "stack3d"])
+def test_near_set_scan_matches_the_full_scan(platforms, platform):
+    dynamics, rings = platforms[platform]
+    rng = np.random.default_rng(29)
+    ties = 0
+    for _ in range(6):
+        hp = _with_empty_rotating_ring(dynamics, rings, rng)
+        base, effective_tau = hp._screen_base()
+        free = hp._free_by_ring()
+        hp._threads["new"] = ThreadInfo("new", float(rng.uniform(0.5, 9.0)), 1.0)
+        for ring in range(rings.n_rings):
+            if not free[ring]:
+                continue
+            _, _, near = hp._screen(base, effective_tau, "new", ring, free[ring])
+            peak, slot = hp._best_slot_in_ring(ring, "new", free[ring])
+            near_peak, near_slot = hp._best_slot_in_ring(ring, "new", near)
+            assert (near_peak.hex(), near_slot) == (peak.hex(), slot)
+            ties += len(near) > 1
+    assert ties > 0
+
+
+def _decision_run(dynamics, rings, seed):
+    """Admissions into a rotating state with an empty ring, then seeded
+    power drifts each followed by ``rebalance`` or ``_mitigate``, and
+    exits; the state after every step, and the screen counters."""
+    rng = np.random.default_rng(seed)
+    hp = _with_empty_rotating_ring(dynamics, rings, rng)
+    capacity = sum(rings.capacity(ring) for ring in range(rings.n_rings))
+    states = [hp.state_fingerprint()]
+    for i in range(capacity - hp.n_threads):
+        power, cpi = float(rng.uniform(0.5, 9.0)), float(rng.uniform(0.5, 3.0))
+        hp.admit(ThreadInfo(f"a{i}", power, cpi))
+        states.append(hp.state_fingerprint())
+        if rng.random() < 0.3:
+            hp.remove(str(rng.choice(sorted(hp._threads))))
+            states.append(hp.state_fingerprint())
+    for step in range(16):
+        threads = sorted(hp._threads)
+        powers = [float(rng.uniform(0.3, 12.0)) for _ in threads]
+        hp.update_powers(threads, powers)
+        if step % 4 == 3:
+            # T_DTM - Delta inside the margin band of the incumbent's peak
+            hp.t_dtm_c = hp.peak_temperature() + DELTA_C + SCREEN_MARGIN_C / 2
+        else:
+            hp.t_dtm_c = T_DTM_C + float(rng.uniform(-8.0, 8.0))
+        if step % 2:
+            hp._mitigate()
+        else:
+            hp.rebalance()
+        states.append(hp.state_fingerprint())
+        if threads and rng.random() < 0.5:
+            hp.remove(str(rng.choice(threads)))
+            states.append(hp.state_fingerprint())
+    counters = {
+        name: getattr(hp, name)
+        for name in (
+            "screen_skipped",
+            "screen_incumbent",
+            "screen_slot",
+            "screen_slot_exact",
+        )
+    }
+    return states, counters
+
+
+@pytest.mark.parametrize("platform", ["table1", "mesh4x4", "stack3d"])
+def test_decisions_match_the_all_exact_reference(platforms, platform, monkeypatch):
+    dynamics, rings = platforms[platform]
+    settled = fallbacks = 0
+    for seed in (3, 4):
+        states, counters = _decision_run(dynamics, rings, seed)
+        with monkeypatch.context() as patch:
+            # an infinite margin leaves every choice to Algorithm 1
+            patch.setattr(hotpotato, "SCREEN_MARGIN_C", math.inf)
+            reference, exact = _decision_run(dynamics, rings, seed)
+        assert exact["screen_skipped"] == exact["screen_incumbent"] == 0
+        assert exact["screen_slot"] == 0 and exact["screen_slot_exact"] > 0
+        assert len(set(states)) > 2
+        assert states == reference
+        settled += counters["screen_slot"]
+        fallbacks += counters["screen_slot_exact"]
+    # both the settled choice and the near-set fallback ran
+    assert settled > 0 and fallbacks > 0

@@ -141,6 +141,11 @@ class TestRunDeterminism:
         # settle the tests far from their thresholds
         assert snapshot["sched.screen.incumbent"] > 0
         assert snapshot["sched.screen.incumbent_exact"] >= 0
+        # coolest-slot choices: the tables settle some, and slots they
+        # cannot separate (the tied slots of an empty rotating ring) fall
+        # back to Algorithm 1
+        assert snapshot["sched.screen.slot"] > 0
+        assert snapshot["sched.screen.slot_exact"] > 0
         assert "thermal.exp_cache.hits" in snapshot
         # decision latency histogram observes every decide() call
         assert (

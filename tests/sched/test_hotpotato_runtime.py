@@ -91,3 +91,30 @@ class TestAdaptivity:
         )
         sim.run(max_time_s=0.01)
         assert sched.preferred_interval_s() == sched.hotpotato.tau_s
+
+
+class TestAlgorithmOneAccounting:
+    def test_every_peak_batch_call_is_a_counted_fallback(self, cfg16, model16):
+        """On the engine path HotPotato runs Algorithm 1 only where the ring
+        tables cannot settle a choice, and counts every such fallback."""
+        mix = [
+            ("blackscholes", 4, 0.0),
+            ("x264", 4, 0.0),
+            ("canneal", 4, 0.005),
+            ("swaptions", 4, 0.01),
+            ("bodytrack", 4, 0.02),
+            ("dedup", 2, 0.03),
+        ]
+        tasks = [
+            Task(i, PARSEC[name], n, seed=i, arrival_time_s=arrival)
+            for i, (name, n, arrival) in enumerate(mix)
+        ]
+        sched, sim = simulate(cfg16, model16, tasks)
+        sim.run(max_time_s=0.15)
+        hp = sched.hotpotato
+        calls = hp.calculator.cache_stats()["batch.calls"]
+        counted = (
+            hp.screen_slot_exact + hp.screen_incumbent_exact + hp.screen_overflow_exact
+        )
+        assert calls == counted
+        assert hp.screen_slot > 0 and hp.screen_slot_exact > 0

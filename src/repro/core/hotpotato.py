@@ -102,10 +102,6 @@ class ThreadInfo:
     #: effective cycles per instruction (high = memory-bound = cold)
     cpi: float
 
-    def with_power(self, power_w: float) -> "ThreadInfo":
-        """Copy with an updated power estimate."""
-        return ThreadInfo(self.thread_id, power_w, self.cpi)
-
 
 class HotPotato:
     """Algorithm 2: greedy thermally-safe ring assignment with rotation."""
@@ -137,7 +133,14 @@ class HotPotato:
         self._slots: List[List[Optional[ThreadId]]] = [
             [None] * rings.capacity(i) for i in range(rings.n_rings)
         ]
-        self._threads: Dict[ThreadId, ThreadInfo] = {}
+        #: per-thread power estimate [W] and CPI, in admission order
+        #: (:class:`ThreadInfo` is built only at the API edge)
+        self._power: Dict[ThreadId, float] = {}
+        self._cpi: Dict[ThreadId, float] = {}
+        #: thread ids by ascending and descending CPI, or None if stale
+        self._by_cpi: Optional[Tuple[List[ThreadId], List[ThreadId]]] = None
+        #: (slot version, free slots of every ring) of the last listing
+        self._free: Optional[Tuple[int, List[Tuple[int, ...]]]] = None
         self._location: Dict[ThreadId, Tuple[int, int]] = {}  # ring, slot
         self._ring_cores: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(rings.ring(i)) for i in range(rings.n_rings)
@@ -209,15 +212,33 @@ class HotPotato:
     @property
     def n_threads(self) -> int:
         """Number of threads currently scheduled."""
-        return len(self._threads)
+        return len(self._cpi)
+
+    @property
+    def n_free_slots(self) -> int:
+        """Number of empty slots over all rings."""
+        return sum(map(len, self._free_by_ring()))
 
     def free_slots(self, ring: int) -> List[int]:
         """Indices of the empty slots in ``ring``."""
-        return [i for i, t in enumerate(self._slots[ring]) if t is None]
+        return list(self._free_by_ring()[ring])
+
+    def thread_ids(self) -> List[ThreadId]:
+        """Scheduled threads, in admission order."""
+        return list(self._cpi)
+
+    def thread_info(self, thread_id: ThreadId) -> ThreadInfo:
+        """What HotPotato currently knows about ``thread_id``."""
+        return ThreadInfo(thread_id, self._power[thread_id], self._cpi[thread_id])
 
     def ring_of(self, thread_id: ThreadId) -> int:
         """Ring a thread is currently assigned to."""
         return self._location[thread_id][0]
+
+    @property
+    def schedule_key(self) -> Tuple[int, int]:
+        """(slot version, tau index), which keys :meth:`schedule`."""
+        return (self._version, self._tau_index)
 
     def schedule(self) -> RotationSchedule:
         """The current chip-wide rotation schedule.
@@ -225,7 +246,7 @@ class HotPotato:
         Built and validated once per (slot assignment, tau) and cached:
         most decisions change neither.
         """
-        key = (self._version, self._tau_index)
+        key = self.schedule_key
         if key != self._schedule_key:
             self._schedule = self._schedule_for(self._slots, self.tau_s)
             self._schedule_key = key
@@ -265,13 +286,12 @@ class HotPotato:
         validated (only :meth:`schedule` builds a :class:`RotationSchedule`).
         """
         rotates = self._rotates(tau_s)
-        powers = {t: info.power_w for t, info in self._threads.items()}
         seq = power_sequence(
             self._ring_cores,
             slots,
             rotates,
             self.rings.mesh.n_cores,
-            powers,
+            self._power,
             self.idle_power_w,
         )
         return seq, (tau_s if rotates else None)
@@ -288,8 +308,37 @@ class HotPotato:
     def _copy_slots(self) -> List[List[Optional[ThreadId]]]:
         return [list(ring) for ring in self._slots]
 
-    def _free_by_ring(self) -> List[List[int]]:
-        return [self.free_slots(ring) for ring in range(self.rings.n_rings)]
+    def _free_by_ring(self) -> List[Tuple[int, ...]]:
+        """The empty slots of every ring, listed once per slot version."""
+        if self._free is None or self._free[0] != self._version:
+            free = [
+                tuple(i for i, t in enumerate(ring) if t is None)
+                for ring in self._slots
+            ]
+            self._free = (self._version, free)
+        return self._free[1]
+
+    def _cpi_orders(self) -> Tuple[List[ThreadId], List[ThreadId]]:
+        """Thread ids by ascending and by descending CPI, ties in
+        admission order; sorted once per membership."""
+        if self._by_cpi is None:
+            cpi = self._cpi
+            self._by_cpi = (
+                sorted(cpi, key=cpi.__getitem__),
+                sorted(cpi, key=lambda t: -cpi[t]),
+            )
+        return self._by_cpi
+
+    def _enroll(self, info: ThreadInfo) -> None:
+        """Add a thread's estimates (not yet placed)."""
+        self._power[info.thread_id] = info.power_w
+        self._cpi[info.thread_id] = info.cpi
+        self._by_cpi = None
+
+    def _drop(self, thread_id: ThreadId) -> None:
+        """Forget an (unplaced) thread's estimates."""
+        del self._power[thread_id], self._cpi[thread_id]
+        self._by_cpi = None
 
     # -- certified scan screen ---------------------------------------------------
 
@@ -380,7 +429,7 @@ class HotPotato:
     ) -> np.ndarray:
         """``base`` with ``thread_id``'s excess power taken off its slot."""
         ring, slot = self._location[thread_id]
-        excess = self._threads[thread_id].power_w - self.idle_power_w
+        excess = self._power[thread_id] - self.idle_power_w
         return base - excess * self._slot_response(effective_tau, ring, [slot])[0]
 
     def _screen(
@@ -403,7 +452,7 @@ class HotPotato:
         exact peak, and the exact first minimum lies in the near set.
         """
         self.screen_pairs += 1
-        excess = self._threads[thread_id].power_w - self.idle_power_w
+        excess = self._power[thread_id] - self.idle_power_w
         candidates = base + excess * self._slot_response(effective_tau, ring, free)
         rises = candidates.max(axis=(1, 2))
         coolest = float(np.min(rises))
@@ -474,7 +523,7 @@ class HotPotato:
         u = np.finfo(float).eps / 2
         calc = self.calculator
         effective_tau = self._effective_tau(self.tau_s)
-        excess = abs(self._threads[thread_id].power_w - self.idle_power_w)
+        excess = abs(self._power[thread_id] - self.idle_power_w)
         unit = np.eye(self.rings.mesh.n_cores)
         rings = [ring]
         trial = self._copy_slots()
@@ -508,13 +557,12 @@ class HotPotato:
         Implements Algorithm 2 lines 1-14.  Raises ``ValueError`` when the
         chip has no free core at all.
         """
-        if info.thread_id in self._threads:
+        if info.thread_id in self._cpi:
             raise ValueError(f"thread {info.thread_id} already scheduled")
-        self._threads[info.thread_id] = info
         free = self._free_by_ring()
         if not any(free):
-            del self._threads[info.thread_id]
             raise ValueError("no free core for the arriving thread")
+        self._enroll(info)
 
         # rings in order: the first sustainable one wins.  A ring whose
         # screen bound is already unsustainable is deferred, not evaluated;
@@ -600,7 +648,7 @@ class HotPotato:
             rows = self._ring_offsets[ring] + np.asarray(slots)
             tracks = self._tracks[rows, :period]
             idle = float(self.idle_power_w)
-            thread_power = float(self._threads[thread_id].power_w)
+            thread_power = float(self._power[thread_id])
             for track in tracks[1:]:
                 seq = first.copy()
                 seq[epochs, tracks[0]] = idle
@@ -616,7 +664,7 @@ class HotPotato:
             raise ValueError("slot already occupied")
         self._slots[ring][slot] = thread_id
         self._location[thread_id] = (ring, slot)
-        excess = self._threads[thread_id].power_w - self.idle_power_w
+        excess = self._power[thread_id] - self.idle_power_w
         self._excess[self._ring_offsets[ring] + slot] = excess
         self._version += 1
 
@@ -725,11 +773,10 @@ class HotPotato:
         even denser (hotter) cluster.
         """
         current_c = self._screened_incumbent(self._effective_tau(self.tau_s))
-        by_cpi = sorted(self._threads.values(), key=lambda i: i.cpi)
         n_rings = self.rings.n_rings
         incumbent = self._copy_slots()
         return self._move_first(
-            by_cpi,
+            self._cpi_orders()[0],
             lambda ring: range(ring + 1, n_rings),
             current_c - 1e-9,
             lambda: self._peak_for(incumbent, self.tau_s) - 1e-9,
@@ -737,7 +784,7 @@ class HotPotato:
 
     def _move_first(
         self,
-        by_cpi: List[ThreadInfo],
+        by_cpi: List[ThreadId],
         targets: Callable[[int], range],
         threshold_c: float,
         exact_threshold: Optional[Callable[[], float]] = None,
@@ -762,8 +809,8 @@ class HotPotato:
             exact_c: Optional[float] = None
         free = self._free_by_ring()
         incumbent: Optional[np.ndarray] = None
-        for info in by_cpi:
-            ring, slot = self._location[info.thread_id]
+        for thread_id in by_cpi:
+            ring, slot = self._location[thread_id]
             base: Optional[np.ndarray] = None
             for target in targets(ring):
                 if not free[target]:
@@ -771,23 +818,23 @@ class HotPotato:
                 if incumbent is None:
                     incumbent, effective_tau = self._screen_base()
                 if base is None:
-                    base = self._without(incumbent, effective_tau, info.thread_id)
+                    base = self._without(incumbent, effective_tau, thread_id)
                 bound, screened, near = self._screen(
-                    base, effective_tau, info.thread_id, target, free[target]
+                    base, effective_tau, thread_id, target, free[target]
                 )
                 if bound >= high_c:
                     self.screen_skipped += 1
                     continue
-                self._unplace(info.thread_id)
+                self._unplace(thread_id)
                 if len(near) == 1 and screened + SCREEN_MARGIN_C < low_c:
                     self.screen_slot += 1
                     if exact_threshold is not None:
                         self.screen_incumbent += 1
-                    self._place(info.thread_id, target, near[0])
+                    self._place(thread_id, target, near[0])
                     return True
                 self.screen_slot_exact += 1
                 peak_c, best_slot = self._best_slot_in_ring(
-                    target, info.thread_id, near
+                    target, thread_id, near
                 )
                 if exact_threshold is None:
                     accept = peak_c < threshold_c
@@ -800,19 +847,19 @@ class HotPotato:
                     self.screen_incumbent += 1
                     accept = peak_c < low_c
                 if accept:
-                    self._place(info.thread_id, target, best_slot)
+                    self._place(thread_id, target, best_slot)
                     return True
-                self._place(info.thread_id, ring, slot)  # revert
+                self._place(thread_id, ring, slot)  # revert
         return False
 
     # -- Algorithm 2: exit / headroom ------------------------------------------------
 
     def remove(self, thread_id: ThreadId) -> None:
         """Remove a finished thread and re-optimize (lines 15-27)."""
-        if thread_id not in self._threads:
+        if thread_id not in self._cpi:
             raise KeyError(f"unknown thread {thread_id}")
         self._unplace(thread_id)
-        del self._threads[thread_id]
+        self._drop(thread_id)
         self.rebalance()
 
     def rebalance(self) -> None:
@@ -835,9 +882,8 @@ class HotPotato:
 
     def _migrate_memory_bound_inward(self) -> bool:
         """Move the highest-CPI thread to the lowest sustainable ring."""
-        by_cpi = sorted(self._threads.values(), key=lambda i: -i.cpi)
         # lowest AMD first
-        return self._move_first(by_cpi, range, self.t_dtm_c)
+        return self._move_first(self._cpi_orders()[1], range, self.t_dtm_c)
 
     # -- run-time refresh ----------------------------------------------------------
 
@@ -850,11 +896,13 @@ class HotPotato:
     ) -> None:
         """Refresh the power estimates of several threads: one scatter of
         the placed threads' excess powers and one power-version bump."""
-        threads = self._threads
+        estimates = self._power
         flat: List[int] = []
         placed: List[float] = []
         for thread_id, power_w in zip(thread_ids, powers):
-            threads[thread_id] = threads[thread_id].with_power(power_w)
+            if thread_id not in estimates:
+                raise KeyError(thread_id)
+            estimates[thread_id] = power_w
             location = self._location.get(thread_id)
             if location is not None:
                 flat.append(self._ring_offsets[location[0]] + location[1])

@@ -102,7 +102,7 @@ def run(
     schedule = hp.schedule()
     seq = schedule.power_sequence(
         cfg.n_cores,
-        {t: hp._threads[t].power_w for t in schedule.threads()},
+        {t: hp.thread_info(t).power_w for t in schedule.threads()},
         cfg.thermal.idle_power_w,
     )
     tau = hp.tau_s if hp.tau_s is not None else cfg.rotation_interval_s

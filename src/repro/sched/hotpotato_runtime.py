@@ -102,9 +102,13 @@ class HotPotatoScheduler(Scheduler):
         self._settled = False
         #: every core at f_max (read-only, shared by every decision)
         self._f_max: Optional[np.ndarray] = None
+        #: (inputs, schedule key, waiting set, placements) of the last
+        #: full decision, while a repeat provably decides the same
+        self._memo: Optional[tuple] = None
         #: observability counters (published via :meth:`metrics`)
         self._refresh_count = 0
         self._urgent_refresh_count = 0
+        self._decide_reused = 0
 
     def attach(self, ctx) -> None:
         super().attach(ctx)
@@ -140,11 +144,7 @@ class HotPotatoScheduler(Scheduler):
         return ThreadInfo("", power, cpi)
 
     def _can_admit(self, task: Task) -> bool:
-        free = sum(
-            len(self.hotpotato.free_slots(ring))
-            for ring in range(self.ctx.rings.n_rings)
-        )
-        return free >= task.n_threads
+        return self.hotpotato.n_free_slots >= task.n_threads
 
     def _synced(self) -> HotPotato:
         """HotPotato, holding the estimates of the latest decision."""
@@ -168,6 +168,7 @@ class HotPotatoScheduler(Scheduler):
         self._power_at_refresh = np.concatenate([self._power_at_refresh, arrival])
         self._estimates = np.concatenate([self._estimates, arrival])
         self._settled = False
+        self._memo = None
 
     def _release(self, task: Task, now_s: float) -> None:
         hotpotato = self._synced()
@@ -182,6 +183,7 @@ class HotPotatoScheduler(Scheduler):
         self._power_at_refresh = self._power_at_refresh[keep]
         self._estimates = self._estimates[keep]
         self._settled = False
+        self._memo = None
 
     # -- per-interval ----------------------------------------------------------------
 
@@ -210,18 +212,17 @@ class HotPotatoScheduler(Scheduler):
         """
         return window.average_w[self._thread_slots]
 
-    def _refresh_estimates(self, now_s: float) -> None:
+    def _refresh_estimates(self, known: np.ndarray, measured: np.ndarray) -> bool:
         """Feed measured power back; re-optimize on drastic drift.
 
         Drift is measured against the estimates in force at the last
         re-optimization (the paper's sudden-change trigger ``Delta``), so a
         slow ramp still accumulates into a refresh.  Threads without
-        history yet keep their estimates.
+        history yet (``known`` false) keep their estimates.  Returns
+        whether the state is settled with a drift of at most 0.5 W left
+        against the same inputs: then neither trigger can fire on them.
         """
         self._intervals_since_refresh += 1
-        window = self.ctx.power_window()
-        known = window.has_history[self._thread_slots]
-        measured = self._measured_power(window)
         drift = np.abs(
             measured - self._power_at_refresh,
             where=known,
@@ -242,28 +243,62 @@ class HotPotatoScheduler(Scheduler):
             not self._settled
             and self._intervals_since_refresh >= _REFRESH_SPACING
         )
-        if urgent or routine:
-            before = self.hotpotato.state_fingerprint()
-            self._synced().refresh()
-            self._refresh_count += 1
-            if urgent:
-                self._urgent_refresh_count += 1
-            self._intervals_since_refresh = 0
-            self._power_at_refresh = np.where(
-                known, measured, self._power_at_refresh
-            )
-            self._settled = self.hotpotato.state_fingerprint() == before
+        if not (urgent or routine):
+            return self._settled
+        before = self.hotpotato.state_fingerprint()
+        self._synced().refresh()
+        self._refresh_count += 1
+        if urgent:
+            self._urgent_refresh_count += 1
+        self._intervals_since_refresh = 0
+        # the known threads' drift against the same inputs is now zero
+        self._power_at_refresh = np.where(known, measured, self._power_at_refresh)
+        self._settled = self.hotpotato.state_fingerprint() == before
+        return self._settled
 
     def decide(self, now_s: float) -> SchedulerDecision:
-        self._refresh_estimates(now_s)
+        """The current rotation epoch's placements, every core at f_max.
+
+        After a full decision left the state settled, without rotation
+        and with at most 0.5 W of drift, a decision with byte-equal inputs
+        (measured power, has-history mask, thread slots), schedule key
+        and waiting set takes no refresh and changes only the three
+        fields advanced below, so it reuses the placements.  Admission,
+        release, degradation changes and migration failures drop the memo.
+        """
+        window = self.ctx.power_window()
+        known = window.has_history[self._thread_slots]
+        measured = self._measured_power(window)
+        inputs = (measured.tobytes(), known.tobytes(), self._thread_slots.tobytes())
+        waiting = self.waiting_threads()
+        memo = self._memo
+        if (
+            memo is not None
+            and memo[0] == inputs
+            and memo[1] == self.hotpotato.schedule_key
+            and memo[2] is waiting
+        ):
+            self._intervals_since_refresh += 1
+            self._unpushed = True
+            self._epoch_started_s = now_s
+            self._decide_reused += 1
+            return SchedulerDecision(
+                placements=memo[3], frequencies=self._f_max, waiting=waiting
+            )
+        quiet = self._refresh_estimates(known, measured)
         self._advance_epoch(now_s)
-        schedule = self.hotpotato.schedule()
-        placements = schedule.placement_at(self._epoch)
+        placements = self.hotpotato.schedule().placement_at(self._epoch)
+        tau = self.hotpotato.tau_s
+        self._memo = (
+            (inputs, self.hotpotato.schedule_key, waiting, placements)
+            if quiet and tau is None
+            else None
+        )
         return SchedulerDecision(
             placements=placements,
             frequencies=self._f_max,
-            waiting=self.waiting_threads(),
-            tau_s=self.hotpotato.tau_s,
+            waiting=waiting,
+            tau_s=tau,
         )
 
     # -- graceful degradation --------------------------------------------------
@@ -292,6 +327,7 @@ class HotPotatoScheduler(Scheduler):
         # force a prompt re-optimization under the new margin
         self._settled = False
         self._intervals_since_refresh = _REFRESH_SPACING
+        self._memo = None
 
     def on_migration_failure(self, failures, placements, now_s: float) -> None:
         """An aborted hop left reality out of step with the rotation.
@@ -302,6 +338,7 @@ class HotPotatoScheduler(Scheduler):
         refresh re-check sustainability against what actually happened.
         """
         self._settled = False
+        self._memo = None
 
     def metrics(self) -> Mapping[str, float]:
         """Rotation/refresh counters for the observability snapshot."""
@@ -309,6 +346,8 @@ class HotPotatoScheduler(Scheduler):
         data["rotation_epochs"] = float(self._epoch)
         data["refreshes"] = float(self._refresh_count)
         data["urgent_refreshes"] = float(self._urgent_refresh_count)
+        # decisions served from the last full one (``sched.decide_reused``)
+        data["decide_reused"] = float(self._decide_reused)
         tau = self.hotpotato.tau_s if self.hotpotato is not None else None
         data["rotation_active"] = 1.0 if tau is not None else 0.0
         if tau is not None:

@@ -28,6 +28,7 @@ class StaticPlacer:
         #: bumped on every change of the assignment
         self.version = 0
         self._slot_arrays: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._free: Optional[Tuple[int, Tuple[int, ...]]] = None
 
     @property
     def placements(self) -> Dict[str, int]:
@@ -50,9 +51,13 @@ class StaticPlacer:
         return sorted(self._occupant)
 
     def free_cores(self) -> List[int]:
-        """Free cores in placement-preference (ascending AMD) order."""
-        occupant = self._occupant
-        return [core for core in self._order if core not in occupant]
+        """Free cores in placement-preference (ascending AMD) order (a
+        fresh list; listed once per assignment version)."""
+        if self._free is None or self._free[0] != self.version:
+            occupant = self._occupant
+            free = tuple(core for core in self._order if core not in occupant)
+            self._free = (self.version, free)
+        return list(self._free[1])
 
     def place_task(self, task: Task) -> None:
         """Assign every thread of ``task`` to the best free cores."""

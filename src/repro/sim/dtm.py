@@ -35,6 +35,8 @@ class DtmController:
         self.f_min_hz = f_min_hz
         self._throttled = np.zeros(n_cores, dtype=bool)
         self._stuck = np.zeros(n_cores, dtype=bool)
+        #: whether some core is throttled or stuck
+        self._clamping = False
         #: number of cool->throttled transitions observed
         self.trigger_count = 0
         #: accumulated core-seconds spent throttled
@@ -59,6 +61,13 @@ class DtmController:
         if mask.shape != (self.n_cores,):
             raise ValueError("stuck mask has wrong shape")
         self._stuck = mask.copy()
+        self._clamping = bool(self._throttled.any() or mask.any())
+
+    def cool(self, core_temps_c: np.ndarray) -> bool:
+        """Whether :meth:`update` and :meth:`apply` would change nothing:
+        no core throttled or stuck and none above the threshold (a NaN
+        reading fails the test), so nothing engages, releases or clamps."""
+        return not self._clamping and float(core_temps_c.max()) <= self.threshold_c
 
     def update(self, core_temps_c: np.ndarray) -> np.ndarray:
         """Advance the hysteresis state machine; returns the throttle mask."""
@@ -71,6 +80,7 @@ class DtmController:
             temps < self.threshold_c - self.hysteresis_c
         )
         self._throttled = (self._throttled | newly_hot) & ~cooled
+        self._clamping = bool(self._throttled.any() or self._stuck.any())
         return self._throttled.copy()
 
     def apply(self, frequencies_hz: np.ndarray, interval_s: float) -> np.ndarray:

@@ -10,7 +10,7 @@ power.  This engine reproduces that loop on top of our substrates:
 3. charge migration debt for every thread that moved (and the cold-start
    refill of new arrivals);
 4. let per-core hardware DTM clamp frequencies where the threshold was
-   crossed;
+   crossed (skipped on a cool chip, where it would change nothing);
 5. advance every placed thread by the instructions its core/frequency
    allows (after paying migration debt), with barrier-phase semantics.
    Per-thread state lives in arrays indexed by thread *slot* (time
@@ -20,17 +20,21 @@ power.  This engine reproduces that loop on top of our substrates:
    (:meth:`~repro.sim.context.SimContext.power_window`).  An interval
    that repeats the previous decision (same placements, waiting set,
    live threads and DTM-applied frequencies) reuses the slot, core and
-   rate arrays derived for it (:class:`_Plan`), and also its time-stack
-   increments and power sample when ``dt`` and every thread's execution
-   time and retired instructions are byte-equal too;
+   rate arrays derived for it (:class:`_Plan`), its validated
+   instruction counts when every thread's execution time is byte-equal,
+   and its time-stack increments and frozen power sample when ``dt`` and
+   the retired instructions are byte-equal too.  A run of such samples
+   reads the window computed earlier in the run (*Quiet intervals* in
+   ``docs/performance.md``);
 6. build the per-core power map from each thread's compute/stall split and
    advance the RC thermal state **exactly** (matrix-exponential step — no
    integration error regardless of interval length).  The state lives in
    the eigenbasis (:class:`~repro.thermal.spectral_state.SpectralThermalState`):
    each step is an ``O(N)`` elementwise decay plus an ``O(N n)``
-   steady-coefficient update, and core temperatures are projected back
-   once per step and cached for every reader — no dense ``exp(C tau)``
-   matrix and no linear solve in the hot loop (``docs/performance.md``);
+   steady-coefficient update (reused for a repeated frozen power map),
+   and core temperatures are projected back once per step and cached for
+   every reader — no dense ``exp(C tau)`` matrix and no linear solve in
+   the hot loop (``docs/performance.md``);
 7. fold the new core temperatures into the result's peak and time above
    ``T_DTM``, record traces/metrics, deliver completions, repeat.
 
@@ -61,7 +65,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..obs.observer import Observer
 from ..sched.base import MigrationFailure, Scheduler, SchedulerDecision
-from ..thermal.spectral_state import SpectralThermalState
+from ..thermal.spectral_state import SpectralThermalState, is_frozen
 from ..workload.task import Task, ThreadProgress
 from .context import PowerWindow, SimContext
 from .dtm import DtmController
@@ -134,7 +138,11 @@ class _PowerHistory:
     between and after a slot's samples are exact (``x + 0.0 == x``).
     The observations of all slots (:class:`~repro.sim.context.PowerWindow`)
     are computed at most once per interval, on the first read after a
-    record.
+    record.  While every column of the span was written by one run of
+    records with the same slot and power arrays and ``dt`` (a quiet
+    stretch of repeated intervals), the span holds the same values in the
+    same order whenever its length is the same, so a window computed
+    earlier in the run for that length is handed out again.
     """
 
     def __init__(self, window_s: float, slots: int = 16, width: int = 8):
@@ -152,6 +160,15 @@ class _PowerHistory:
         self._recent = np.zeros(slots)
         #: the observations of the current samples, or None when stale
         self._window: Optional[PowerWindow] = None
+        #: the last record's slot and power arrays, its ``dt`` and column
+        #: entries ``(p * dt, dt)``, while ``_has`` and ``_recent`` still
+        #: hold them; the records in its run of equal records (the newest
+        #: columns, holding only its samples), and the number of runs
+        self._last: Optional[tuple] = None
+        self._run = 0
+        self._runs = 0
+        #: ((run, span), window) of a window whose span lay in one run
+        self._quiet: Optional[Tuple[Tuple[int, int], PowerWindow]] = None
 
     def reserve(self, slots: int) -> None:
         """Make room for slot indices below ``slots``."""
@@ -162,7 +179,7 @@ class _PowerHistory:
         self._samples = np.pad(self._samples, ((0, 0), (0, 0), (0, grow)))
         self._has = np.pad(self._has, (0, grow))
         self._recent = np.pad(self._recent, (0, grow))
-        self._window = None
+        self._window = self._last = self._quiet = None
 
     def _age_order(self) -> np.ndarray:
         """Column indices, oldest first."""
@@ -190,6 +207,11 @@ class _PowerHistory:
         """One interval's samples: ``power_w[i]`` for slot ``slots[i]``.
 
         Every slot must lie below the capacity set by :meth:`reserve`.
+        Handed the same slot and power arrays as the last record (a
+        repeated interval's plan and sample, never mutated), it reuses
+        that record's column entries, skips rewriting the flags and latest
+        samples, which still hold the same values, and evicts a column of
+        its run whole: the column holds no other slot's sample.
         """
         if now_s < self._time[self._col]:
             raise ValueError("power samples must be recorded in time order")
@@ -206,32 +228,53 @@ class _PowerHistory:
         self._time[col] = now_s
         samples = self._samples
         column = samples[col]
-        column[0, slots] = power_w * dt_s
-        column[1, slots] = dt_s
+        last = self._last
+        repeat = last is not None and last[0] is slots and last[1] is power_w
+        if repeat and last[2] == dt_s:
+            self._run += 1
+        else:
+            entries = np.array([power_w * dt_s, np.full(len(slots), dt_s)])
+            last = self._last = (slots, power_w, dt_s, entries)
+            self._run = 1
+            self._runs += 1
+        column[:, slots] = last[3]
         # evict: the recording slots' samples older than the window; in
-        # age order, those columns are the oldest of the span
+        # age order, those columns are the oldest of the span, and the
+        # newest ``_run`` are this run's
         order = self._age_order()
         first = width - min(self._span + 1, width)
+        run_start = width - self._run
         cutoff = now_s - self.window_s
         time = self._time
         end = first
         while end < width and time[order[end]] < cutoff:
             end += 1
-        if end > first:
-            samples[order[first:end, None], :, slots] = 0.0
-            while first < end and not np.count_nonzero(samples[order[first]]):
-                first += 1
+        for age in range(first, end):
+            if age >= run_start:
+                samples[order[age]] = 0.0
+            else:
+                samples[order[age]][:, slots] = 0.0
+        while first < end and (
+            first >= run_start or not np.count_nonzero(samples[order[first]])
+        ):
+            first += 1
         self._span = width - first
-        self._has[slots] = True
-        self._recent[slots] = power_w
+        if not repeat:
+            self._has[slots] = True
+            self._recent[slots] = power_w
         self._window = None
 
     def window(self) -> PowerWindow:
         """Every slot's window average, latest sample and has-history flag."""
         if self._window is None:
-            if self._span:
+            span = self._span
+            key = (self._runs, span) if 0 < span <= self._run else None
+            if key is not None and self._quiet is not None and self._quiet[0] == key:
+                self._window = self._quiet[1]
+                return self._window
+            if span:
                 # the columns before the span are zero: they add nothing
-                order = self._age_order()[-self._span :]
+                order = self._age_order()[-span:]
                 ordered = self._samples.take(order, axis=0)
                 energy, time = np.add.accumulate(ordered, axis=0)[-1]
             else:
@@ -241,13 +284,14 @@ class _PowerHistory:
             self._window = PowerWindow(
                 energy / (time + ~has), self._recent.copy(), has
             )
+            self._quiet = None if key is None else (key, self._window)
         return self._window
 
     def forget(self, slot: int) -> None:
         if slot < self._has.shape[0]:
             self._samples[:, :, slot] = 0.0
             self._has[slot] = False
-            self._window = None
+            self._window = self._last = self._quiet = None
 
 
 class _RateTable:
@@ -331,6 +375,8 @@ class _Plan:
         "slots",
         "cores",
         "factors",
+        "exec_key",
+        "instructions",
         "sample_key",
         "spent",
         "thread_power",
@@ -347,6 +393,10 @@ class _Plan:
         self.cores = cores
         #: tpi_s, compute, stall, dynamic_w, idle_w per placed thread
         self.factors = factors
+        #: the execution-time bytes last retired, and their (validated)
+        #: instruction counts ``exec_time / tpi``
+        self.exec_key: Optional[bytes] = None
+        self.instructions: Optional[np.ndarray] = None
         self.sample_key: Optional[Tuple[float, bytes, bytes]] = None
         self.spent: Optional[np.ndarray] = None
         self.thread_power: Optional[np.ndarray] = None
@@ -753,6 +803,8 @@ class IntervalSimulator:
         self._run_energy_j = 0.0
         #: per-core energy integral [J] (energy accounting, docs/traffic.md)
         self._energy_per_core_j = np.zeros(self.ctx.n_cores)
+        #: (frozen power map, dt, energy, per-core energies) last accounted
+        self._energy: Optional[tuple] = None
         #: instructions retired across all threads (J/instruction metric)
         self._instructions_retired = 0.0
         self._now = 0.0
@@ -874,18 +926,21 @@ class IntervalSimulator:
         if not repeat:
             self._charge_moves(decision, now)
 
-        # 4. DTM
-        if self.dtm_enabled:
+        # 4. DTM (on a cool chip nothing engages, releases or clamps)
+        dtm = self._dtm
+        if not self.dtm_enabled:
+            freqs = np.asarray(decision.frequencies, dtype=float)
+        elif dtm.cool(self._core_temps()):
+            freqs = np.array(decision.frequencies, dtype=float)
+        else:
             # the throttle mask before the update only feeds events/metrics
             observed = self.events is not None or self._metrics is not None
-            before = self._dtm.throttled.copy() if observed else None
+            before = dtm.throttled.copy() if observed else None
             temps_now = self._core_temps()
-            after = self._dtm.update(temps_now)
+            after = dtm.update(temps_now)
             if observed:
                 self._note_dtm_transitions(now, before, after, temps_now)
-            freqs = self._dtm.apply(decision.frequencies, dt)
-        else:
-            freqs = np.asarray(decision.frequencies, dtype=float)
+            freqs = dtm.apply(decision.frequencies, dt)
 
         # 5. execution + 6. power map
         power_token = (
@@ -920,15 +975,17 @@ class IntervalSimulator:
         ``core_power_w``) would apply to that thread.  Task progress is
         retired in one :meth:`~repro.workload.task.ThreadProgress.retire`
         over the slot arrays, and the instructions-retired total is summed
-        in placement order (``np.add.accumulate``, a sequential sum).  A
+        in placement order, one float addition per thread.  A
         task whose thread reached zero remaining share is queued for the
         barrier check in :meth:`complete_interval`: every phase a task
         enters holds work, so only such a task can pass its barrier.
 
         The arrays derived from the decision come from the last
         interval's :class:`_Plan` when ``repeat`` holds and DTM applied
-        the same frequencies; its sample is reused when ``dt`` and every
-        thread's execution time and retired instructions are byte-equal.
+        the same frequencies; its instruction counts (already validated)
+        are reused when every thread's execution time is byte-equal, and
+        its sample when ``dt`` and every thread's retired instructions
+        are byte-equal too.
         """
         placed = decision.placements
         stack = self._time_stack
@@ -951,17 +1008,25 @@ class IntervalSimulator:
         slots = plan.slots
         if not slots.size:
             return np.full(self.ctx.n_cores, self._idle_power)
-        tpi, compute_b, stall_b, dynamic_w, idle_w = plan.factors
         exec_time = self._accountant.consume_debts(placed, dt)
-        done, emptied = self._progress.retire(slots, exec_time / tpi)
+        exec_key = exec_time.tobytes()
+        if exec_key == plan.exec_key:
+            done, emptied = self._progress.retire(slots, plan.instructions, True)
+        else:
+            instructions = exec_time / plan.factors[0]
+            done, emptied = self._progress.retire(slots, instructions)
+            plan.exec_key, plan.instructions = exec_key, instructions
         if emptied.any():
             tasks = self._slot_task
             self._at_barrier.update(tasks[slot] for slot in slots[emptied].tolist())
-        self._instructions_retired = float(
-            np.add.accumulate(np.concatenate(([self._instructions_retired], done)))[-1]
-        )
-        sample_key = (dt, exec_time.tobytes(), done.tobytes())
+        # summed in placement order, one rounding per thread
+        total = self._instructions_retired
+        for retired in done.tolist():
+            total += retired
+        self._instructions_retired = total
+        sample_key = (dt, exec_key, done.tobytes())
         if sample_key != plan.sample_key:
+            tpi, compute_b, stall_b, dynamic_w, idle_w = plan.factors
             busy_time = done * tpi
             migration_time = dt - exec_time
             # this interval's time stack: compute, stall, migration, wait
@@ -1059,8 +1124,13 @@ class IntervalSimulator:
 
         decision = plan.decision
         power = plan.power_w
-        self._run_energy_j += float(power.sum()) * dt
-        self._energy_per_core_j += power * dt
+        # a repeated interval's frozen sample has the same energies
+        energy = self._energy
+        if energy is None or energy[0] is not power or energy[1] != dt:
+            energy = (power, dt, float(power.sum()) * dt, power * dt)
+            self._energy = energy if is_frozen(power) else None
+        self._run_energy_j += energy[2]
+        self._energy_per_core_j += energy[3]
         self._now += dt
         now = self._now
         self._sample_temperatures()

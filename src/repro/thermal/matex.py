@@ -86,6 +86,12 @@ class ThermalDynamics:
         return self._b_inv
 
     @property
+    def steady_projection(self) -> np.ndarray:
+        """``V^{-1} B^{-1}`` on the core columns, the matrix
+        :meth:`steady_coeffs` applies (cached, do not mutate)."""
+        return self._vinv_binv_cores
+
+    @property
     def slowest_time_constant_s(self) -> float:
         """``1/|lambda_max|``: the slowest thermal time constant."""
         return float(1.0 / np.min(np.abs(self.eigenvalues)))
@@ -222,11 +228,11 @@ class ThermalDynamics:
 
         Mathematically identical to :meth:`step` but costs two ``O(N^2)``
         projections plus ``O(N n)`` work, with no steady-state solve and
-        no ``exp(C tau)`` matrix.  PCMig's violation predictor steps
-        through here, but it still pays one ``steady_state`` solve just
-        before a call whose power map differs from the previous call's,
-        to lift its core readings onto a full node vector.  Callers that
-        step *repeatedly* should hold a
+        no ``exp(C tau)`` matrix.  The violation predictor of PCMig and
+        the async-migration baseline
+        (:class:`~repro.sched.pcmig.ViolationPredictor`) steps through
+        here only for a prediction its certified screen cannot settle.
+        Callers that step *repeatedly* should hold a
         :class:`~repro.thermal.spectral_state.SpectralThermalState` instead,
         which amortizes both projections away entirely.
         """

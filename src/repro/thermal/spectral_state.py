@@ -31,7 +31,14 @@ import numpy as np
 
 from .matex import ThermalDynamics
 
-__all__ = ["SpectralThermalState"]
+__all__ = ["SpectralThermalState", "is_frozen"]
+
+
+def is_frozen(array) -> bool:
+    """Whether ``array`` is a read-only ndarray owning its data, which
+    nothing can change while it is held."""
+    frozen = isinstance(array, np.ndarray) and not array.flags.writeable
+    return frozen and array.base is None
 
 
 class SpectralThermalState:
@@ -59,6 +66,10 @@ class SpectralThermalState:
         self._coeffs = np.empty(dynamics.model.n_nodes)
         self._core_cache: Optional[np.ndarray] = None
         self._node_cache: Optional[np.ndarray] = None
+        #: the last frozen power map stepped under, and its steady
+        #: coefficients
+        self._power: Optional[np.ndarray] = None
+        self._steady: Optional[np.ndarray] = None
         #: number of eigenbasis steps taken (observability)
         self.steps = 0
         self.set_node_temperatures(node_temps_c)
@@ -109,6 +120,7 @@ class SpectralThermalState:
         state._coeffs = coefficients.copy()
         state._core_cache = None
         state._node_cache = None
+        state._power = state._steady = None
         state.steps = int(steps)
         return state
 
@@ -130,9 +142,15 @@ class SpectralThermalState:
         """Advance the state by ``tau_s`` under constant core power.
 
         Exact for piecewise-constant power (the same Eq. 4 as the dense
-        path), evaluated entirely in the eigenbasis.
+        path), evaluated entirely in the eigenbasis.  Handed the same
+        frozen power array (:func:`is_frozen`) as the last step, as the
+        engine's reused sample of a repeated interval is, it reuses that
+        step's steady coefficients.
         """
-        steady = self.dynamics.steady_coeffs(core_power_w)
+        if core_power_w is not self._power:
+            self._steady = self.dynamics.steady_coeffs(core_power_w)
+            self._power = core_power_w if is_frozen(core_power_w) else None
+        steady = self._steady
         decay = self.dynamics.decay_vector(tau_s)
         self._coeffs = steady + decay * (self._coeffs - steady)
         self._core_cache = None

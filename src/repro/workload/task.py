@@ -47,7 +47,7 @@ class ThreadProgress:
             self.retired = np.pad(self.retired, (0, grow))
 
     def retire(
-        self, slots: np.ndarray, instructions: np.ndarray
+        self, slots: np.ndarray, instructions: np.ndarray, checked: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Retire up to ``instructions[i]`` on slot ``slots[i]``.
 
@@ -55,9 +55,11 @@ class ThreadProgress:
         remaining phase share, and a mask of the slots whose share this
         call brought to zero.  Does **not** advance any phase: the
         barrier is checked per task (:meth:`Task.try_advance_phase`), so
-        that all threads of a task observe it consistently.
+        that all threads of a task observe it consistently.  ``checked``
+        skips the scan for negative counts, for an ``instructions`` array
+        an earlier call already accepted.
         """
-        if np.any(instructions < 0):
+        if not checked and np.any(instructions < 0):
             raise ValueError("cannot retire a negative instruction count")
         remaining = self.remaining[slots]
         done = np.minimum(instructions, remaining)

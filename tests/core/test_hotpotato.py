@@ -144,7 +144,7 @@ class TestStateQueries:
     def test_update_power(self, hp16):
         hp16.admit(hot(0))
         hp16.update_power("hot0", 3.3)
-        assert hp16._threads["hot0"].power_w == pytest.approx(3.3)
+        assert hp16.thread_info("hot0").power_w == pytest.approx(3.3)
 
     def test_refresh_reacts_to_cooling(self, hp16):
         hp16.admit(hot(0))

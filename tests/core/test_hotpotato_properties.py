@@ -59,13 +59,13 @@ def _check_invariants(hp: HotPotato) -> None:
             if thread is not None:
                 assert thread not in seen
                 seen[thread] = (ring_index, slot)
-    assert set(seen) == set(hp._threads)
+    assert set(seen) == set(hp.thread_ids())
     # locations agree with slots
     for thread, location in hp._location.items():
         assert seen[thread] == location
     # schedule exposes exactly the live threads, on disjoint cores
     schedule = hp.schedule()
-    assert set(schedule.threads()) == set(hp._threads)
+    assert set(schedule.threads()) == set(hp.thread_ids())
     placement = schedule.placement_at(3)
     assert len(set(placement.values())) == len(placement)
 
@@ -184,7 +184,7 @@ def test_cached_schedule_equals_fresh_build(ops):
             hp.refresh()
         fresh = hp._schedule_for(hp._slots, hp.tau_s)
         _assert_same_schedule(hp.schedule(), fresh)
-        powers = {t: info.power_w for t, info in hp._threads.items()}
+        powers = {t: hp.thread_info(t).power_w for t in hp.thread_ids()}
         seq, tau = hp._power_seq_for(hp._slots, hp.tau_s)
         expected = fresh.power_sequence(_RINGS.mesh.n_cores, powers, 0.3)
         assert seq.tobytes() == expected.tobytes()

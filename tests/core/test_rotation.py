@@ -247,10 +247,10 @@ class TestTrackTables:
             for slot in range(rings.capacity(ring)):
                 if rng.random() < 0.5:
                     thread = f"t{ring}.{slot}"
-                    hp._threads[thread] = ThreadInfo(thread, rng.uniform(1, 9), 1.0)
+                    hp._enroll(ThreadInfo(thread, rng.uniform(1, 9), 1.0))
                     hp._place(thread, ring, slot)
         new = ThreadInfo("new", 7.25, 1.0)
-        hp._threads[new.thread_id] = new
+        hp._enroll(new)
         for ring in range(rings.n_rings):
             free = hp.free_slots(ring)
             if not free:

@@ -73,7 +73,7 @@ def _random_state(dynamics, rings, rng, fill):
             if rng.random() < fill:
                 thread = f"t{ring}.{slot}"
                 info = ThreadInfo(thread, float(rng.uniform(0.5, 9.0)), 1.0)
-                hp._threads[thread] = info
+                hp._enroll(info)
                 hp._place(thread, ring, slot)
     return hp
 
@@ -118,13 +118,13 @@ def test_screen_is_sound_on_every_rung(platforms, platform):
             base, effective_tau = hp._screen_base()
             free = hp._free_by_ring()
             # an arriving thread against every ring with a free slot
-            hp._threads["new"] = ThreadInfo("new", float(rng.uniform(0.5, 9.0)), 1.0)
+            hp._enroll(ThreadInfo("new", float(rng.uniform(0.5, 9.0)), 1.0))
             for ring in range(rings.n_rings):
                 if free[ring]:
                     _check_ring(
                         hp, base, effective_tau, "new", ring, free[ring], thresholds
                     )
-            del hp._threads["new"]
+            hp._drop("new")
             # placed threads moved to every other ring with a free slot
             placed = sorted(hp._location)
             for thread in rng.choice(placed, size=min(3, len(placed)), replace=False):
@@ -265,7 +265,7 @@ def _with_empty_rotating_ring(dynamics, rings, rng):
     empty = int(rng.choice(wide))
     for thread in [t for t in hp._slots[empty] if t is not None]:
         hp._unplace(thread)
-        del hp._threads[thread]
+        hp._drop(thread)
     return hp
 
 
@@ -278,7 +278,7 @@ def test_near_set_scan_matches_the_full_scan(platforms, platform):
         hp = _with_empty_rotating_ring(dynamics, rings, rng)
         base, effective_tau = hp._screen_base()
         free = hp._free_by_ring()
-        hp._threads["new"] = ThreadInfo("new", float(rng.uniform(0.5, 9.0)), 1.0)
+        hp._enroll(ThreadInfo("new", float(rng.uniform(0.5, 9.0)), 1.0))
         for ring in range(rings.n_rings):
             if not free[ring]:
                 continue
@@ -303,10 +303,10 @@ def _decision_run(dynamics, rings, seed):
         hp.admit(ThreadInfo(f"a{i}", power, cpi))
         states.append(hp.state_fingerprint())
         if rng.random() < 0.3:
-            hp.remove(str(rng.choice(sorted(hp._threads))))
+            hp.remove(str(rng.choice(sorted(hp.thread_ids()))))
             states.append(hp.state_fingerprint())
     for step in range(16):
-        threads = sorted(hp._threads)
+        threads = sorted(hp.thread_ids())
         powers = [float(rng.uniform(0.3, 12.0)) for _ in threads]
         hp.update_powers(threads, powers)
         if step % 4 == 3:

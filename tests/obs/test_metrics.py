@@ -8,7 +8,7 @@ import pytest
 
 from repro import config
 from repro.obs import MetricsRegistry
-from repro.sched import HotPotatoScheduler
+from repro.sched import HotPotatoScheduler, PCMigScheduler
 from repro.sim import IntervalSimulator
 from repro.workload import PARSEC, Task
 
@@ -152,6 +152,21 @@ class TestRunDeterminism:
             snapshot["scheduler.decision_latency_s.count"]
             == result.metrics_snapshot["engine.intervals"]
         )
+        # decisions the memo served from the last full one
+        decides = snapshot["scheduler.decision_latency_s.count"]
+        assert 0 < snapshot["sched.decide_reused"] < decides
+
+    def test_pcmig_snapshot_carries_predictor_counters(self):
+        cfg = config.motivational().with_observability(metrics=True)
+        task = Task(0, PARSEC["blackscholes"], n_threads=2, seed=1)
+        result = IntervalSimulator(cfg, PCMigScheduler(), [task]).run(max_time_s=0.1)
+        snapshot = result.metrics_snapshot
+        # every decide() with a free core predicts: the certified screen
+        # settles some predictions, the exact step the rest
+        screened = snapshot["sched.predict_screened"]
+        exact = snapshot["sched.predict_exact"]
+        assert screened > 0 and exact >= 0
+        assert screened + exact == snapshot["scheduler.decision_latency_s.count"]
 
     def test_thermal_cache_hit_rate_is_high(self):
         # the eigenbasis-resident hot loop consults the decay-vector cache

@@ -77,7 +77,8 @@ class TestAdaptivity:
             cfg16, model16, [Task(0, PARSEC["blackscholes"], 2, seed=1)]
         )
         sim.run(max_time_s=0.04)
-        est = [info.power_w for info in sched.hotpotato._threads.values()]
+        hotpotato = sched.hotpotato
+        est = [hotpotato.thread_info(t).power_w for t in hotpotato.thread_ids()]
         peak_est = sched.ctx.power_model.max_core_power_w(
             PARSEC["blackscholes"].p_dyn_ref_w
         )

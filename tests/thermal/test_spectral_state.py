@@ -122,3 +122,29 @@ class TestStateContract:
         assert not np.allclose(state.coefficients, 99.0)
         # a view over the live buffer, not a per-read copy
         assert coeffs.base is not None
+
+
+class TestRepeatedPowerMap:
+    def test_only_a_frozen_map_reuses_its_steady_coefficients(self, dynamics16):
+        """A repeated frozen map steps exactly like fresh copies of it; a
+        writable map edited in place between steps is read afresh."""
+        model = dynamics16.model
+        start = model.ambient_vector(_AMBIENT_C)
+        power = np.full(model.n_cores, 2.0)
+        frozen = power.copy()
+        frozen.flags.writeable = False
+        reused = SpectralThermalState(dynamics16, _AMBIENT_C, start)
+        edited = SpectralThermalState(dynamics16, _AMBIENT_C, start)
+        fresh = SpectralThermalState(dynamics16, _AMBIENT_C, start)
+        for step in range(6):
+            power[step % model.n_cores] += 1.0
+            reused.step(frozen, 5e-4)
+            edited.step(power, 5e-4)
+            fresh.step(frozen.copy(), 5e-4)
+            assert reused.coefficients.tobytes() == fresh.coefficients.tobytes()
+        copy_state = SpectralThermalState(dynamics16, _AMBIENT_C, start)
+        replay = np.full(model.n_cores, 2.0)
+        for step in range(6):
+            replay[step % model.n_cores] += 1.0
+            copy_state.step(replay.copy(), 5e-4)
+        assert edited.coefficients.tobytes() == copy_state.coefficients.tobytes()
